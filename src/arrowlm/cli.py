@@ -1,7 +1,9 @@
 """Command-line front end: prove, corpus build, train, query.
 
 Exit codes: 0 success (provable / results found), 1 valid but negative
-(not provable / no retrieval results), 2 usage or I/O errors.  Every
+(not provable / no retrieval results; in ``--repl``, any query without
+results), 2 usage or I/O errors, 3 internal error (an unexpected
+exception, reported as one line on stderr).  Every
 corpus/train run writes a ``key=value`` manifest with resolved settings,
 input digests, per-phase timings, and peak RSS, enough to reproduce the
 run; query runs print the same to stderr.
@@ -246,7 +248,7 @@ def _print_query_block(result, generated: Optional[list[str]]) -> None:
 
 
 def _answer_query(raw: str, args, params, vocab, db) -> int:
-    from . import inference, retrieval
+    from . import corpus, inference, retrieval
 
     if args.symbolic:
         items = db.parse_pattern(raw)
@@ -261,7 +263,7 @@ def _answer_query(raw: str, args, params, vocab, db) -> int:
                 print(text)
         print()
         return 0 if results else 1
-    words = raw.lower().split()
+    words = corpus.normalize_words(raw)
     if not words:
         print()
         return 1
@@ -309,7 +311,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             line = line.strip()
             if not line:
                 continue
-            status = _answer_query(line, args, params, vocab, db)
+            status = max(status, _answer_query(line, args, params, vocab, db))
     elif args.query is not None:
         status = _answer_query(args.query, args, params, vocab, db)
     else:
@@ -387,7 +389,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "query" and not args.symbolic and not args.model:
         print("query needs --model unless --symbolic", file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # the CLI boundary: a crash must not read as exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

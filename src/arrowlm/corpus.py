@@ -89,6 +89,11 @@ def strip_boilerplate(raw: str) -> str:
 _KEEP_RE = re.compile(r"[^a-z0-9_' ]+")
 
 
+def normalize_words(text: str) -> list[str]:
+    """Lowercase, keep the ``[a-z0-9_' ]`` alphabet, split into words."""
+    return _KEEP_RE.sub("", re.sub(r"\s+", " ", text.lower())).split()
+
+
 def split_sentences(
     body: str, max_len: int = DEFAULT_MAX_SENTENCE_LEN
 ) -> list[list[str]]:
@@ -98,8 +103,7 @@ def split_sentences(
     """
     sentences: list[list[str]] = []
     for part in re.split(r"[.!?]", body):
-        cleaned = _KEEP_RE.sub("", re.sub(r"\s+", " ", part.lower()))
-        tokens = cleaned.split()
+        tokens = normalize_words(part)
         if tokens:
             sentences.append(tokens[:max_len])
     return sentences

@@ -13,12 +13,16 @@ recomputes each step's logits from the tape for the same reason.
 
 Training is AdamW (bias-corrected, decoupled weight decay on the matrix
 parameters) with a linear warmup to a constant learning rate, global
-gradient-norm clipping, and length-bucketed batches; everything is
-seeded and single-threaded so runs are bit-reproducible.
+gradient-norm clipping, and length-bucketed batches.  Everything is
+seeded, so runs are bit-reproducible for a fixed BLAS thread count;
+nothing here pins that count, and matrix products may sum in a different
+order under another one.  A step whose loss or gradient norm is not
+finite stops training with :class:`NonFiniteTraining`.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -52,6 +56,10 @@ class TapeMismatch(ModelError):
     """backward() received a tape recorded for a different batch."""
 
 
+class NonFiniteTraining(ModelError):
+    """A training step produced a non-finite loss or gradient norm."""
+
+
 class FormatVersionMismatch(ModelError):
     """Checkpoint magic, version, or header is inconsistent."""
 
@@ -60,8 +68,27 @@ class ChecksumMismatch(ModelError):
     """Checkpoint CRC32 does not match its contents."""
 
 
+# Every trainable tensor in checkpoint order, with its axes over d, r and
+# the vocabulary size v.
+_TENSORS = (
+    ("h0", "d"),
+    ("emb", "vr"),
+    ("u", "dr"),
+    ("v", "dr"),
+    ("gain", "d"),
+    ("bias", "d"),
+    ("w_out", "vd"),
+)
+
+
+class _TensorSet:
+    def tensors(self) -> list[tuple[str, np.ndarray]]:
+        """``(name, array)`` pairs in checkpoint order."""
+        return [(name, getattr(self, name)) for name, _ in _TENSORS]
+
+
 @dataclass
-class ModelParams:
+class ModelParams(_TensorSet):
     """All trainable tensors; see the module docstring for roles."""
 
     h0: np.ndarray  # (d,) initial state
@@ -85,20 +112,9 @@ class ModelParams:
     def vocab_size(self) -> int:
         return self.w_out.shape[0]
 
-    def tensors(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            ("h0", self.h0),
-            ("emb", self.emb),
-            ("u", self.u),
-            ("v", self.v),
-            ("gain", self.gain),
-            ("bias", self.bias),
-            ("w_out", self.w_out),
-        ]
-
 
 @dataclass
-class Gradients:
+class Gradients(_TensorSet):
     """Per-tensor gradients, same shapes as :class:`ModelParams`."""
 
     h0: np.ndarray
@@ -108,17 +124,6 @@ class Gradients:
     gain: np.ndarray
     bias: np.ndarray
     w_out: np.ndarray
-
-    def tensors(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            ("h0", self.h0),
-            ("emb", self.emb),
-            ("u", self.u),
-            ("v", self.v),
-            ("gain", self.gain),
-            ("bias", self.bias),
-            ("w_out", self.w_out),
-        ]
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "Gradients":
@@ -161,7 +166,12 @@ class StepTape:
 def init_params(
     vocab_size: int, d: int, r: int, seed: int, dtype=np.float32
 ) -> ModelParams:
-    """Seeded N(0, 0.02^2) matrices, zero h0/bias, unit gain."""
+    """Seeded N(0, 0.02^2) matrices, N(0, 1) h0, zero bias, unit gain.
+
+    A zero h0 with zero bias would start every state at exactly zero, where
+    LayerNorm divides by ``sqrt(eps)`` and the backward recurrence blows up.
+    h0 is drawn after the matrices, so their values do not depend on it.
+    """
     if not (d >= r >= 1):
         raise InvalidShape(f"need d >= r >= 1, got d={d}, r={r}")
     if vocab_size < 1:
@@ -171,14 +181,15 @@ def init_params(
     def draw(*shape):
         return (rng.standard_normal(shape) * 0.02).astype(dtype)
 
+    emb, u, v, w_out = draw(vocab_size, r), draw(d, r), draw(d, r), draw(vocab_size, d)
     return ModelParams(
-        h0=np.zeros(d, dtype=dtype),
-        emb=draw(vocab_size, r),
-        u=draw(d, r),
-        v=draw(d, r),
+        h0=rng.standard_normal(d).astype(dtype),
+        emb=emb,
+        u=u,
+        v=v,
         gain=np.ones(d, dtype=dtype),
         bias=np.zeros(d, dtype=dtype),
-        w_out=draw(vocab_size, d),
+        w_out=w_out,
         eps=1e-5,
     )
 
@@ -401,7 +412,9 @@ def train(
     """AdamW training over the fragment set; returns per-epoch mean losses.
 
     ``params`` is updated in place.  ``pad_id`` defaults to the last
-    vocabulary id, matching the vocab file layout.
+    vocabulary id, matching the vocab file layout.  Raises
+    :class:`NonFiniteTraining` before applying a step whose loss or
+    gradient norm is not finite.
     """
     if not fragments:
         raise DegenerateBatch("training set is empty")
@@ -417,7 +430,11 @@ def train(
             tokens, mask = pack_batch(batch, pad_id)
             loss, tape = forward_loss(params, tokens, mask)
             grads = backward(params, tokens, mask, tape)
-            clip_gradients(grads, config.clip_norm)
+            norm = clip_gradients(grads, config.clip_norm)
+            if not (math.isfinite(loss) and math.isfinite(norm)):
+                raise NonFiniteTraining(
+                    f"step {optimizer.step_count + 1}: loss {loss}, gradient norm {norm}"
+                )
             optimizer.update(params, grads)
             epoch_nll += loss * tape.n_pred
             epoch_pred += tape.n_pred
@@ -466,7 +483,8 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocab]:
         raise FormatVersionMismatch(
             f"unsupported checkpoint magic/version {magic!r}/{version}"
         )
-    shapes = [(d,), (vocab_size, r), (d, r), (d, r), (d,), (d,), (vocab_size, d)]
+    sizes = {"d": d, "r": r, "v": vocab_size}
+    shapes = [tuple(sizes[axis] for axis in axes) for _, axes in _TENSORS]
     expected = _HEADER.size + 4 * sum(int(np.prod(s)) for s in shapes) + 4
     if len(data) != expected:
         raise FormatVersionMismatch(

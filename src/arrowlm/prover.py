@@ -9,8 +9,11 @@ discharged by re-proving ``C->D`` under the extra assumption ``D->B``.
 The selection commits to the first qualifying assumption, so search never
 backtracks and terminates on all inputs.
 
-``prove_with_term`` runs the same search while building a lambda-calculus
-witness, validated here by ``type_check`` and ``beta_normalize``.
+Deciding and witnessing are one search: its context pairs each hypothesis
+with a witness, so a successful search returns the record of its
+derivation.  ``prove`` keeps only whether it succeeded; ``prove_with_term``
+turns the record into a lambda-calculus term, validated here by
+``type_check`` and ``beta_normalize``.
 """
 
 from __future__ import annotations
@@ -48,84 +51,69 @@ ProofTerm = Union[Var, Lam, App]
 
 def prove(goal: Formula, context: tuple[Formula, ...] = ()) -> bool:
     """Decide provability of ``goal`` from ``context`` (order-significant)."""
-    return _prove(goal, list(context))
-
-
-def _prove(goal: Formula, ctx: list[Formula]) -> bool:
-    if goal in ctx:
-        return True
-    if isinstance(goal, Imp):
-        return _prove(goal.consequent, [goal.antecedent] + ctx)
-    for i, f in enumerate(ctx):
-        if not isinstance(f, Imp):
-            continue
-        rest = ctx[:i] + ctx[i + 1 :]
-        a, b = f.antecedent, f.consequent
-        if isinstance(a, Atom):
-            usable = a in rest
-        else:
-            usable = _prove(a, [Imp(a.consequent, b)] + rest)
-        if usable:
-            # Commit: replace the selected implication by its consequent.
-            return _prove(goal, [b] + rest)
-    return False
-
-
-def _subst_var(term: ProofTerm, name: str, repl: ProofTerm) -> ProofTerm:
-    """Replace a free variable; safe here because bound names are globally fresh."""
-    if isinstance(term, Var):
-        return repl if term.name == name else term
-    if isinstance(term, Lam):
-        if term.bound == name:
-            return term
-        return Lam(term.bound, _subst_var(term.body, name, repl))
-    return App(_subst_var(term.fun, name, repl), _subst_var(term.arg, name, repl))
+    hyps = list(zip(context, map("h{}".format, range(len(context)))))
+    return _search(goal, hyps, itertools.count(1)) is not None
 
 
 def prove_with_term(goal: Formula) -> Optional[ProofTerm]:
     """Like :func:`prove` but return a lambda witness, or None if unprovable.
 
     The compound-antecedent elimination proves ``C->D`` under an auxiliary
-    hypothesis ``D->B``; in the returned term that hypothesis is realized
-    concretely as ``\\d. s (\\c. d)`` from the selected ``s : (C->D)->B``,
-    so every witness is simply typed at the goal formula.
+    hypothesis ``D->B``; that hypothesis is realized concretely as
+    ``\\d. s (\\c. d)`` from the selected ``s : (C->D)->B``, so every
+    witness is simply typed at the goal formula.
     """
-    counter = itertools.count(1)
+    witness = _search(goal, [], itertools.count(1))
+    return None if witness is None else _term(witness)
 
-    def fresh() -> str:
-        return f"x{next(counter)}"
 
-    def go(goal: Formula, ctx: list[tuple[ProofTerm, Formula]]) -> Optional[ProofTerm]:
-        for witness, f in ctx:
-            if f == goal:
-                return witness
-        if isinstance(goal, Imp):
-            x = fresh()
-            body = go(goal.consequent, [(Var(x), goal.antecedent)] + ctx)
-            return None if body is None else Lam(x, body)
-        for i, (s, f) in enumerate(ctx):
-            if not isinstance(f, Imp):
-                continue
-            rest = ctx[:i] + ctx[i + 1 :]
-            a, b = f.antecedent, f.consequent
-            arg: Optional[ProofTerm] = None
-            if isinstance(a, Atom):
-                for witness, g in rest:
-                    if g == a:
-                        arg = witness
-                        break
-            else:
-                x = fresh()
-                sub = go(a, [(Var(x), Imp(a.consequent, b))] + rest)
-                if sub is not None:
-                    d_name, c_name = fresh(), fresh()
-                    hypothesis = Lam(d_name, App(s, Lam(c_name, Var(d_name))))
-                    arg = _subst_var(sub, x, hypothesis)
-            if arg is not None:
-                return go(goal, [(App(s, arg), b)] + rest)
-        return None
+# A witness inside the search is plain data: a variable name, ("lam", name,
+# body) or ("app", fun, arg).  Names come from one counter per top-level
+# call, so every binder in a witness is distinct and no step can capture.
+Witness = Union[str, tuple]
 
-    return go(goal, [])
+
+def _search(goal: Formula, ctx: list[tuple[Formula, Witness]], names) -> Optional[Witness]:
+    """The four-rule search; ``ctx`` pairs each hypothesis with its witness.
+
+    Lookups test identity before ``==`` (as ``in`` does), so deciding makes
+    no more Python calls than a formula-only context would.
+    """
+    for f, w in ctx:
+        if f is goal or f == goal:
+            return w
+    if isinstance(goal, Imp):
+        x = f"x{next(names)}"
+        body = _search(goal.consequent, [(goal.antecedent, x)] + ctx, names)
+        return None if body is None else ("lam", x, body)
+    for i, (f, s) in enumerate(ctx):
+        if not isinstance(f, Imp):
+            continue
+        rest = ctx[:i] + ctx[i + 1 :]
+        a, b = f.antecedent, f.consequent
+        arg = None
+        if isinstance(a, Atom):
+            for g, w in rest:
+                if g is a or g == a:
+                    arg = w
+                    break
+        else:
+            d, c = f"x{next(names)}", f"x{next(names)}"
+            aux = ("lam", d, ("app", s, ("lam", c, d)))
+            arg = _search(a, [(Imp(a.consequent, b), aux)] + rest, names)
+        if arg is not None:
+            # Commit: replace the selected implication by its consequent.
+            return _search(goal, [(b, ("app", s, arg))] + rest, names)
+    return None
+
+
+def _term(witness: Witness) -> ProofTerm:
+    if isinstance(witness, str):
+        return Var(witness)
+    tag, left, right = witness
+    if tag == "lam":
+        return Lam(left, _term(right))
+    return App(_term(left), _term(right))
 
 
 def type_check(

@@ -227,9 +227,9 @@ def random_params(
 ) -> ModelParams:
     """A generic (mid-training-like) parameter point.
 
-    The fresh initialization sits exactly at h0 = 0 where the first
-    LayerNorm is at its var = 0 kink; numeric tests (finite differences,
-    operator commutators) need a generic point instead.
+    The fresh initialization is a special point (near-identity operators,
+    zero bias, unit gain); numeric tests (finite differences, operator
+    commutators) need a generic point instead.
     """
     rng = np.random.default_rng(seed)
     return ModelParams(

@@ -12,6 +12,7 @@ from arrowlm.model import (
     Gradients,
     InvalidShape,
     ModelParams,
+    NonFiniteTraining,
     TapeMismatch,
     TokenOutOfRange,
     TrainConfig,
@@ -249,6 +250,26 @@ class TestTrain:
         params = init_params(6, 8, 2, 0)
         with pytest.raises(DegenerateBatch):
             train(params, [], TrainConfig(d=8, r=2))
+
+    def test_long_fragments_stay_finite_from_init(self):
+        # A zero start state puts LayerNorm at its 1/sqrt(eps) floor, which
+        # 31 backward steps amplify past float32 range.
+        rng = np.random.default_rng(0)
+        frags = [tuple(int(t) for t in rng.integers(0, 49, 31)) for _ in range(64)]
+        params = init_params(50, 64, 8, 42)
+        _, history = train(params, frags, TrainConfig(epochs=2), pad_id=49)
+        assert np.isfinite(history).all()
+        for _, arr in params.tensors():
+            assert np.isfinite(arr).all()
+
+    def test_non_finite_step_raises_before_update(self):
+        params = init_params(6, 8, 2, 0)
+        params.w_out[0, 0] = np.nan
+        before = [arr.copy() for _, arr in params.tensors()]
+        with pytest.raises(NonFiniteTraining):
+            train(params, [(0, 1, 2)], TrainConfig(d=8, r=2), pad_id=5)
+        for (_, arr), old in zip(params.tensors(), before):
+            assert np.array_equal(arr, old, equal_nan=True)
 
     def test_warmup_ramp(self):
         params = init_params(6, 8, 2, 0)
