@@ -10,7 +10,9 @@ encodings of all contiguous token subsequences).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
+from _weakref import _remove_dead_weakref
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -34,23 +36,118 @@ class FormulaSyntaxError(FormulaError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Atom:
+# Hash-consing (Filliatre & Conchon 2006): every Atom/Imp value exists once,
+# so structural equality is identity and both ``==`` and ``hash`` are the
+# default C-level object ones -- O(1), never recursive, and never a Python
+# call on the prover's hot path.  _NODES maps a node's fields to a weak
+# reference that remembers that key; when the node dies, _forget drops the
+# entry, so the table holds only live formulas.  Keys hold the children,
+# which a live parent keeps alive anyway.
+_NODES: dict = {}
+
+
+class _Entry(weakref.ref):
+    """A weak reference to a node that knows the node's key in _NODES."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry) -> None:
+    """Drop a dead node's entry, unless an equal live node has replaced it.
+
+    A garbage collection clears weak references before it runs their
+    callbacks, so an equal node may be built and entered in between; the
+    removal is therefore conditional, and atomic in C.
+    """
+    _remove_dead_weakref(_NODES, entry.key)
+
+
+def _enter(key: tuple, node):
+    """The node for ``key``: ``node`` itself, or an equal one entered first.
+
+    Lock-free: ``setdefault`` enters ``node`` atomically unless an entry is
+    there, and a dead entry is removed (atomically, only if still dead)
+    before trying again, so two threads never enter twin nodes.
+    """
+    mine = _Entry(node, _forget)
+    mine.key = key
+    while True:
+        found = _NODES.setdefault(key, mine)()
+        if found is not None:
+            return found
+        _remove_dead_weakref(_NODES, key)
+
+
+class _Node:
+    """Immutability for the shared nodes, as frozen dataclasses had it."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Atom(_Node):
     """A propositional atom: an interned word.
 
     ``id`` and ``surface`` are a bijection within one Interner/Vocab, so
-    structural equality over both fields coincides with id equality there.
+    equality over both fields coincides with id equality there.  Atoms are
+    hash-consed: equal atoms are the same object.
     """
 
-    id: int
-    surface: str
+    __slots__ = ("id", "surface", "__weakref__")
+
+    def __new__(cls, id: int, surface: str) -> "Atom":
+        key = (id, surface)
+        entry = _NODES.get(key)
+        atom = entry and entry()
+        if atom is None:
+            atom = object.__new__(cls)
+            _SET_ID(atom, id)
+            _SET_SURFACE(atom, surface)
+            atom = _enter(key, atom)
+        return atom
+
+    def __reduce__(self):
+        return Atom, (self.id, self.surface)
+
+    def __repr__(self) -> str:
+        return f"Atom({self.id!r}, {self.surface!r})"
 
 
-@dataclass(frozen=True)
-class Imp:
-    antecedent: "Formula"
-    consequent: "Formula"
+class Imp(_Node):
+    """The implication ``antecedent -> consequent``.
 
+    Hash-consed like :class:`Atom`: structurally equal implications are the
+    same object, so ``==`` and ``hash`` take constant time at any depth.
+    """
+
+    __slots__ = ("antecedent", "consequent", "__weakref__")
+
+    def __new__(cls, antecedent: "Formula", consequent: "Formula") -> "Imp":
+        key = (antecedent, consequent)
+        entry = _NODES.get(key)
+        imp = entry and entry()
+        if imp is None:
+            imp = object.__new__(cls)
+            _SET_ANTECEDENT(imp, antecedent)
+            _SET_CONSEQUENT(imp, consequent)
+            imp = _enter(key, imp)
+        return imp
+
+    def __reduce__(self):
+        return Imp, (self.antecedent, self.consequent)
+
+    def __repr__(self) -> str:
+        return f"<Imp {print_formula(self)}>"
+
+
+# The slots' own setters, which _Node.__setattr__ does not block.
+_SET_ID, _SET_SURFACE = Atom.id.__set__, Atom.surface.__set__
+_SET_ANTECEDENT, _SET_CONSEQUENT = Imp.antecedent.__set__, Imp.consequent.__set__
 
 Formula = Union[Atom, Imp]
 
@@ -62,34 +159,30 @@ class Interner:
     """
 
     def __init__(self, words: Iterable[str] = ()):
-        self._words: list[str] = []
-        self._index: dict[str, int] = {}
+        self._atoms: dict[str, Atom] = {}
         for w in words:
             self.atom(w)
 
     def atom(self, surface: str) -> Atom:
         """Return the atom for ``surface``, interning it if new."""
-        idx = self._index.get(surface)
-        if idx is None:
-            idx = len(self._words)
-            self._words.append(surface)
-            self._index[surface] = idx
-        return Atom(idx, surface)
+        atom = self._atoms.get(surface)
+        if atom is None:
+            atom = self._atoms[surface] = Atom(len(self._atoms), surface)
+        return atom
 
     def lookup(self, surface: str) -> Optional[Atom]:
         """Return the atom for ``surface`` if already interned, else None."""
-        idx = self._index.get(surface)
-        return None if idx is None else Atom(idx, surface)
+        return self._atoms.get(surface)
 
     @property
     def words(self) -> tuple[str, ...]:
-        return tuple(self._words)
+        return tuple(self._atoms)
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self._atoms)
 
     def __contains__(self, surface: str) -> bool:
-        return surface in self._index
+        return surface in self._atoms
 
 
 def list_to_impl(tokens: Sequence[Atom]) -> Formula:
@@ -133,103 +226,98 @@ def suffix_prefixes(f: Formula) -> list[Formula]:
     return out
 
 
-_TOKEN_RE = re.compile(r"[a-z0-9_']+")
-_SPACE_RE = re.compile(r"[ \t\r\n]+")
+# One pass over the text: a word, an arrow, or any other single character
+# (a parenthesis, or a stray character the parser rejects), after spaces.
+_LEXEME_RE = re.compile(r"[ \t\r\n]*([a-z0-9_']+|->|[^ \t\r\n])")
+_WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_'")
 
 
 def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Lex into (kind, value, char offset) triples; kinds: atom, arrow, lparen, rparen."""
-    toks: list[tuple[str, str, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        m = _SPACE_RE.match(text, i)
-        if m:
-            i = m.end()
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m:
-            toks.append(("atom", m.group(), i))
-            i = m.end()
-            continue
-        if text.startswith("->", i):
-            toks.append(("arrow", "->", i))
-            i += 2
-            continue
-        if text[i] == "(":
-            toks.append(("lparen", "(", i))
-            i += 1
-            continue
-        if text[i] == ")":
-            toks.append(("rparen", ")", i))
-            i += 1
-            continue
-        raise FormulaSyntaxError(
-            f"unexpected character {text[i]!r}", _byte_offset(text, i)
-        )
-    return toks
+def _syntax_error(text: str, index: int, message: str) -> FormulaSyntaxError:
+    """The error for the ``index``-th lexeme (or the end), at its byte offset.
+
+    A stray character anywhere is reported first, as if lexing preceded parsing.
+    """
+    starts = []
+    for m in _LEXEME_RE.finditer(text):
+        lexeme = m.group(1)
+        if lexeme[-1] not in _WORD_CHARS and lexeme not in ("->", "(", ")"):
+            return FormulaSyntaxError(f"unexpected character {lexeme!r}", _byte_offset(text, m.start(1)))
+        starts.append(m.start(1))
+    off = starts[index] if index < len(starts) else len(text)
+    return FormulaSyntaxError(message, _byte_offset(text, off))
+
+
+def _fold(operands: list[Formula]) -> Formula:
+    """``a1->a2->...->an``, right-associated."""
+    acc = operands[-1]
+    for f in reversed(operands[:-1]):
+        acc = Imp(f, acc)
+    return acc
+
+
+def _group(text: str, lexemes: list[str], index: int, nested: bool, interner: Interner) -> tuple[Formula, int]:
+    """Parse operands joined by ``->`` from ``lexemes[index]``: (formula, next index).
+
+    ``nested`` means a ``(`` opened this group, so it must close with ``)``.
+    Each parenthesis level is one recursive call.
+    """
+    atoms = interner._atoms
+    operands: list[Formula] = []
+    n = len(lexemes)
+    while True:
+        lexeme = lexemes[index] if index < n else ""
+        if lexeme == "(":
+            group, index = _group(text, lexemes, index + 1, True, interner)
+            operands.append(group)
+        elif lexeme and lexeme[-1] in _WORD_CHARS:
+            operands.append(atoms.get(lexeme) or interner.atom(lexeme))
+            index += 1
+        else:
+            raise _syntax_error(text, index, "expected atom or '('")
+        if index < n and lexemes[index] == "->":
+            index += 1
+        else:
+            break
+    if not nested:
+        if index < n:
+            raise _syntax_error(text, index, "unexpected trailing input")
+    elif index < n and lexemes[index] == ")":
+        index += 1
+    else:
+        raise _syntax_error(text, index, "expected ')'")
+    return _fold(operands), index
 
 
 def parse_formula(text: str, interner: Optional[Interner] = None) -> Formula:
     """Parse ``->`` notation (right-associative; parentheses group).
 
     Atoms are interned into ``interner`` (a fresh one if omitted), so all
-    formulas meant to be compared must share one interner.
+    formulas meant to be compared must share one interner.  An arrow chain
+    is a loop, but each parenthesis level is one Python frame, so nesting
+    near the recursion limit (a left-nested chain of about 1,000 atoms)
+    raises ``RecursionError`` here, as it would in the prover.
     """
     interner = interner if interner is not None else Interner()
-    toks = _tokenize(text)
-    pos = 0
-
-    def peek() -> Optional[tuple[str, str, int]]:
-        return toks[pos] if pos < len(toks) else None
-
-    def error(message: str) -> FormulaSyntaxError:
-        off = toks[pos][2] if pos < len(toks) else len(text)
-        return FormulaSyntaxError(message, _byte_offset(text, off))
-
-    def formula() -> Formula:
-        left = operand()
-        tok = peek()
-        if tok is not None and tok[0] == "arrow":
-            nonlocal pos
-            pos += 1
-            return Imp(left, formula())
-        return left
-
-    def operand() -> Formula:
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            raise error("expected atom or '('")
-        kind, value, _ = tok
-        if kind == "atom":
-            pos += 1
-            return interner.atom(value)
-        if kind == "lparen":
-            pos += 1
-            inner = formula()
-            closing = peek()
-            if closing is None or closing[0] != "rparen":
-                raise error("expected ')'")
-            pos += 1
-            return inner
-        raise error("expected atom or '('")
-
-    result = formula()
-    if pos != len(toks):
-        raise error("unexpected trailing input")
-    return result
+    return _group(text, _LEXEME_RE.findall(text), 0, False, interner)[0]
 
 
 def print_formula(f: Formula) -> str:
     """Render with minimal parentheses: only implication antecedents get them."""
-    if isinstance(f, Atom):
-        return f.surface
-    left = print_formula(f.antecedent)
-    if isinstance(f.antecedent, Imp):
-        left = f"({left})"
-    return f"{left}->{print_formula(f.consequent)}"
+    out: list[str] = []
+    todo: list = [f]  # formulas and literal strings, rendered last-first
+    while todo:
+        item = todo.pop()
+        if isinstance(item, Imp):
+            todo.append(item.consequent)
+            todo.append("->")
+            if isinstance(item.antecedent, Imp):
+                todo += (")", item.antecedent, "(")
+            else:
+                todo.append(item.antecedent)
+        else:
+            out.append(item if isinstance(item, str) else item.surface)
+    return "".join(out)

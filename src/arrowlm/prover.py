@@ -1,19 +1,31 @@
 """Decision procedure for implicational intuitionistic logic.
 
 ``prove`` implements the contraction-free four-rule sequent calculus for
-the implicational fragment: an atom (or any goal) already in the context
-is proven; an implication goal moves its antecedent into the context; and
-a context implication ``A->B`` is eliminated by first-fit selection, with
-atomic ``A`` discharged by context lookup and compound ``A = C->D``
-discharged by re-proving ``C->D`` under the extra assumption ``D->B``.
-The selection commits to the first qualifying assumption, so search never
-backtracks and terminates on all inputs.
+the implicational fragment (Dyckhoff 1992, *JSL* 57(3)): an atom (or any
+goal) already in the context is proven; an implication goal moves its
+antecedent into the context; and a context implication ``A->B`` is
+eliminated, with atomic ``A`` discharged by context lookup and compound
+``A = C->D`` discharged by proving ``C->D`` under the extra assumption
+``D->B`` in place of ``A->B``.  Every premise is smaller than its
+conclusion in Dyckhoff's multiset order, so the search terminates on all
+inputs.
 
-Deciding and witnessing are one search: its context pairs each hypothesis
-with a witness, so a successful search returns the record of its
-derivation.  ``prove`` keeps only whether it succeeded; ``prove_with_term``
-turns the record into a lambda-calculus term, validated here by
-``type_check`` and ``beta_normalize``.
+Contexts are sets.  Contraction is admissible, so a repeated hypothesis
+adds nothing and is kept once; whether a goal follows then depends only on
+the goal and the set of hypotheses, and one memo per top-level call maps
+each (goal, context) pair it has settled to its outcome.  Elimination
+tries the context's implications in the order they were assumed: when the
+left premise of one fails, the next is tried; once a left premise
+succeeds, the search commits to the right premise and tries nothing else.
+Committing is safe because the right premise (the context with ``B`` for
+``A->B``) is invertible: ``B`` implies ``A->B``, so if the goal follows at
+all, it follows from the right premise.
+
+Deciding and witnessing are one search: when witnessing, the context pairs
+each hypothesis with a witness, so a successful search returns the record
+of its derivation.  ``prove`` keeps only whether it succeeded;
+``prove_with_term`` turns the record into a lambda-calculus term,
+validated here by ``type_check`` and ``beta_normalize``.
 """
 
 from __future__ import annotations
@@ -50,9 +62,9 @@ ProofTerm = Union[Var, Lam, App]
 
 
 def prove(goal: Formula, context: tuple[Formula, ...] = ()) -> bool:
-    """Decide provability of ``goal`` from ``context`` (order-significant)."""
-    hyps = list(zip(context, map("h{}".format, range(len(context)))))
-    return _search(goal, hyps, itertools.count(1)) is not None
+    """Decide provability of ``goal`` from ``context``, read as a set of hypotheses."""
+    hyps = tuple(dict.fromkeys(context))
+    return _search(goal, hyps, frozenset(hyps), None, {}, None) is not None
 
 
 def prove_with_term(goal: Formula) -> Optional[ProofTerm]:
@@ -60,60 +72,101 @@ def prove_with_term(goal: Formula) -> Optional[ProofTerm]:
 
     The compound-antecedent elimination proves ``C->D`` under an auxiliary
     hypothesis ``D->B``; that hypothesis is realized concretely as
-    ``\\d. s (\\c. d)`` from the selected ``s : (C->D)->B``, so every
-    witness is simply typed at the goal formula.
+    ``\\d. s (\\c. d)`` from the selected ``s : (C->D)->B``, and applying it
+    to an argument builds ``s (\\c. arg)`` directly, so every witness is
+    beta-normal and simply typed at the goal formula.
     """
-    witness = _search(goal, [], itertools.count(1))
+    witness = _search(goal, (), frozenset(), (), {}, itertools.count(1))
     return None if witness is None else _term(witness)
 
 
 # A witness inside the search is plain data: a variable name, ("lam", name,
-# body) or ("app", fun, arg).  Names come from one counter per top-level
-# call, so every binder in a witness is distinct and no step can capture.
+# body), ("app", fun, arg) or ("aux", s, d, c) for the auxiliary hypothesis
+# \d. s (\c. d).  Names come from one counter per top-level call, so every
+# binder a step creates is fresh and no step can capture.
 Witness = Union[str, tuple]
 
 
-def _search(goal: Formula, ctx: list[tuple[Formula, Witness]], names) -> Optional[Witness]:
-    """The four-rule search; ``ctx`` pairs each hypothesis with its witness.
+def _search(goal: Formula, hyps: tuple, known: frozenset, wits: Optional[tuple], memo: dict, names):
+    """The four-rule search over a set context; None if ``goal`` does not follow.
 
-    Lookups test identity before ``==`` (as ``in`` does), so deciding makes
-    no more Python calls than a formula-only context would.
+    ``hyps`` holds the hypotheses without repeats in the order they were
+    assumed, which fixes the search order; ``known`` is the same set as a
+    frozenset, which answers membership and keys ``memo``.  Witnessing
+    (``names`` is a counter) pairs ``hyps`` with the witnesses ``wits``;
+    deciding (``names`` is None) returns True on success and builds no
+    witness.  Success depends on the set alone, so ``memo`` records both
+    outcomes when deciding but only failures when witnessing.
     """
-    for f, w in ctx:
-        if f is goal or f == goal:
-            return w
+    if goal in known:
+        return True if names is None else wits[hyps.index(goal)]
+    key = (goal, known)
+    if key in memo:
+        return memo[key]
+    result = None
     if isinstance(goal, Imp):
-        x = f"x{next(names)}"
-        body = _search(goal.consequent, [(goal.antecedent, x)] + ctx, names)
-        return None if body is None else ("lam", x, body)
-    for i, (f, s) in enumerate(ctx):
-        if not isinstance(f, Imp):
-            continue
-        rest = ctx[:i] + ctx[i + 1 :]
-        a, b = f.antecedent, f.consequent
-        arg = None
-        if isinstance(a, Atom):
-            for g, w in rest:
-                if g is a or g == a:
-                    arg = w
-                    break
-        else:
-            d, c = f"x{next(names)}", f"x{next(names)}"
-            aux = ("lam", d, ("app", s, ("lam", c, d)))
-            arg = _search(a, [(Imp(a.consequent, b), aux)] + rest, names)
-        if arg is not None:
-            # Commit: replace the selected implication by its consequent.
-            return _search(goal, [(b, ("app", s, arg))] + rest, names)
-    return None
+        a = goal.antecedent
+        x = None if names is None else f"x{next(names)}"
+        if a not in known:
+            hyps, known = hyps + (a,), known | {a}
+            wits = None if names is None else wits + (x,)
+        body = _search(goal.consequent, hyps, known, wits, memo, names)
+        result = body if body is None or names is None else ("lam", x, body)
+    else:
+        for i, f in enumerate(hyps):
+            if not isinstance(f, Imp):
+                continue
+            a, b = f.antecedent, f.consequent
+            if isinstance(a, Atom) and a not in known:
+                continue
+            rest, rest_known = hyps[:i] + hyps[i + 1 :], known - {f}
+            rest_wits = s = None
+            if names is not None:
+                s = wits[i]
+                rest_wits = wits[:i] + wits[i + 1 :]
+            if isinstance(a, Atom):
+                arg = True if names is None else wits[hyps.index(a)]
+            else:
+                aux = Imp(a.consequent, b)
+                if aux in rest_known:
+                    arg = _search(a, rest, rest_known, rest_wits, memo, names)
+                elif names is None:
+                    arg = _search(a, rest + (aux,), rest_known | {aux}, None, memo, None)
+                else:
+                    w = ("aux", s, f"x{next(names)}", f"x{next(names)}")
+                    arg = _search(a, rest + (aux,), rest_known | {aux}, rest_wits + (w,), memo, names)
+                if arg is None:
+                    continue
+            # Commit: the right premise is invertible, so no other choice is tried.
+            if b not in rest_known:
+                rest, rest_known = rest + (b,), rest_known | {b}
+                if names is not None:
+                    rest_wits += (_apply(s, arg),)
+            result = _search(goal, rest, rest_known, rest_wits, memo, names)
+            break
+    if result is None or names is None:
+        memo[key] = result
+    return result
+
+
+def _apply(fun: Witness, arg: Witness) -> Witness:
+    """``fun arg``, contracting the redex an auxiliary ``fun`` would form."""
+    while isinstance(fun, tuple) and fun[0] == "aux":
+        _, fun, _, c = fun  # (\d. s (\c. d)) arg  ~>  s (\c. arg)
+        arg = ("lam", c, arg)
+    return ("app", fun, arg)
 
 
 def _term(witness: Witness) -> ProofTerm:
     if isinstance(witness, str):
         return Var(witness)
-    tag, left, right = witness
+    tag = witness[0]
     if tag == "lam":
-        return Lam(left, _term(right))
-    return App(_term(left), _term(right))
+        return Lam(witness[1], _term(witness[2]))
+    if tag == "app":
+        return App(_term(witness[1]), _term(witness[2]))
+    _, s, d, c = witness
+    return Lam(d, _term(_apply(s, ("lam", c, d))))
 
 
 def type_check(

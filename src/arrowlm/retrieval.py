@@ -1,11 +1,12 @@
 """Sentence store with exact and wildcard subsequence queries.
 
-Sentences are kept as deduplicated left-nested implication formulas plus
-an inverted n-gram index.  A query matches a stored sentence exactly when
-its chain encoding is a suffix-prefix fragment of the stored formula,
-which is equivalent to the query tokens occurring contiguously in the
-sentence; matching is therefore computed on token sequences, and the
-fragment formulas are never materialized.
+Sentences are kept as deduplicated token sequences plus an inverted
+n-gram index.  A query matches a stored sentence exactly when its chain
+encoding is a suffix-prefix fragment of the sentence's left-nested
+implication formula, which is equivalent to the query tokens occurring
+contiguously in the sentence; matching is therefore computed on token
+sequences, and a sentence's formula is built only when a result asks
+for it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
+from .corpus import normalize_words
 from .formula import Atom, Formula, Interner, list_to_impl
 
 
@@ -49,7 +51,12 @@ QueryItem = Union[Word, Wildcard]
 class Sentence:
     id: int
     tokens: tuple[str, ...]
-    formula: Formula
+    atoms: tuple[Atom, ...]
+
+    @property
+    def formula(self) -> Formula:
+        """The sentence's chain, built on demand: matching never reads it."""
+        return list_to_impl(self.atoms)
 
 
 class SentenceDB:
@@ -82,8 +89,10 @@ class SentenceDB:
     def parse_pattern(self, raw: str) -> Optional[list[QueryItem]]:
         """Parse ``?name`` / ``_`` wildcard syntax into query items.
 
-        Returns None when a concrete word is absent from the store (such a
-        pattern can never match).
+        Every other whitespace-separated part goes through the corpus
+        normalizer, so ``"Cat, ?x"`` asks what ``"cat ?x"`` asks.  Returns
+        None when a concrete word is absent from the store (such a pattern
+        can never match).
         """
         items: list[QueryItem] = []
         for part in raw.lower().split():
@@ -92,10 +101,11 @@ class SentenceDB:
             elif part.startswith("?"):
                 items.append(Wildcard(part[1:] or None))
             else:
-                atom = self.interner.lookup(part)
-                if atom is None:
-                    return None
-                items.append(Word(atom))
+                for word in normalize_words(part):
+                    atom = self.interner.lookup(word)
+                    if atom is None:
+                        return None
+                    items.append(Word(atom))
         return items
 
 
@@ -130,8 +140,7 @@ def build_db(sentences: Iterable[Sequence[str]], k_max: int = 5) -> SentenceDB:
         if toks in seen:
             continue
         seen.add(toks)
-        formula = list_to_impl([interner.atom(w) for w in toks])
-        stored.append(Sentence(len(stored), toks, formula))
+        stored.append(Sentence(len(stored), toks, tuple(map(interner.atom, toks))))
     index: dict[tuple[str, ...], list[tuple[int, int]]] = {}
     for sent in stored:
         toks = sent.tokens
@@ -142,31 +151,36 @@ def build_db(sentences: Iterable[Sequence[str]], k_max: int = 5) -> SentenceDB:
     return SentenceDB(tuple(stored), frozen, k_max, interner)
 
 
-def query_exact(db: SentenceDB, words: Sequence[str]) -> list[tuple[int, Formula]]:
-    """Sentences containing ``words`` contiguously, once each, in id order."""
+def query_exact(db: SentenceDB, words: Sequence[str]) -> list[tuple[int, Sentence]]:
+    """Sentences containing ``words`` contiguously, once each, in id order.
+
+    Returns (sentence id, sentence) pairs; a sentence's ``formula`` is built
+    only if read.
+    """
     if not words:
         raise EmptyQuery("query must contain at least one word")
     seen: set[int] = set()
-    out: list[tuple[int, Formula]] = []
+    out: list[tuple[int, Sentence]] = []
     for sid, _ in db.occurrences(words):
         if sid not in seen:
             seen.add(sid)
-            out.append((sid, db.sentences[sid].formula))
+            out.append((sid, db.sentences[sid]))
     return out
 
 
 def query_pattern(
     db: SentenceDB, items: Sequence[QueryItem]
-) -> list[tuple[dict[str, str], int, Formula]]:
+) -> list[tuple[dict[str, str], int, Sentence]]:
     """Match a word/wildcard pattern against all sentence windows.
 
-    Returns (bindings, sentence id, formula) triples, deduplicated on
-    (bindings, id); bindings cover named wildcards only.
+    Returns (bindings, sentence id, sentence) triples, deduplicated on
+    (bindings, id); bindings cover named wildcards only.  A sentence's
+    ``formula`` is built only if read.
     """
     if not items:
         raise EmptyQuery("pattern must contain at least one item")
     m = len(items)
-    results: list[tuple[dict[str, str], int, Formula]] = []
+    results: list[tuple[dict[str, str], int, Sentence]] = []
     seen: set[tuple[tuple[tuple[str, str], ...], int]] = set()
     for sent in db.sentences:
         toks = sent.tokens
@@ -190,7 +204,7 @@ def query_pattern(
             key = (tuple(sorted(bindings.items())), sent.id)
             if key not in seen:
                 seen.add(key)
-                results.append((bindings, sent.id, sent.formula))
+                results.append((bindings, sent.id, sent))
     return results
 
 

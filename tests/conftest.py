@@ -1,9 +1,7 @@
-"""Shared fixtures: toy corpus artifacts and the overfit checkpoint."""
+"""Shared test data: the toy corpus text; puts ``oracles`` on the import path."""
 
 import sys
 from pathlib import Path
-
-import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -11,42 +9,3 @@ TOY_RAW = (
     "The cat sits on the mat. The dog sits on the log. "
     "The cat chases the mouse! The dog chases the cat."
 )
-
-
-@pytest.fixture(scope="session")
-def toy_sentences():
-    from arrowlm.corpus import split_sentences
-
-    return split_sentences(TOY_RAW)
-
-
-@pytest.fixture(scope="session")
-def toy_vocab(toy_sentences):
-    from arrowlm.corpus import build_vocab
-
-    return build_vocab(toy_sentences)
-
-
-@pytest.fixture(scope="session")
-def toy_training(toy_sentences, toy_vocab):
-    from arrowlm.corpus import enumerate_fragments
-
-    return enumerate_fragments(toy_sentences, toy_vocab, k_frag=5)
-
-
-@pytest.fixture(scope="session")
-def toy_db(toy_sentences):
-    from arrowlm.retrieval import build_db
-
-    return build_db(toy_sentences, k_max=5)
-
-
-@pytest.fixture(scope="session")
-def overfit_model(toy_vocab, toy_training):
-    """The d=64, r=8, seed 42, 200-epoch toy checkpoint plus its loss history."""
-    from arrowlm.model import TrainConfig, init_params, train
-
-    params = init_params(len(toy_vocab), 64, 8, 42)
-    config = TrainConfig(d=64, r=8, epochs=200, seed=42)
-    params, history = train(params, toy_training.fragments, config, pad_id=toy_vocab.pad_id)
-    return params, history

@@ -193,29 +193,6 @@ def materialized_loss(params: ModelParams, tokens: np.ndarray, mask: np.ndarray)
     return total / int(mask.sum())
 
 
-def entropy_floor(fragments) -> float:
-    """Information-theoretic lower bound on the mean training loss.
-
-    A causal model's state after a prefix is a function of that prefix
-    alone, so the best possible next-token distribution at each position
-    is the empirical distribution over training items sharing the prefix.
-    """
-    context_counts: dict[tuple, dict[int, int]] = {}
-    positions = 0
-    for frag in fragments:
-        for t in range(1, len(frag)):
-            ctx = tuple(frag[:t])
-            context_counts.setdefault(ctx, {})
-            context_counts[ctx][frag[t]] = context_counts[ctx].get(frag[t], 0) + 1
-            positions += 1
-    total = 0.0
-    for counts in context_counts.values():
-        n = sum(counts.values())
-        for c in counts.values():
-            total += c * np.log(n / c)
-    return total / positions
-
-
 def dense_operator(params: ModelParams, token: int) -> np.ndarray:
     """Materialize M_t = I + U diag(tanh(emb_t)) V^T (tests only)."""
     s = np.tanh(params.emb[token])

@@ -70,6 +70,14 @@ class TestQuery:
         assert capsys.readouterr().out == plain
         assert "on the mat" in plain
 
+    def test_symbolic_query_uses_the_corpus_normalizer(self, built, capsys):
+        capsys.readouterr()
+        assert query(built, "--symbolic", "cat ?x") == 0
+        plain = capsys.readouterr().out
+        assert query(built, "--symbolic", "Cat, ?x") == 0
+        assert capsys.readouterr().out == plain
+        assert "x=sits" in plain
+
     @pytest.mark.parametrize(
         "lines, status",
         [("cat ?x\nmouse chases\ncat ?x\n", 1), ("cat ?x\n\ndog ?x\n", 0)],

@@ -20,10 +20,7 @@ from arrowlm.corpus import (
     write_vocab,
 )
 
-TOY_RAW = (
-    "The cat sits on the mat. The dog sits on the log. "
-    "The cat chases the mouse! The dog chases the cat."
-)
+from conftest import TOY_RAW
 
 
 class TestStripBoilerplate:

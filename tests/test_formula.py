@@ -1,9 +1,15 @@
 """Chain encodings, parsing/printing, and fragment enumeration."""
 
+import copy
+import gc
+import pickle
 import random
+import weakref
+from dataclasses import FrozenInstanceError
 
 import pytest
 
+from arrowlm import formula
 from arrowlm.formula import (
     Atom,
     EmptyTokenList,
@@ -124,6 +130,89 @@ class TestPrint:
         for _ in range(10_000):
             f = build(10)
             assert parse_formula(print_formula(f), interner) == f
+
+
+def chain_text(words):
+    """``((w1->w2)->w3)->...``, written out without the printer."""
+    return "(" * (len(words) - 2) + words[0] + "".join(f"->{w})" for w in words[1:-1]) + "->" + words[-1]
+
+
+class TestDeepInput:
+    def test_ten_thousand_atom_chain(self, interner):
+        words = [f"w{i % 7}" for i in range(10_000)]
+        built = list_to_impl([interner.atom(w) for w in words])
+        twin = list_to_impl([interner.atom(w) for w in words])
+        assert print_formula(built) == chain_text(words)
+        assert built == twin
+        assert hash(built) == hash(twin)
+        assert [a.surface for a in impl_to_list(built)] == words
+        # An arrow chain is a loop in the parser; only parentheses nest frames.
+        flat = "->".join(words)
+        assert print_formula(parse_formula(flat, interner)) == flat
+        prefix = words[:300]
+        assert parse_formula(chain_text(prefix), interner) == list_to_impl([interner.atom(w) for w in prefix])
+
+    def test_error_offsets_deep_in_long_input(self):
+        body = "->".join(["p"] * 4_000)
+        # Lexing precedes parsing: the multibyte character is reported, not the stray ')'.
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(f"({body}->q)) ->\u00e9")
+        assert str(err.value) == f"unexpected character '\u00e9' (byte {len(body) + 9})"
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(f"({body}->q)) ->r")
+        assert str(err.value) == f"unexpected trailing input (byte {len(body) + 5})"
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula("(" * 300 + "p")
+        assert str(err.value) == "expected ')' (byte 301)"
+
+
+class TestHashConsing:
+    def test_equal_formulas_are_one_object(self, interner):
+        p, q = atoms(interner, "p q")
+        assert Imp(Imp(p, q), p) is parse_formula("(p->q)->p", interner)
+        assert Atom(p.id, p.surface) is p
+        assert Imp(p, q) != Imp(q, p)
+
+    def test_table_holds_only_live_formulas(self):
+        before = len(formula._NODES)
+        f = parse_formula("(hc_a->hc_b)->hc_c->hc_d")
+        assert len(formula._NODES) == before + 4 + 3
+        del f
+        assert len(formula._NODES) == before
+
+    def test_nodes_are_frozen(self, interner):
+        p, q = atoms(interner, "p q")
+        imp = Imp(p, q)
+        with pytest.raises(FrozenInstanceError):
+            imp.consequent = p
+        with pytest.raises(FrozenInstanceError):
+            p.id = 7
+        with pytest.raises(FrozenInstanceError):
+            del imp.antecedent
+        assert Imp(p, q) is imp and imp.consequent is q and p.id == 0
+
+    def test_rebuilt_while_the_collector_runs_callbacks(self, interner):
+        # The collector clears the node's weak reference, then runs this
+        # callback, which builds an equal node, and only then the table's own.
+        p, q = atoms(interner, "p q")
+        rebuilt = []
+
+        class Holder:
+            pass
+
+        holder = Holder()
+        holder.cycle = holder
+        holder.formula = Imp(p, q)
+        watch = weakref.ref(holder, lambda _: rebuilt.append(Imp(p, q)))
+        del holder
+        gc.collect()
+        assert watch() is None and len(rebuilt) == 1
+        assert Imp(p, q) is rebuilt[0]
+
+    def test_pickle_and_copy_keep_identity(self, interner):
+        f = parse_formula("(p->q)->p", interner)
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.deepcopy(f) is f
 
 
 class TestSuffixPrefixes:

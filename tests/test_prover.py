@@ -1,10 +1,16 @@
 """Provability decisions, witness terms, type checking, normalization."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arrowlm
+from arrowlm import prover
 from arrowlm.formula import Imp, Interner, list_to_impl, parse_formula
 from arrowlm.prover import (
     App,
@@ -56,6 +62,7 @@ class TestProve:
     def test_with_context(self):
         p, q = I.atom("p"), I.atom("q")
         assert prove(q, (p, Imp(p, q)))
+        assert prove(q, (Imp(p, q), p, p))
         assert not prove(q, (p,))
 
     def test_completion_of_chains(self):
@@ -79,6 +86,36 @@ class TestProve:
                     found = True
                     break
             assert found, n
+
+    def test_memo_bounds_the_search(self, monkeypatch):
+        # Seed 2032 is the hardest of depth-7 seeds 0-3999 for this search; the
+        # unmemoized multiset-context search made 1,455,329 calls on it.
+        f = random_formula(random.Random(2032), [I.atom(w) for w in "pqr"], 7)
+        search, calls = prover._search, 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return search(*args)
+
+        monkeypatch.setattr(prover, "_search", counted)
+        assert not prove(f)
+        assert calls <= 5_000
+
+
+_WITNESS_SCRIPT = """
+import random
+from arrowlm.formula import Interner
+from arrowlm.prover import format_term, prove_with_term
+from oracles import random_formula
+
+interner = Interner()
+atoms = [interner.atom(w) for w in "pqr"]
+rng = random.Random(5)
+for _ in range(400):
+    term = prove_with_term(random_formula(rng, atoms, 6))
+    print("-" if term is None else format_term(term))
+"""
 
 
 class TestProveWithTerm:
@@ -111,6 +148,32 @@ class TestProveWithTerm:
             f = parse(text)
             term = prove_with_term(f)
             assert term is not None and type_check(term, f), text
+
+    def test_witnesses_are_beta_normal(self):
+        # type_check rejects redexes; a lambda-valued auxiliary hypothesis gave three here.
+        rng = random.Random(0)
+        atoms = [I.atom(w) for w in "pqr"]
+        witnessed = 0
+        for _ in range(600):
+            f = random_formula(rng, atoms, 6)
+            term = prove_with_term(f)
+            if term is not None:
+                witnessed += 1
+                assert type_check(term, f)
+        assert witnessed > 100
+
+    def test_witnesses_do_not_depend_on_the_hash_seed(self):
+        path = os.pathsep.join((str(Path(arrowlm.__file__).parents[1]), str(Path(__file__).parent)))
+
+        def run(seed):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            out = subprocess.run([sys.executable, "-c", _WITNESS_SCRIPT], env=env, check=True,
+                                 capture_output=True, text=True, timeout=120)
+            return out.stdout
+
+        first = run("1")
+        assert first.count("\\") > 100
+        assert run("2") == first
 
     def test_agreement_with_prove(self):
         rng = random.Random(11)

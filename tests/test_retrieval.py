@@ -49,6 +49,15 @@ class TestBuildDb:
             for g in formulas[i + 1 :]:
                 assert f != g
 
+    def test_results_carry_the_sentence(self, db):
+        [(sid, sent)] = query_exact(db, TOY[1].split())
+        assert sent is db.sentences[sid]
+        [(_, sid, sent)] = query_pattern(db, db.parse_pattern(TOY[1]))
+        assert sent is db.sentences[sid]
+        # Built on demand, and hash-consed: the same chain while one is alive.
+        assert sent.formula is sent.formula
+        assert [a.surface for a in impl_to_list(sent.formula)] == TOY[1].split()
+
     def test_duplicates_stored_once(self):
         db = build_db([["a", "b"], ["a", "b"], ["b", "a"]])
         assert len(db) == 2
