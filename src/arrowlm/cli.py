@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (provable / results found), 1 valid but negative
 (not provable / no retrieval results; in ``--repl``, any query without
-results), 2 usage or I/O errors, 3 internal error (an unexpected
-exception, reported as one line on stderr).  Every
+results), 2 usage or I/O errors (including a setting outside its range),
+3 internal error (an unexpected exception, reported as one line on
+stderr).  Every
 corpus/train run writes a ``key=value`` manifest with resolved settings,
 input digests, per-phase timings, and peak RSS, enough to reproduce the
 run; query runs print the same to stderr.
@@ -12,7 +13,9 @@ run; query runs print the same to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import math
 import resource
 import sys
 import time
@@ -38,6 +41,24 @@ DEFAULTS = {
     "top_k": 5,
     "max_new_tokens": 32,
     "temperature": 1.0,
+}
+
+# The lowest value of each setting, and whether that value is itself allowed.
+_LOWEST = {
+    "max_len": (1, True),
+    "max_frag": (2, True),
+    "d": (1, True),
+    "r": (1, True),
+    "epochs": (0, True),
+    "seed": (0, True),
+    "batch_size": (1, True),
+    "lr": (0.0, True),
+    "warmup": (0, True),
+    "weight_decay": (0.0, True),
+    "clip_norm": (0.0, True),
+    "top_k": (1, True),
+    "max_new_tokens": (0, True),
+    "temperature": (0.0, False),
 }
 
 
@@ -90,16 +111,30 @@ def _load_config_file(path) -> dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace, key: str):
-    """File config fills flags left at None; command line wins."""
-    explicit = getattr(args, key, None)
-    if explicit is not None:
-        return explicit
-    if getattr(args, "_file_config", None) and key in args._file_config:
-        raw = args._file_config[key]
-        default = DEFAULTS[key]
-        return type(default)(raw) if not isinstance(default, bool) else raw == "true"
-    return DEFAULTS[key]
+def _resolve(args: argparse.Namespace, file_config: dict[str, str]) -> None:
+    """Replace each setting of the command by its checked value.
+
+    The command line wins over the config file, which wins over
+    :data:`DEFAULTS`.  Raises ValueError for a value that does not convert
+    or lies outside its range.
+    """
+    for key, default in DEFAULTS.items():
+        if not hasattr(args, key):
+            continue
+        value = getattr(args, key)
+        if value is None and key in file_config:
+            try:
+                value = type(default)(file_config[key])
+            except ValueError:
+                raise ValueError(
+                    f"{key}={file_config[key]!r} is not {type(default).__name__}"
+                ) from None
+        if value is None:
+            value = default
+        low, inclusive = _LOWEST[key]
+        if not (math.isfinite(value) and (value >= low if inclusive else value > low)):
+            raise ValueError(f"{key} must be {'>=' if inclusive else '>'} {low}, got {value}")
+        setattr(args, key, value)
 
 
 def cmd_prove(args: argparse.Namespace) -> int:
@@ -126,8 +161,6 @@ def cmd_prove(args: argparse.Namespace) -> int:
 def cmd_corpus(args: argparse.Namespace) -> int:
     from . import corpus
 
-    max_len = _resolve(args, "max_len")
-    max_frag = _resolve(args, "max_frag")
     manifest = Manifest()
     try:
         raw = Path(args.input).read_text(encoding="utf-8")
@@ -139,18 +172,20 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     manifest.add("command", "corpus")
     manifest.add("input", args.input)
     manifest.digest("input", args.input)
-    manifest.add("max_len", max_len)
-    manifest.add("max_frag", max_frag)
+    manifest.add("max_len", args.max_len)
+    manifest.add("max_frag", args.max_frag)
     manifest.start_phase("split")
     body = corpus.strip_boilerplate(raw)
-    sentences = corpus.split_sentences(body, max_len=max_len)
+    sentences = corpus.split_sentences(body, max_len=args.max_len)
     if not sentences:
         print("no sentences found in input", file=sys.stderr)
         return 2
     manifest.start_phase("vocab")
     vocab = corpus.build_vocab(sentences)
     manifest.start_phase("fragments")
-    training = corpus.enumerate_fragments(sentences, vocab, k_frag=max_frag, max_len=max_len)
+    training = corpus.enumerate_fragments(
+        sentences, vocab, k_frag=args.max_frag, max_len=args.max_len
+    )
     manifest.start_phase("write")
     corpus.write_sentences(out_dir / "sentences.txt", sentences)
     corpus.write_vocab(out_dir / "vocab.txt", vocab)
@@ -176,17 +211,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     from . import corpus, model
 
     cfg = model.TrainConfig(
-        d=_resolve(args, "d"),
-        r=_resolve(args, "r"),
-        lr=_resolve(args, "lr"),
-        warmup_steps=_resolve(args, "warmup"),
-        epochs=_resolve(args, "epochs"),
-        batch_size=_resolve(args, "batch_size"),
-        k_frag=_resolve(args, "max_frag"),
-        max_len=_resolve(args, "max_len"),
-        seed=_resolve(args, "seed"),
-        weight_decay=_resolve(args, "weight_decay"),
-        clip_norm=_resolve(args, "clip_norm"),
+        d=args.d,
+        r=args.r,
+        lr=args.lr,
+        warmup_steps=args.warmup,
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        k_frag=args.max_frag,
+        max_len=args.max_len,
+        seed=args.seed,
+        weight_decay=args.weight_decay,
+        clip_norm=args.clip_norm,
     )
     corpus_dir = Path(args.corpus)
     manifest = Manifest()
@@ -203,11 +238,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             if word not in vocab:
                 print(f"corpus/vocab mismatch: unknown word {word!r}", file=sys.stderr)
                 return 2
-    if cfg.r > cfg.d or cfg.r < 1:
+    if cfg.r > cfg.d:
         print(f"invalid shape: d={cfg.d}, r={cfg.r}", file=sys.stderr)
         return 2
-    for key in ("d", "r", "lr", "warmup_steps", "epochs", "batch_size", "seed"):
-        manifest.add(key, getattr(cfg, key))
+    for field in dataclasses.fields(cfg):
+        manifest.add(field.name, getattr(cfg, field.name))
     manifest.digest("sentences", corpus_dir / "sentences.txt")
     manifest.digest("vocab", corpus_dir / "vocab.txt")
     manifest.start_phase("fragments")
@@ -267,15 +302,15 @@ def _answer_query(raw: str, args, params, vocab, db) -> int:
     if not words:
         print()
         return 1
-    result = inference.retrieval_first(params, vocab, db, words, k=_resolve(args, "top_k"))
+    result = inference.retrieval_first(params, vocab, db, words, k=args.top_k)
     generated = None
     if not result:
         prompt = [vocab.index[w] for w in words if w in vocab.index]
         decode = inference.DecodeConfig(
             mode="sample" if args.sample else "greedy",
-            temperature=_resolve(args, "temperature"),
-            max_new_tokens=_resolve(args, "max_new_tokens"),
-            seed=_resolve(args, "seed"),
+            temperature=args.temperature,
+            max_new_tokens=args.max_new_tokens,
+            seed=args.seed,
         )
         ids = inference.generate_free(params, vocab, prompt, decode) if prompt else []
         generated = vocab.decode(ids)
@@ -303,7 +338,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         print("vocab mismatch between checkpoint and corpus", file=sys.stderr)
         return 2
     manifest.start_phase("build_db")
-    db = retrieval.build_db(sentences, k_max=_resolve(args, "max_frag"))
+    db = retrieval.build_db(sentences, k_max=args.max_frag)
     manifest.start_phase("queries")
     if args.repl:
         status = 0
@@ -379,13 +414,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._file_config = {}
+    file_config: dict[str, str] = {}
     if args.config:
         try:
-            args._file_config = _load_config_file(args.config)
+            file_config = _load_config_file(args.config)
         except (OSError, ValueError) as exc:
             print(f"bad config file: {exc}", file=sys.stderr)
             return 2
+    try:
+        _resolve(args, file_config)
+    except ValueError as exc:
+        print(f"bad setting: {exc}", file=sys.stderr)
+        return 2
     if args.command == "query" and not args.symbolic and not args.model:
         print("query needs --model unless --symbolic", file=sys.stderr)
         return 2

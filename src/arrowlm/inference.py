@@ -70,10 +70,6 @@ def _run_prefix(params: ModelParams, prefix: Sequence[int]) -> np.ndarray:
     return h
 
 
-def _next_logprobs(params: ModelParams, h: np.ndarray) -> np.ndarray:
-    return _log_softmax((params.w_out @ h)[None, :])[0]
-
-
 def score_continuation(
     params: ModelParams, prefix: Sequence[int], continuation: Sequence[int]
 ) -> tuple[float, list[float]]:
@@ -86,7 +82,7 @@ def score_continuation(
         tok = int(tok)
         if not (0 <= tok < params.vocab_size):
             raise TokenOutOfRange(f"token {tok} outside vocabulary")
-        per_token.append(float(_next_logprobs(params, h)[tok]))
+        per_token.append(float(_log_softmax(params.w_out @ h)[tok]))
         h = step(params, h, tok)
     return sum(per_token), per_token
 
@@ -140,13 +136,6 @@ def retrieval_first(
     return RetrievalResult(tuple(ranked[:k]), tuple(exact))
 
 
-def _masked_logprobs(params: ModelParams, h: np.ndarray, pad_id: int) -> np.ndarray:
-    logits = (params.w_out @ h).astype(np.float64)
-    logits[pad_id] = -np.inf
-    shifted = logits - logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
-
-
 def generate_free(
     params: ModelParams,
     vocab: Vocab,
@@ -161,12 +150,15 @@ def generate_free(
         if not (0 <= int(tok) < params.vocab_size):
             raise TokenOutOfRange(f"prompt token {tok} outside vocabulary")
     h = _run_prefix(params, prompt)
+    # Added to the logits, this promotes them to float64 and removes PAD.
+    no_pad = np.zeros(params.vocab_size)
+    no_pad[vocab.pad_id] = -np.inf
     if config.mode == "beam":
-        return _beam_search(params, vocab, h, config)
+        return _beam_search(params, vocab, h, config, no_pad)
     rng = np.random.default_rng(config.seed)
     out: list[int] = []
     for _ in range(config.max_new_tokens):
-        logp = _masked_logprobs(params, h, vocab.pad_id)
+        logp = _log_softmax(params.w_out @ h + no_pad)
         if config.mode == "greedy":
             tok = int(np.argmax(logp))
         else:
@@ -187,7 +179,11 @@ def generate_free(
 
 
 def _beam_search(
-    params: ModelParams, vocab: Vocab, h0: np.ndarray, config: DecodeConfig
+    params: ModelParams,
+    vocab: Vocab,
+    h0: np.ndarray,
+    config: DecodeConfig,
+    no_pad: np.ndarray,
 ) -> list[int]:
     # Hypotheses: (tokens, state, total logp, finished); ranked by mean logp.
     def mean(total: float, length: int) -> float:
@@ -204,7 +200,7 @@ def _beam_search(
             if done
         ]
         for toks, state, total, _ in live:
-            logp = _masked_logprobs(params, state, vocab.pad_id)
+            logp = _log_softmax(params.w_out @ state + no_pad)
             top = np.argsort(-logp, kind="stable")[: config.beam_width]
             for tok in top:
                 tok = int(tok)

@@ -8,8 +8,10 @@ is never materialized here.  Next-token logits are ``W_out @ h``.
 
 The loss is streamed: per time step the (batch x vocab) logits are
 materialized, consumed by the cross-entropy, and discarded, so peak
-transient memory does not scale with sequence length.  The backward pass
-recomputes each step's logits from the tape for the same reason.
+transient memory does not scale with sequence length.  The same pass
+turns each step's log-probabilities into the logit gradient, folds it
+into the ``W_out`` gradient and keeps only its (batch x d) image on the
+tape, so the backward pass never rebuilds logits or a softmax.
 
 Training is AdamW (bias-corrected, decoupled weight decay on the matrix
 parameters) with a linear warmup to a constant learning rate, global
@@ -150,11 +152,13 @@ class TrainConfig:
 
 @dataclass
 class StepTape:
-    """Per-step intermediates cached by forward_loss for the backward pass."""
+    """Per-step cache of forward_loss; the output layer is differentiated already."""
 
     tokens: np.ndarray  # (B, T) the padded batch
     mask: np.ndarray  # (B, T-1) prediction-position mask
     n_pred: int
+    d_w_out: np.ndarray  # (vocab, d) the whole W_out gradient
+    d_h: list[np.ndarray] = field(default_factory=list)  # (B, d) from step t's logits
     h_in: list[np.ndarray] = field(default_factory=list)  # (B, d) per step
     z: list[np.ndarray] = field(default_factory=list)  # (B, r)
     s: list[np.ndarray] = field(default_factory=list)  # (B, r)
@@ -265,8 +269,9 @@ def forward_loss(
     if n_pred == 0:
         raise DegenerateBatch("batch has no prediction positions")
     batch, width = tokens.shape
-    tape = StepTape(tokens=tokens, mask=mask, n_pred=n_pred)
+    tape = StepTape(tokens, mask, n_pred, np.zeros_like(params.w_out))
     h = np.broadcast_to(params.h0, (batch, params.d)).copy()
+    rows = np.arange(batch)
     total = 0.0
     for t in range(width - 1):
         tape.h_in.append(h)
@@ -276,12 +281,15 @@ def forward_loss(
         tape.g.append(g)
         tape.xhat.append(xhat)
         tape.inv_std.append(inv_std)
-        logits = h @ params.w_out.T
-        logp = _log_softmax(logits)
-        rows = np.arange(batch)
+        logp = _log_softmax(h @ params.w_out.T)
         step_nll = -logp[rows, tokens[:, t + 1]]
         total += float(np.sum(step_nll, where=mask[:, t], initial=0.0))
-        # logits/logp fall out of scope here: peak memory is O(batch * vocab)
+        d_logits = np.exp(logp, out=logp)
+        d_logits[rows, tokens[:, t + 1]] -= 1.0
+        d_logits *= mask[:, t, None] / n_pred
+        tape.d_w_out += d_logits.T @ h
+        tape.d_h.append(d_logits @ params.w_out)
+        # d_logits falls out of scope here: peak memory is O(batch * vocab)
     return total / n_pred, tape
 
 
@@ -290,9 +298,10 @@ def backward(
 ) -> Gradients:
     """Exact reverse-mode gradients of the mean loss for every tensor.
 
-    Logits are recomputed per step from the tape so the backward pass is
-    as streaming as the forward one.  LayerNorm uses the standard
-    three-term rule for population statistics.
+    The output layer was differentiated during :func:`forward_loss`, so
+    this walks only the recurrence, starting each step from the tape's
+    ``d_h``.  LayerNorm uses the standard three-term rule for population
+    statistics.
     """
     if (
         tape.tokens.shape != tokens.shape
@@ -302,22 +311,13 @@ def backward(
     ):
         raise TapeMismatch("tape was not produced by forward_loss on this batch")
     grads = Gradients.zeros_like(params)
+    grads.w_out += tape.d_w_out
     batch, width = tokens.shape
-    rows = np.arange(batch)
     d_h_next = np.zeros((batch, params.d), dtype=params.h0.dtype)
     for t in range(width - 2, -1, -1):
         xhat = tape.xhat[t]
         inv_std = tape.inv_std[t]
-        h_out = params.gain * xhat + params.bias
-        logits = h_out @ params.w_out.T
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        expd = np.exp(shifted)
-        probs = expd / expd.sum(axis=-1, keepdims=True)
-        d_logits = probs
-        d_logits[rows, tokens[:, t + 1]] -= 1.0
-        d_logits *= mask[:, t, None] / tape.n_pred
-        grads.w_out += d_logits.T @ h_out
-        d_out = d_logits @ params.w_out + d_h_next
+        d_out = tape.d_h[t] + d_h_next
         grads.gain += (d_out * xhat).sum(axis=0)
         grads.bias += d_out.sum(axis=0)
         d_xhat = d_out * params.gain

@@ -209,8 +209,8 @@ def query_pattern(
 
 
 def query_text(db: SentenceDB, raw: str) -> list[str]:
-    """Lowercase and split ``raw``, query exactly, render hits as text."""
-    words = raw.lower().split()
+    """Normalize ``raw`` as the corpus is, query exactly, render hits as text."""
+    words = normalize_words(raw)
     if not words:
         raise EmptyQuery("query is empty after normalization")
     return [" ".join(db.sentences[sid].tokens) for sid, _ in query_exact(db, words)]

@@ -1,10 +1,17 @@
-"""Exit codes, query normalization and manifests of the command-line front end."""
+"""Exit codes, settings, query normalization and manifests of the command-line front end."""
 
+import dataclasses
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arrowlm
 from arrowlm import cli
+from arrowlm.model import TrainConfig
 
 from conftest import TOY_RAW
 
@@ -87,6 +94,38 @@ class TestQuery:
         assert query(built, "--repl", "--symbolic") == status
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["corpus", "build", "--input", "{raw}", "--out", "{tmp}/c", "--max-frag", "1"],
+        ["train", "--corpus", "{corpus}", "--out", "{tmp}/m", "--batch-size", "0"],
+        ["train", "--corpus", "{corpus}", "--out", "{tmp}/m", "--max-frag", "1"],
+        ["--config", "{tmp}/bad.cfg", "train", "--corpus", "{corpus}", "--out", "{tmp}/m"],
+        ["query", "--corpus", "{corpus}", "--model", "{model}", "--top-k", "0", "the cat"],
+        ["query", "--corpus", "{corpus}", "--model", "{model}", "--temperature", "0", "the"],
+    ],
+    ids=["corpus-max-frag", "train-batch-size", "train-max-frag", "config-d", "query-top-k",
+         "query-temperature"],
+)
+def test_out_of_range_setting_is_a_usage_error(built, tmp_path, capsys, args):
+    corpus_dir, ckpt = built
+    (tmp_path / "bad.cfg").write_text("d=abc\n", encoding="utf-8")
+    paths = dict(raw=corpus_dir.parent / "raw.txt", corpus=corpus_dir, model=ckpt, tmp=tmp_path)
+    capsys.readouterr()
+    assert cli.main([arg.format(**paths) for arg in args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("bad setting: ")
+
+
+def test_import_leaves_numpy_unloaded():
+    # `arrowlm prove` pays for every module cli imports at start-up.
+    env = dict(os.environ, PYTHONPATH=str(Path(arrowlm.__file__).parents[1]))
+    script = "import sys, arrowlm.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 def test_manifests_record_settings_and_digests(built):
     corpus_dir, ckpt = built
     assert {
@@ -98,4 +137,6 @@ def test_manifests_record_settings_and_digests(built):
         "version", "command", "d", "r", "lr", "warmup_steps", "epochs", "batch_size",
         "seed", "sha256_sentences", "sha256_vocab", "fragments", "final_loss",
         "sha256_checkpoint", "seconds_train", "peak_rss_bytes",
-    } <= manifest_keys(ckpt.parent / f"{ckpt.name}.manifest")
+    } | {field.name for field in dataclasses.fields(TrainConfig)} <= manifest_keys(
+        ckpt.parent / f"{ckpt.name}.manifest"
+    )

@@ -156,6 +156,12 @@ class TestQueryText:
     def test_the_dog_sits(self, db):
         assert query_text(db, "the dog sits") == [TOY[1]]
 
+    def test_uses_the_corpus_normalizer(self, db):
+        assert query_text(db, "The cat,") == query_text(db, "the cat")
+        assert query_text(db, "dog sits!") == [TOY[1]]
+        with pytest.raises(EmptyQuery):
+            query_text(db, "?!")
+
 
 class TestIndexScanAgreement:
     def test_random_corpora(self):
