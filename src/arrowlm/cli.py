@@ -2,9 +2,9 @@
 
 Exit codes: 0 success (provable / results found), 1 valid but negative
 (not provable / no retrieval results; in ``--repl``, any query without
-results), 2 usage or I/O errors (including a setting outside its range),
-3 internal error (an unexpected exception, reported as one line on
-stderr).  Every
+results), 2 usage or I/O errors (including a setting outside its range,
+and a model whose query scores are not finite), 3 internal error (an
+unexpected exception, reported as one line on stderr).  Every
 corpus/train run writes a ``key=value`` manifest with resolved settings,
 input digests, per-phase timings, and peak RSS, enough to reproduce the
 run; query runs print the same to stderr.
@@ -338,19 +338,22 @@ def cmd_query(args: argparse.Namespace) -> int:
         print("vocab mismatch between checkpoint and corpus", file=sys.stderr)
         return 2
     manifest.start_phase("build_db")
-    db = retrieval.build_db(sentences, k_max=args.max_frag)
+    db = retrieval.build_db(sentences)
     manifest.start_phase("queries")
-    if args.repl:
-        status = 0
-        for line in sys.stdin:
-            line = line.strip()
-            if not line:
-                continue
-            status = max(status, _answer_query(line, args, params, vocab, db))
-    elif args.query is not None:
-        status = _answer_query(args.query, args, params, vocab, db)
-    else:
+    if not args.repl and args.query is None:
         print("no query given (pass QUERY or --repl)", file=sys.stderr)
+        return 2
+    try:
+        if args.repl:
+            status = 0
+            for line in sys.stdin:
+                line = line.strip()
+                if line:
+                    status = max(status, _answer_query(line, args, params, vocab, db))
+        else:
+            status = _answer_query(args.query, args, params, vocab, db)
+    except model.ModelError as exc:  # e.g. scores that overflow to inf or NaN
+        print(f"cannot use model: {exc}", file=sys.stderr)
         return 2
     manifest.finalize()
     print(manifest.text(), file=sys.stderr, end="")
@@ -405,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=int, dest="top_k")
     p.add_argument("--max-new-tokens", type=int, dest="max_new_tokens")
     p.add_argument("--temperature", type=float)
-    p.add_argument("--max-frag", type=int, dest="max_frag")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_query)
     return parser

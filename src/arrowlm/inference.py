@@ -10,17 +10,22 @@ have nothing left to score and are reported separately as exact hits.
 Free generation supports greedy, temperature/top-k sampling, and
 length-normalized beam search; PAD is always excluded from the support
 and a generated EOS terminates (and is not emitted).
+
+A model whose scores overflow to inf or NaN (finite parameters can still
+overflow float32 logits) raises :class:`~arrowlm.model.ModelError` instead
+of printing NaN scores or decoding from NaN.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .corpus import Vocab
-from .model import ModelParams, TokenOutOfRange, _log_softmax, step
+from .model import ModelError, ModelParams, TokenOutOfRange, _log_softmax, step
 from .retrieval import SentenceDB
 
 
@@ -87,6 +92,7 @@ def score_continuation(
     return sum(per_token), per_token
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite scores raise ModelError
 def retrieval_first(
     params: ModelParams,
     vocab: Vocab,
@@ -127,6 +133,8 @@ def retrieval_first(
         total, per_token = score_continuation(
             params, prefix_ids, vocab.encode(continuation)
         )
+        if not math.isfinite(total):
+            raise ModelError(f"continuation of sentence {sid} scores {total}")
         continuations[continuation] = Candidate(
             sid, start, end, continuation, total, total / len(per_token)
         )
@@ -136,6 +144,14 @@ def retrieval_first(
     return RetrievalResult(tuple(ranked[:k]), tuple(exact))
 
 
+def _decode_logprobs(params: ModelParams, h: np.ndarray, no_pad: np.ndarray) -> np.ndarray:
+    logp = _log_softmax(params.w_out @ h + no_pad)
+    if not np.isfinite(logp.max()):  # the best token's; NaN anywhere makes it NaN
+        raise ModelError(f"next-token log-probability is {logp.max()}")
+    return logp
+
+
+@np.errstate(over="ignore", invalid="ignore")  # non-finite scores raise ModelError
 def generate_free(
     params: ModelParams,
     vocab: Vocab,
@@ -158,7 +174,7 @@ def generate_free(
     rng = np.random.default_rng(config.seed)
     out: list[int] = []
     for _ in range(config.max_new_tokens):
-        logp = _log_softmax(params.w_out @ h + no_pad)
+        logp = _decode_logprobs(params, h, no_pad)
         if config.mode == "greedy":
             tok = int(np.argmax(logp))
         else:
@@ -185,46 +201,28 @@ def _beam_search(
     config: DecodeConfig,
     no_pad: np.ndarray,
 ) -> list[int]:
-    # Hypotheses: (tokens, state, total logp, finished); ranked by mean logp.
-    def mean(total: float, length: int) -> float:
-        return total / max(1, length)
-
-    beams: list[tuple[tuple[int, ...], np.ndarray, float, bool]] = [((), h0, 0.0, False)]
+    # Hypotheses: (score, tokens, state, total logp, finished).  The score is
+    # the mean log-probability per generated token, counting a final EOS, and
+    # is fixed when the hypothesis is made.
+    beams: list[tuple[float, tuple[int, ...], np.ndarray, float, bool]] = [
+        (0.0, (), h0, 0.0, False)
+    ]
     for _ in range(config.max_new_tokens):
-        live = [b for b in beams if not b[3]]
+        live = [b for b in beams if not b[4]]
         if not live:
             break
-        candidates: list[tuple[float, tuple[int, ...], np.ndarray, float, bool]] = [
-            (mean(total, len(toks)), toks, state, total, True)
-            for toks, state, total, done in beams
-            if done
-        ]
-        for toks, state, total, _ in live:
-            logp = _log_softmax(params.w_out @ state + no_pad)
-            top = np.argsort(-logp, kind="stable")[: config.beam_width]
-            for tok in top:
+        candidates = [b for b in beams if b[4]]
+        for _, toks, state, total, _ in live:
+            logp = _decode_logprobs(params, state, no_pad)
+            for tok in np.argsort(-logp, kind="stable")[: config.beam_width]:
                 tok = int(tok)
                 new_total = total + float(logp[tok])
-                if tok == vocab.eos_id:
-                    candidates.append(
-                        (mean(new_total, len(toks) + 1), toks, state, new_total, True)
-                    )
-                else:
-                    candidates.append(
-                        (
-                            mean(new_total, len(toks) + 1),
-                            toks + (tok,),
-                            state,
-                            new_total,
-                            False,
-                        )
-                    )
+                done = tok == vocab.eos_id
+                new_toks = toks if done else toks + (tok,)
+                candidates.append((new_total / (len(toks) + 1), new_toks, state, new_total, done))
         candidates.sort(key=lambda c: (-c[0], c[1]))
-        selected = candidates[: config.beam_width]
-        beams = []
-        for _, toks, state, total, done in selected:
-            if not done:
-                state = step(params, state, toks[-1])
-            beams.append((toks, state, total, done))
-    best = max(beams, key=lambda b: (mean(b[2], len(b[0]) + (1 if b[3] else 0)), b[0]))
-    return list(best[0])
+        beams = [
+            (score, toks, state if done else step(params, state, toks[-1]), total, done)
+            for score, toks, state, total, done in candidates[: config.beam_width]
+        ]
+    return list(beams[0][1])

@@ -1,18 +1,19 @@
 """Sentence store with exact and wildcard subsequence queries.
 
-Sentences are kept as deduplicated token sequences plus an inverted
-n-gram index.  A query matches a stored sentence exactly when its chain
-encoding is a suffix-prefix fragment of the sentence's left-nested
-implication formula, which is equivalent to the query tokens occurring
-contiguously in the sentence; matching is therefore computed on token
-sequences, and a sentence's formula is built only when a result asks
-for it.
+A query matches a stored sentence exactly when its chain encoding is a
+suffix-prefix fragment of the sentence's left-nested implication formula,
+which is equivalent to the query tokens occurring contiguously in the
+sentence.  Sentences are therefore kept as deduplicated token sequences
+plus one positional index, word -> every (sentence id, offset) where it
+occurs; a query of any length, with or without wildcards, is anchored on
+the positions of its least frequent concrete word.  A sentence's formula
+is built only when a result asks for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .corpus import normalize_words
 from .formula import Atom, Formula, Interner, list_to_impl
@@ -60,17 +61,17 @@ class Sentence:
 
 
 class SentenceDB:
-    """Immutable deduplicated sentence store with an n-gram offset index."""
+    """Immutable deduplicated sentence store with a positional word index."""
 
     def __init__(
         self,
         sentences: tuple[Sentence, ...],
-        fragment_index: dict[tuple[str, ...], tuple[tuple[int, int], ...]],
+        positions: dict[str, tuple[tuple[int, int], ...]],
         k_max: int,
         interner: Interner,
     ):
         self.sentences = sentences
-        self.fragment_index = fragment_index
+        self.positions = positions
         self.k_max = k_max
         self.interner = interner
 
@@ -79,12 +80,38 @@ class SentenceDB:
 
     def occurrences(self, words: Sequence[str]) -> list[tuple[int, int]]:
         """All (sentence id, start offset) where ``words`` occur contiguously."""
-        key = tuple(words)
-        if not key:
+        atoms = [self.interner.lookup(word) for word in words]
+        if not atoms or None in atoms:
             return []
-        if len(key) <= self.k_max:
-            return list(self.fragment_index.get(key, ()))
-        return _scan_occurrences(self.sentences, key)
+        return [(sid, off) for sid, off, _ in self._match([Word(a) for a in atoms])]
+
+    def _match(self, items: Sequence[QueryItem]) -> Iterator[tuple[int, int, dict[str, str]]]:
+        """Yield (sentence id, offset, bindings) for every window ``items`` match.
+
+        Windows come in (sentence id, offset) order.  A pattern of wildcards
+        only tries every window.
+        """
+        m = len(items)
+        concrete = [(j, it.atom.surface) for j, it in enumerate(items) if isinstance(it, Word)]
+        if concrete:
+            j, word = min(concrete, key=lambda c: len(self.positions.get(c[1], ())))
+            starts = ((sid, off - j) for sid, off in self.positions.get(word, ()) if off >= j)
+        else:
+            starts = ((s.id, off) for s in self.sentences for off in range(len(s.tokens) - m + 1))
+        for sid, off in starts:
+            window = self.sentences[sid].tokens[off : off + m]
+            if len(window) < m:
+                continue
+            bindings: dict[str, str] = {}
+            for item, word in zip(items, window):
+                if isinstance(item, Word):
+                    if item.atom.surface != word:
+                        break
+                elif item.name is not None:
+                    if bindings.setdefault(item.name, word) != word:
+                        break
+            else:
+                yield sid, off, bindings
 
     def parse_pattern(self, raw: str) -> Optional[list[QueryItem]]:
         """Parse ``?name`` / ``_`` wildcard syntax into query items.
@@ -109,30 +136,18 @@ class SentenceDB:
         return items
 
 
-def _scan_occurrences(
-    sentences: Iterable[Sentence], words: tuple[str, ...]
-) -> list[tuple[int, int]]:
-    hits: list[tuple[int, int]] = []
-    m = len(words)
-    for sent in sentences:
-        toks = sent.tokens
-        for off in range(len(toks) - m + 1):
-            if toks[off : off + m] == words:
-                hits.append((sent.id, off))
-    return hits
-
-
 def build_db(sentences: Iterable[Sequence[str]], k_max: int = 5) -> SentenceDB:
-    """Store sentences (deduplicated, ids in input order) and index n-grams.
+    """Store sentences (deduplicated, ids in input order) and index word positions.
 
-    ``k_max`` caps the indexed n-gram length; longer queries fall back to a
-    linear scan.  The default matches the training-side fragment cap.
+    ``k_max`` (at least 1) sizes nothing and is only stored as
+    ``SentenceDB.k_max``, because existing callers still pass and read it.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     interner = Interner()
     stored: list[Sentence] = []
     seen: set[tuple[str, ...]] = set()
+    positions: dict[str, list[tuple[int, int]]] = {}
     for sent in sentences:
         toks = tuple(sent)
         if not toks:
@@ -140,14 +155,11 @@ def build_db(sentences: Iterable[Sequence[str]], k_max: int = 5) -> SentenceDB:
         if toks in seen:
             continue
         seen.add(toks)
-        stored.append(Sentence(len(stored), toks, tuple(map(interner.atom, toks))))
-    index: dict[tuple[str, ...], list[tuple[int, int]]] = {}
-    for sent in stored:
-        toks = sent.tokens
-        for n in range(1, k_max + 1):
-            for off in range(len(toks) - n + 1):
-                index.setdefault(toks[off : off + n], []).append((sent.id, off))
-    frozen = {gram: tuple(hits) for gram, hits in index.items()}
+        sid = len(stored)
+        stored.append(Sentence(sid, toks, tuple(map(interner.atom, toks))))
+        for off, word in enumerate(toks):
+            positions.setdefault(word, []).append((sid, off))
+    frozen = {word: tuple(hits) for word, hits in positions.items()}
     return SentenceDB(tuple(stored), frozen, k_max, interner)
 
 
@@ -179,32 +191,13 @@ def query_pattern(
     """
     if not items:
         raise EmptyQuery("pattern must contain at least one item")
-    m = len(items)
     results: list[tuple[dict[str, str], int, Sentence]] = []
     seen: set[tuple[tuple[tuple[str, str], ...], int]] = set()
-    for sent in db.sentences:
-        toks = sent.tokens
-        for off in range(len(toks) - m + 1):
-            bindings: dict[str, str] = {}
-            ok = True
-            for item, word in zip(items, toks[off : off + m]):
-                if isinstance(item, Word):
-                    if item.atom.surface != word:
-                        ok = False
-                        break
-                elif item.name is not None:
-                    bound = bindings.get(item.name)
-                    if bound is None:
-                        bindings[item.name] = word
-                    elif bound != word:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            key = (tuple(sorted(bindings.items())), sent.id)
-            if key not in seen:
-                seen.add(key)
-                results.append((bindings, sent.id, sent))
+    for sid, _, bindings in db._match(items):
+        key = (tuple(sorted(bindings.items())), sid)
+        if key not in seen:
+            seen.add(key)
+            results.append((bindings, sid, db.sentences[sid]))
     return results
 
 

@@ -145,6 +145,30 @@ def scan_matches(sentences, words) -> list[int]:
     return hits
 
 
+def pattern_windows(sentences, parts) -> list[tuple[int, int, dict[str, str]]]:
+    """Every (sentence id, offset, bindings) where a pattern matches (brute force).
+
+    ``parts`` holds words, ``_`` and ``?name`` (``?`` alone is anonymous);
+    each name must see one word across the window.  Windows come in
+    (sentence id, offset) order.
+    """
+    out = []
+    for sid, toks in enumerate(sentences):
+        toks = tuple(toks)
+        for off in range(len(toks) - len(parts) + 1):
+            window = toks[off : off + len(parts)]
+            seen: dict[str, set] = {}
+            for part, word in zip(parts, window):
+                if len(part) > 1 and part.startswith("?"):
+                    seen.setdefault(part[1:], set()).add(word)
+            words_agree = all(
+                part == word for part, word in zip(parts, window) if part != "_" and part[0] != "?"
+            )
+            if words_agree and all(len(ws) == 1 for ws in seen.values()):
+                out.append((sid, off, {name: min(ws) for name, ws in seen.items()}))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Numerical oracles.
 # ---------------------------------------------------------------------------

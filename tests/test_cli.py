@@ -85,6 +85,53 @@ class TestQuery:
         assert capsys.readouterr().out == plain
         assert "x=sits" in plain
 
+    def test_long_query_on_a_short_fragment_corpus(self, built, tmp_path, capsys):
+        corpus_dir, ckpt = built
+        short = tmp_path / "short"
+        raw = ["--input", str(corpus_dir.parent / "raw.txt"), "--out", str(short)]
+        assert cli.main(["corpus", "build", *raw, "--max-frag", "2"]) == 0
+        capsys.readouterr()
+        args = ["query", "--corpus", str(short), "--model", str(ckpt)]
+        assert cli.main(args + ["the cat sits on the mat"]) == 0  # 6 words, an exact hit
+        assert capsys.readouterr().out == "exact: sentence 0\n\n"
+        assert cli.main(args + ["the cat sits on the"]) == 0
+        assert capsys.readouterr().out.startswith("1. mat  (mean ")
+        assert cli.main(args + ["--symbolic", "the cat sits on the mat"]) == 0
+        assert capsys.readouterr().out == "the cat sits on the mat\n\n"
+
+    def test_max_frag_is_not_a_query_flag(self, built, tmp_path):
+        corpus_dir, ckpt = built
+        with pytest.raises(SystemExit) as exc:
+            query(built, "--max-frag", "3", "the cat")
+        assert exc.value.code == 2
+        # A config file may still set it for corpus and train; query ignores it.
+        config = tmp_path / "frag.cfg"
+        config.write_text("max_frag=3\n", encoding="utf-8")
+        raw = ["--input", str(corpus_dir.parent / "raw.txt"), "--out", str(tmp_path / "c")]
+        assert cli.main(["--config", str(config), "corpus", "build", *raw]) == 0
+        assert "max_frag=3\n" in (tmp_path / "c" / "corpus.manifest").read_text(encoding="utf-8")
+        train = ["train", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "m")]
+        assert cli.main(["--config", str(config), *train, "--d", "4", "--r", "1", "--epochs", "1"]) == 0
+        assert "k_frag=3\n" in (tmp_path / "m.manifest").read_text(encoding="utf-8")
+        assert cli.main(["--config", str(config), "query", "--corpus", str(corpus_dir),
+                         "--model", str(ckpt), "the cat"]) == 0
+
+    def test_overflowing_model_is_a_usage_error(self, tmp_path, capsys):
+        # Finite parameters near 1e30 overflow the float32 logits to inf and NaN.
+        raw = tmp_path / "raw.txt"
+        raw.write_text("*** START OF TWO ***\nThe cat sits on the mat. The dog chases the cat.\n"
+                       "*** END OF TWO ***\n", encoding="utf-8")
+        corpus_dir, ckpt = tmp_path / "c", tmp_path / "m.arrw"
+        assert cli.main(["corpus", "build", "--input", str(raw), "--out", str(corpus_dir)]) == 0
+        train = ["train", "--corpus", str(corpus_dir), "--out", str(ckpt), "--lr", "1e30"]
+        assert cli.main(train + ["--warmup", "0", "--epochs", "1", "--d", "8", "--r", "2"]) == 0
+        for text in ("the cat", "mat cat"):  # a ranked continuation; free generation
+            capsys.readouterr()
+            assert query((corpus_dir, ckpt), text) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and len(err.splitlines()) == 1, text
+            assert err.startswith("cannot use model: "), err
+
     @pytest.mark.parametrize(
         "lines, status",
         [("cat ?x\nmouse chases\ncat ?x\n", 1), ("cat ?x\n\ndog ?x\n", 0)],

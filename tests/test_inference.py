@@ -54,7 +54,7 @@ class TestRetrievalFirst:
     def toy(self):
         sentences = split_sentences(TOY_RAW)
         vocab = build_vocab(sentences)
-        return sentences, vocab, build_db(sentences, k_max=3), random_params(len(vocab), 8, 3, 17)
+        return sentences, vocab, build_db(sentences), random_params(len(vocab), 8, 3, 17)
 
     @pytest.mark.parametrize("query", [["the"], ["the", "cat"], ["sits", "on"], ["cat"], ["mat"]])
     def test_ranks_like_brute_force(self, toy, query):
@@ -134,3 +134,39 @@ def test_wide_beam_equals_exhaustive_search(seed):
     best = max(scored)[1]
     config = DecodeConfig(mode="beam", beam_width=500, max_new_tokens=horizon)
     assert generate_free(params, vocab, prompt, config) == list(best)
+
+
+def reference_beam(params, vocab, prompt, width, horizon):
+    """Plain beam search; a hypothesis keeps the mean log-probability it was made with."""
+    beams = [(0.0, [], run_prefix(params, prompt), 0.0, False)]  # score, tokens, state, total, done
+    for _ in range(horizon):
+        if all(done for *_, done in beams):
+            break
+        pool = [b for b in beams if b[4]]
+        for _, toks, h, total, done in beams:
+            if done:
+                continue
+            logp = masked_logprobs(params, h, vocab.pad_id)
+            for tok in sorted(range(len(logp)), key=lambda t: -logp[t])[:width]:
+                new_total = total + logp[tok]
+                if tok == vocab.eos_id:
+                    pool.append((new_total / (len(toks) + 1), toks, h, new_total, True))
+                else:
+                    pool.append((new_total / (len(toks) + 1), toks + [tok], h, new_total, False))
+        pool.sort(key=lambda b: (-b[0], b[1]))
+        beams = [
+            (score, toks, h if done else step(params, h, toks[-1]), total, done)
+            for score, toks, h, total, done in pool[:width]
+        ]
+    return beams[0][1]
+
+
+def test_beam_equals_reference_beam():
+    vocab = Vocab(["a", "b", "c"])
+    for seed in range(200):
+        params = random_params(len(vocab), 6, 2, 300 + seed)
+        params.w_out[vocab.eos_id] += 0.5 * (seed % 4)
+        width, prompt = 2 + seed % 2, [seed % 3]
+        config = DecodeConfig(mode="beam", beam_width=width, max_new_tokens=6)
+        expected = reference_beam(params, vocab, prompt, width, config.max_new_tokens)
+        assert generate_free(params, vocab, prompt, config) == expected, seed

@@ -1,4 +1,4 @@
-"""Sentence store, exact and wildcard queries, index/scan agreement."""
+"""Sentence store, exact and wildcard queries, agreement with brute-force scans."""
 
 import random
 
@@ -14,10 +14,9 @@ from arrowlm.retrieval import (
     query_exact,
     query_pattern,
     query_text,
-    _scan_occurrences,
 )
 
-from oracles import scan_matches
+from oracles import pattern_windows, scan_matches
 
 TOY = [
     "the cat sits on the mat",
@@ -29,7 +28,7 @@ TOY = [
 
 @pytest.fixture
 def db():
-    return build_db([s.split() for s in TOY], k_max=5)
+    return build_db([s.split() for s in TOY])
 
 
 def texts(db, results):
@@ -66,11 +65,17 @@ class TestBuildDb:
         with pytest.raises(EmptySentence):
             build_db([["a"], []])
 
+    def test_k_max_is_checked_and_stored(self):
+        assert build_db([["a"]], k_max=1).k_max == 1
+        with pytest.raises(ValueError):
+            build_db([["a"]], k_max=0)
+
     def test_index_offsets_valid(self, db):
-        for gram, hits in db.fragment_index.items():
-            for sid, off in hits:
-                toks = db.sentences[sid].tokens
-                assert toks[off : off + len(gram)] == gram
+        # One entry per stored token, in (sentence id, offset) order.
+        for word, hits in db.positions.items():
+            assert list(hits) == sorted(set(hits))
+            assert all(db.sentences[sid].tokens[off] == word for sid, off in hits)
+        assert sum(map(len, db.positions.values())) == sum(len(s.tokens) for s in db.sentences)
 
 
 class TestQueryExact:
@@ -89,8 +94,8 @@ class TestQueryExact:
         with pytest.raises(EmptyQuery):
             query_exact(db, [])
 
-    def test_long_query_uses_scan(self, db):
-        words = TOY[0].split()  # 6 words > k_max=5
+    def test_whole_sentence_query(self, db):
+        words = TOY[0].split()  # 6 words, longer than any n-gram a store used to index
         got = texts(db, query_exact(db, words))
         assert got == [TOY[0]]
 
@@ -166,26 +171,57 @@ class TestQueryText:
 class TestIndexScanAgreement:
     def test_random_corpora(self):
         rng = random.Random(2024)
-        words = [f"w{i}" for i in range(12)]
+        words = [f"w{i}" for i in range(6)]
+        long_hits = 0
         for trial in range(100):
-            n_sent = rng.randint(1, 12)
             sentences = [
-                [rng.choice(words) for _ in range(rng.randint(1, 12))]
-                for _ in range(n_sent)
+                [rng.choice(words) for _ in range(rng.randint(1, 14))]
+                for _ in range(rng.randint(1, 12))
             ]
-            db = build_db(sentences, k_max=5)
+            db = build_db(sentences)
+            stored = [s.tokens for s in db.sentences]
+            for qlen in range(1, 10):
+                source = rng.choice(stored)
+                if trial % 2 and len(source) >= qlen:  # a stored window, so long queries hit
+                    off = rng.randrange(len(source) - qlen + 1)
+                    query = list(source[off : off + qlen])
+                else:
+                    query = [rng.choice(words) for _ in range(qlen)]
+                hits = scan_matches(stored, query)
+                assert [sid for sid, _ in query_exact(db, query)] == hits
+                windows = pattern_windows(stored, query)
+                assert db.occurrences(query) == [(sid, off) for sid, off, _ in windows]
+                long_hits += qlen > 5 and bool(hits)
+        assert long_hits > 50
+
+    def test_patterns_random_corpora(self):
+        rng = random.Random(2025)
+        words = ["a", "b", "c", "d"]
+        wildcards = ["_", "?x", "?x", "?y", "?"]
+        checked = {"repeated": 0, "wildcards only": 0}
+        for trial in range(100):
+            sentences = [
+                [rng.choice(words[:3]) for _ in range(rng.randint(1, 10))]
+                for _ in range(rng.randint(1, 10))
+            ]
+            db = build_db(sentences)
+            stored = [s.tokens for s in db.sentences]
             for _ in range(20):
-                qlen = rng.randint(1, 5)
-                query = [rng.choice(words) for _ in range(qlen)]
-                via_index = [sid for sid, _ in query_exact(db, query)]
-                via_scan = sorted(
-                    {sid for sid, _ in _scan_occurrences(db.sentences, tuple(query))}
-                )
-                assert via_index == via_scan
-                assert via_scan == [
-                    sid
-                    for sid in scan_matches([s.tokens for s in db.sentences], query)
-                ]
+                pool = wildcards if trial % 4 == 0 else words + wildcards
+                parts = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+                items = db.parse_pattern(" ".join(parts))
+                got = [(b, sid) for b, sid, _ in query_pattern(db, items)] if items else []
+                expected, keys = [], set()
+                for sid, _, bindings in pattern_windows(stored, parts):
+                    key = (tuple(sorted(bindings.items())), sid)
+                    if key not in keys:
+                        keys.add(key)
+                        expected.append((bindings, sid))
+                assert got == expected, parts
+                if expected:
+                    checked["repeated"] += parts.count("?x") > 1
+                    checked["wildcards only"] += set(parts) <= set(wildcards)
+        assert min(checked.values()) > 50
 
     def test_semantic_equivalence_random_sentences(self):
         # hit <=> contiguous subsequence <=> fragment membership
