@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (provable / results found), 1 valid but negative
 (not provable / no retrieval results; in ``--repl``, any query without
-results), 2 usage or I/O errors (including a setting outside its range,
-and a model whose query scores are not finite), 3 internal error (an
+results), 2 usage or I/O errors (including a setting outside its range
+or a config key that names no setting, training that diverges, and a
+model whose query scores are not finite), 3 internal error (an
 unexpected exception, reported as one line on stderr).  Every
 corpus/train run writes a ``key=value`` manifest with resolved settings,
 input digests, per-phase timings, and peak RSS, enough to reproduce the
@@ -22,26 +23,9 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import __version__
+from . import DEFAULTS, __version__
 from .formula import FormulaSyntaxError, parse_formula
-from .prover import beta_normalize, format_term, prove, prove_with_term
-
-DEFAULTS = {
-    "max_len": 256,
-    "max_frag": 5,
-    "d": 64,
-    "r": 8,
-    "epochs": 200,
-    "seed": 42,
-    "batch_size": 32,
-    "lr": 3e-3,
-    "warmup": 100,
-    "weight_decay": 0.01,
-    "clip_norm": 1.0,
-    "top_k": 5,
-    "max_new_tokens": 32,
-    "temperature": 1.0,
-}
+from .prover import format_term, prove, prove_with_term
 
 # The lowest value of each setting, and whether that value is itself allowed.
 _LOWEST = {
@@ -115,9 +99,12 @@ def _resolve(args: argparse.Namespace, file_config: dict[str, str]) -> None:
     """Replace each setting of the command by its checked value.
 
     The command line wins over the config file, which wins over
-    :data:`DEFAULTS`.  Raises ValueError for a value that does not convert
-    or lies outside its range.
+    :data:`DEFAULTS`.  Raises ValueError for a config key that names no
+    setting, or a value that does not convert or lies outside its range.
     """
+    unknown = sorted(file_config.keys() - DEFAULTS.keys())
+    if unknown:
+        raise ValueError(f"config key {unknown[0]!r} is not a setting")
     for key, default in DEFAULTS.items():
         if not hasattr(args, key):
             continue
@@ -154,7 +141,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
         if args.term:
             print(f"term: {format_term(term)}")
         if args.normalize:
-            print(f"normal form: {format_term(beta_normalize(term))}")
+            print(f"normal form: {format_term(term)}")  # witnesses are beta-normal
     return 0 if provable else 1
 
 
@@ -254,7 +241,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     params = model.init_params(len(vocab), cfg.d, cfg.r, cfg.seed, dtype=np.float32)
     loss_lines = []
     t0 = time.perf_counter()
-    params, history = model.train(params, training.fragments, cfg, pad_id=vocab.pad_id)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # train checks finiteness itself
+            params, history = model.train(params, training.fragments, cfg, pad_id=vocab.pad_id)
+        bound = model.activation_bound(params)
+        if not bound <= float(np.finfo(np.float32).max):  # NaN fails too
+            raise model.NonFiniteTraining(f"activations can reach {bound:.3g}, beyond float32")
+    except model.NonFiniteTraining as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return 2
     for epoch, loss in enumerate(history, 1):
         loss_lines.append(f"{epoch}\t{loss:.6f}\t{time.perf_counter() - t0:.3f}\n")
     manifest.start_phase("save")
@@ -365,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="arrowlm",
         description="Implicational prover, fragment retrieval, and the Arrow LM",
     )
-    parser.add_argument("--config", help="key=value file supplying any flag")
+    parser.add_argument("--config", help="key=value file of settings named as flags (max_frag=3)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prove", help="decide an implicational formula")

@@ -16,11 +16,10 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from . import DEFAULTS
+
 EOS_WORD = "<eos>"
 PAD_WORD = "<pad>"
-
-DEFAULT_MAX_SENTENCE_LEN = 256
-DEFAULT_MAX_FRAGMENT_LEN = 5
 
 _START_MARKER = "*** START OF"
 _END_MARKER = "*** END OF"
@@ -94,9 +93,7 @@ def normalize_words(text: str) -> list[str]:
     return _KEEP_RE.sub("", re.sub(r"\s+", " ", text.lower())).split()
 
 
-def split_sentences(
-    body: str, max_len: int = DEFAULT_MAX_SENTENCE_LEN
-) -> list[list[str]]:
+def split_sentences(body: str, max_len: int = DEFAULTS["max_len"]) -> list[list[str]]:
     """Split on ``.!?``, normalize to the word alphabet, drop empties.
 
     Sentences longer than ``max_len`` words are truncated.
@@ -123,8 +120,8 @@ def build_vocab(sentences: Sequence[Sequence[str]]) -> Vocab:
 def enumerate_fragments(
     sentences: Sequence[Sequence[str]],
     vocab: Vocab,
-    k_frag: int = DEFAULT_MAX_FRAGMENT_LEN,
-    max_len: int = DEFAULT_MAX_SENTENCE_LEN,
+    k_frag: int = DEFAULTS["max_frag"],
+    max_len: int = DEFAULTS["max_len"],
 ) -> TrainingSet:
     """Emit all length-2..k_frag fragments plus EOS-terminated sentences.
 

@@ -1,10 +1,10 @@
 """Implicational formulas over interned word atoms.
 
 A token sequence ``w1 ... wn`` is encoded as the left-nested implication
-chain ``((((w1->w2)->w3)->...)->wn)``.  This module owns the formula tree
-representation, the chain <-> token-list conversions, the textual ``->``
-notation, and the enumeration of suffix-prefix fragments (the left-nested
-encodings of all contiguous token subsequences).
+chain ``((((w1->w2)->w3)->...)->wn)``.  This module owns the hash-consed
+formula tree, that chain encoding (:func:`list_to_impl`), and the textual
+``->`` notation.  Retrieval works on the equivalent word sequences and
+builds no formulas.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import re
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import FrozenInstanceError
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 
 class FormulaError(Exception):
@@ -22,10 +22,6 @@ class FormulaError(Exception):
 
 class EmptyTokenList(FormulaError):
     """A chain encoding was requested for zero tokens."""
-
-
-class NotAChain(FormulaError):
-    """The formula is not a left-nested chain (some consequent is compound)."""
 
 
 class FormulaSyntaxError(FormulaError):
@@ -93,8 +89,8 @@ class _Node:
 class Atom(_Node):
     """A propositional atom: an interned word.
 
-    ``id`` and ``surface`` are a bijection within one Interner/Vocab, so
-    equality over both fields coincides with id equality there.  Atoms are
+    ``id`` and ``surface`` are a bijection within one Interner, so equality
+    over both fields coincides with id equality there.  Atoms are
     hash-consed: equal atoms are the same object.
     """
 
@@ -153,15 +149,14 @@ Formula = Union[Atom, Imp]
 
 
 class Interner:
-    """Bijective word <-> id table handing out :class:`Atom` values.
+    """The word -> :class:`Atom` table that formulas to be compared share.
 
-    Ids are dense, assigned in first-occurrence order.
+    Ids are dense, assigned in first-occurrence order.  The parser reads
+    the table directly.
     """
 
-    def __init__(self, words: Iterable[str] = ()):
+    def __init__(self):
         self._atoms: dict[str, Atom] = {}
-        for w in words:
-            self.atom(w)
 
     def atom(self, surface: str) -> Atom:
         """Return the atom for ``surface``, interning it if new."""
@@ -169,20 +164,6 @@ class Interner:
         if atom is None:
             atom = self._atoms[surface] = Atom(len(self._atoms), surface)
         return atom
-
-    def lookup(self, surface: str) -> Optional[Atom]:
-        """Return the atom for ``surface`` if already interned, else None."""
-        return self._atoms.get(surface)
-
-    @property
-    def words(self) -> tuple[str, ...]:
-        return tuple(self._atoms)
-
-    def __len__(self) -> int:
-        return len(self._atoms)
-
-    def __contains__(self, surface: str) -> bool:
-        return surface in self._atoms
 
 
 def list_to_impl(tokens: Sequence[Atom]) -> Formula:
@@ -193,37 +174,6 @@ def list_to_impl(tokens: Sequence[Atom]) -> Formula:
     for tok in tokens[1:]:
         acc = Imp(acc, tok)
     return acc
-
-
-def impl_to_list(f: Formula) -> list[Atom]:
-    """Invert :func:`list_to_impl` on left-nested chains."""
-    rev: list[Atom] = []
-    node = f
-    while isinstance(node, Imp):
-        if not isinstance(node.consequent, Atom):
-            raise NotAChain(f"compound consequent: {print_formula(node.consequent)}")
-        rev.append(node.consequent)
-        node = node.antecedent
-    if not isinstance(node, Atom):  # pragma: no cover - Imp/Atom exhaust Formula
-        raise NotAChain("malformed formula leaf")
-    rev.append(node)
-    rev.reverse()
-    return rev
-
-
-def suffix_prefixes(f: Formula) -> list[Formula]:
-    """Enumerate the n(n+1)/2 chain encodings of all contiguous subsequences.
-
-    Order matches the suffix-then-prefix generation: suffixes from the
-    last token outward, and within each suffix the prefixes longest first.
-    """
-    tokens = impl_to_list(f)
-    n = len(tokens)
-    out: list[Formula] = []
-    for i in range(n - 1, -1, -1):
-        for j in range(n, i, -1):
-            out.append(list_to_impl(tokens[i:j]))
-    return out
 
 
 # One pass over the text: a word, an arrow, or any other single character

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import DEFAULTS
 from .corpus import Vocab
 from .model import ModelError, ModelParams, TokenOutOfRange, _log_softmax, step
 from .retrieval import SentenceDB
@@ -53,11 +54,11 @@ class RetrievalResult:
 @dataclass
 class DecodeConfig:
     mode: str = "greedy"  # greedy | sample | beam
-    temperature: float = 1.0
+    temperature: float = DEFAULTS["temperature"]
     top_k: int = 0  # 0 disables the cutoff
     beam_width: int = 1
-    max_new_tokens: int = 32
-    seed: int = 0
+    max_new_tokens: int = DEFAULTS["max_new_tokens"]
+    seed: int = DEFAULTS["seed"]
 
     def __post_init__(self):
         if self.mode not in ("greedy", "sample", "beam"):
@@ -98,7 +99,7 @@ def retrieval_first(
     vocab: Vocab,
     db: SentenceDB,
     query: Sequence[str],
-    k: int = 5,
+    k: int = DEFAULTS["top_k"],
 ) -> RetrievalResult:
     """Rank the corpus continuations of ``query``; see module docstring.
 

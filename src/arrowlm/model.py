@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import DEFAULTS
 from .corpus import Vocab, read_vocab, write_vocab
 
 CHECKPOINT_MAGIC = b"ARRW"
@@ -134,20 +135,20 @@ class Gradients(_TensorSet):
 
 @dataclass
 class TrainConfig:
-    d: int = 64
-    r: int = 8
-    lr: float = 3e-3
-    warmup_steps: int = 100
-    epochs: int = 1
-    batch_size: int = 32
-    k_frag: int = 5
-    max_len: int = 256
-    seed: int = 42
-    weight_decay: float = 0.01
+    d: int = DEFAULTS["d"]
+    r: int = DEFAULTS["r"]
+    lr: float = DEFAULTS["lr"]
+    warmup_steps: int = DEFAULTS["warmup"]
+    epochs: int = DEFAULTS["epochs"]
+    batch_size: int = DEFAULTS["batch_size"]
+    k_frag: int = DEFAULTS["max_frag"]
+    max_len: int = DEFAULTS["max_len"]
+    seed: int = DEFAULTS["seed"]
+    weight_decay: float = DEFAULTS["weight_decay"]
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    clip_norm: float = 1.0
+    clip_norm: float = DEFAULTS["clip_norm"]
 
 
 @dataclass
@@ -440,6 +441,22 @@ def train(
             epoch_pred += tape.n_pred
         history.append(epoch_nll / epoch_pred)
     return params, history
+
+
+def activation_bound(params: ModelParams) -> float:
+    """A bound, from the parameters alone, on the magnitudes a forward pass computes.
+
+    LayerNorm keeps each state coordinate within ``|gain| sqrt(d) + |bias|``
+    (as is ``h0``) and gates lie in [-1, 1]; this bounds the pre-LayerNorm
+    values, the sum of their squared deviations and the logit spread.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = {name: np.abs(arr.astype(np.float64)) for name, arr in params.tensors()}
+        state = np.maximum(a["h0"].max(), a["gain"].max() * math.sqrt(params.d) + a["bias"].max())
+        z = state * a["v"].sum(axis=0).max()
+        pre = state + a["u"].sum(axis=1).max() * z
+        spread = 2.0 * state * a["w_out"].sum(axis=1).max()
+        return float(np.max([z, pre, params.d * (2.0 * pre) ** 2, spread]))
 
 
 _HEADER = struct.Struct("<4sIIIIf")  # magic, version, d, r, vocab, eps

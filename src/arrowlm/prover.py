@@ -273,21 +273,6 @@ def beta_normalize(term: ProofTerm, max_steps: int = 1_000_000) -> ProofTerm:
         current = nxt
 
 
-def alpha_eq(a: ProofTerm, b: ProofTerm) -> bool:
-    """Structural equality up to renaming of bound variables."""
-
-    def go(a: ProofTerm, b: ProofTerm, ea: dict[str, int], eb: dict[str, int], depth: int) -> bool:
-        if isinstance(a, Var) and isinstance(b, Var):
-            return ea.get(a.name, a.name) == eb.get(b.name, b.name)
-        if isinstance(a, Lam) and isinstance(b, Lam):
-            return go(a.body, b.body, {**ea, a.bound: depth}, {**eb, b.bound: depth}, depth + 1)
-        if isinstance(a, App) and isinstance(b, App):
-            return go(a.fun, b.fun, ea, eb, depth) and go(a.arg, b.arg, ea, eb, depth)
-        return False
-
-    return go(a, b, {}, {}, 0)
-
-
 def format_term(term: ProofTerm) -> str:
     """Render a term with minimal parentheses, e.g. ``\\x1.\\x2.(x2 x1)``."""
     if isinstance(term, Var):

@@ -3,11 +3,11 @@
 A query matches a stored sentence exactly when its chain encoding is a
 suffix-prefix fragment of the sentence's left-nested implication formula,
 which is equivalent to the query tokens occurring contiguously in the
-sentence.  Sentences are therefore kept as deduplicated token sequences
-plus one positional index, word -> every (sentence id, offset) where it
-occurs; a query of any length, with or without wildcards, is anchored on
-the positions of its least frequent concrete word.  A sentence's formula
-is built only when a result asks for it.
+sentence.  Sentences are therefore kept as deduplicated tuples of plain
+word strings, with no formula, plus one positional index, word -> every
+(sentence id, offset) where it occurs; a query of any length, with or
+without wildcards, is anchored on the positions of its least frequent
+concrete word.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .corpus import normalize_words
-from .formula import Atom, Formula, Interner, list_to_impl
 
 
 class RetrievalError(Exception):
@@ -35,7 +34,7 @@ class EmptyQuery(RetrievalError):
 class Word:
     """A concrete query token."""
 
-    atom: Atom
+    text: str
 
 
 @dataclass(frozen=True)
@@ -52,12 +51,6 @@ QueryItem = Union[Word, Wildcard]
 class Sentence:
     id: int
     tokens: tuple[str, ...]
-    atoms: tuple[Atom, ...]
-
-    @property
-    def formula(self) -> Formula:
-        """The sentence's chain, built on demand: matching never reads it."""
-        return list_to_impl(self.atoms)
 
 
 class SentenceDB:
@@ -68,22 +61,19 @@ class SentenceDB:
         sentences: tuple[Sentence, ...],
         positions: dict[str, tuple[tuple[int, int], ...]],
         k_max: int,
-        interner: Interner,
     ):
         self.sentences = sentences
         self.positions = positions
         self.k_max = k_max
-        self.interner = interner
 
     def __len__(self) -> int:
         return len(self.sentences)
 
     def occurrences(self, words: Sequence[str]) -> list[tuple[int, int]]:
         """All (sentence id, start offset) where ``words`` occur contiguously."""
-        atoms = [self.interner.lookup(word) for word in words]
-        if not atoms or None in atoms:
+        if not words or any(word not in self.positions for word in words):
             return []
-        return [(sid, off) for sid, off, _ in self._match([Word(a) for a in atoms])]
+        return [(sid, off) for sid, off, _ in self._match([Word(word) for word in words])]
 
     def _match(self, items: Sequence[QueryItem]) -> Iterator[tuple[int, int, dict[str, str]]]:
         """Yield (sentence id, offset, bindings) for every window ``items`` match.
@@ -92,7 +82,7 @@ class SentenceDB:
         only tries every window.
         """
         m = len(items)
-        concrete = [(j, it.atom.surface) for j, it in enumerate(items) if isinstance(it, Word)]
+        concrete = [(j, it.text) for j, it in enumerate(items) if isinstance(it, Word)]
         if concrete:
             j, word = min(concrete, key=lambda c: len(self.positions.get(c[1], ())))
             starts = ((sid, off - j) for sid, off in self.positions.get(word, ()) if off >= j)
@@ -105,7 +95,7 @@ class SentenceDB:
             bindings: dict[str, str] = {}
             for item, word in zip(items, window):
                 if isinstance(item, Word):
-                    if item.atom.surface != word:
+                    if item.text != word:
                         break
                 elif item.name is not None:
                     if bindings.setdefault(item.name, word) != word:
@@ -129,10 +119,9 @@ class SentenceDB:
                 items.append(Wildcard(part[1:] or None))
             else:
                 for word in normalize_words(part):
-                    atom = self.interner.lookup(word)
-                    if atom is None:
+                    if word not in self.positions:
                         return None
-                    items.append(Word(atom))
+                    items.append(Word(word))
         return items
 
 
@@ -144,7 +133,6 @@ def build_db(sentences: Iterable[Sequence[str]], k_max: int = 5) -> SentenceDB:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    interner = Interner()
     stored: list[Sentence] = []
     seen: set[tuple[str, ...]] = set()
     positions: dict[str, list[tuple[int, int]]] = {}
@@ -156,18 +144,17 @@ def build_db(sentences: Iterable[Sequence[str]], k_max: int = 5) -> SentenceDB:
             continue
         seen.add(toks)
         sid = len(stored)
-        stored.append(Sentence(sid, toks, tuple(map(interner.atom, toks))))
+        stored.append(Sentence(sid, toks))
         for off, word in enumerate(toks):
             positions.setdefault(word, []).append((sid, off))
     frozen = {word: tuple(hits) for word, hits in positions.items()}
-    return SentenceDB(tuple(stored), frozen, k_max, interner)
+    return SentenceDB(tuple(stored), frozen, k_max)
 
 
 def query_exact(db: SentenceDB, words: Sequence[str]) -> list[tuple[int, Sentence]]:
     """Sentences containing ``words`` contiguously, once each, in id order.
 
-    Returns (sentence id, sentence) pairs; a sentence's ``formula`` is built
-    only if read.
+    Returns (sentence id, sentence) pairs.
     """
     if not words:
         raise EmptyQuery("query must contain at least one word")
@@ -186,8 +173,7 @@ def query_pattern(
     """Match a word/wildcard pattern against all sentence windows.
 
     Returns (bindings, sentence id, sentence) triples, deduplicated on
-    (bindings, id); bindings cover named wildcards only.  A sentence's
-    ``formula`` is built only if read.
+    (bindings, id); bindings cover named wildcards only.
     """
     if not items:
         raise EmptyQuery("pattern must contain at least one item")
@@ -199,11 +185,3 @@ def query_pattern(
             seen.add(key)
             results.append((bindings, sid, db.sentences[sid]))
     return results
-
-
-def query_text(db: SentenceDB, raw: str) -> list[str]:
-    """Normalize ``raw`` as the corpus is, query exactly, render hits as text."""
-    words = normalize_words(raw)
-    if not words:
-        raise EmptyQuery("query is empty after normalization")
-    return [" ".join(db.sentences[sid].tokens) for sid, _ in query_exact(db, words)]

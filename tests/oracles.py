@@ -5,7 +5,9 @@ code under test: a history-checked exhaustive sequent search instead of
 the committed four-rule prover, an environment-based normalizer instead
 of the step rewriter, brute-force subsequence enumeration, central finite
 differences instead of the hand-written backward pass, and an
-all-logits-at-once loss instead of the streaming one.
+all-logits-at-once loss instead of the streaming one.  It also holds the
+helpers only tests need: the chain -> token-list inverse, fragment
+enumeration, alpha-equivalence and a text-in, text-out exact query.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from arrowlm.formula import Atom, Formula, Imp, Interner
+from arrowlm.corpus import normalize_words
+from arrowlm.formula import Atom, Formula, FormulaError, Imp, list_to_impl, print_formula
 from arrowlm.model import Gradients, ModelParams, forward_loss
 from arrowlm.prover import App, Lam, ProofTerm, Var
+from arrowlm.retrieval import EmptyQuery, SentenceDB, query_exact
 
 # ---------------------------------------------------------------------------
 # Exhaustive sequent search (loop-checked) for implicational intuitionistic
@@ -124,9 +128,57 @@ def nbe_normal_form(term: ProofTerm) -> ProofTerm:
     return reify(evaluate(term, {}))
 
 
+def alpha_eq(a: ProofTerm, b: ProofTerm) -> bool:
+    """Structural equality up to renaming of bound variables."""
+
+    def go(a: ProofTerm, b: ProofTerm, ea: dict[str, int], eb: dict[str, int], depth: int) -> bool:
+        if isinstance(a, Var) and isinstance(b, Var):
+            return ea.get(a.name, a.name) == eb.get(b.name, b.name)
+        if isinstance(a, Lam) and isinstance(b, Lam):
+            return go(a.body, b.body, {**ea, a.bound: depth}, {**eb, b.bound: depth}, depth + 1)
+        if isinstance(a, App) and isinstance(b, App):
+            return go(a.fun, b.fun, ea, eb, depth) and go(a.arg, b.arg, ea, eb, depth)
+        return False
+
+    return go(a, b, {}, {}, 0)
+
+
 # ---------------------------------------------------------------------------
-# Sequence helpers.
+# Chains and sequence helpers.
 # ---------------------------------------------------------------------------
+
+
+class NotAChain(FormulaError):
+    """The formula is not a left-nested chain (some consequent is compound)."""
+
+
+def impl_to_list(f: Formula) -> list[Atom]:
+    """Invert :func:`arrowlm.formula.list_to_impl` on left-nested chains."""
+    rev: list[Atom] = []
+    node = f
+    while isinstance(node, Imp):
+        if not isinstance(node.consequent, Atom):
+            raise NotAChain(f"compound consequent: {print_formula(node.consequent)}")
+        rev.append(node.consequent)
+        node = node.antecedent
+    rev.append(node)
+    rev.reverse()
+    return rev
+
+
+def suffix_prefixes(f: Formula) -> list[Formula]:
+    """Enumerate the n(n+1)/2 chain encodings of all contiguous subsequences.
+
+    Order matches the suffix-then-prefix generation: suffixes from the
+    last token outward, and within each suffix the prefixes longest first.
+    """
+    tokens = impl_to_list(f)
+    n = len(tokens)
+    out: list[Formula] = []
+    for i in range(n - 1, -1, -1):
+        for j in range(n, i, -1):
+            out.append(list_to_impl(tokens[i:j]))
+    return out
 
 
 def contiguous_subsequences(tokens) -> set[tuple]:
@@ -143,6 +195,14 @@ def scan_matches(sentences, words) -> list[int]:
         if any(toks[i : i + len(words)] == words for i in range(len(toks) - len(words) + 1)):
             hits.append(sid)
     return hits
+
+
+def query_text(db: SentenceDB, raw: str) -> list[str]:
+    """Normalize ``raw`` as the corpus is, query exactly, render hits as text."""
+    words = normalize_words(raw)
+    if not words:
+        raise EmptyQuery("query is empty after normalization")
+    return [" ".join(db.sentences[sid].tokens) for sid, _ in query_exact(db, words)]
 
 
 def pattern_windows(sentences, parts) -> list[tuple[int, int, dict[str, str]]]:

@@ -1,8 +1,10 @@
 """Exit codes, settings, query normalization and manifests of the command-line front end."""
 
 import dataclasses
+import inspect
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +12,13 @@ from pathlib import Path
 import pytest
 
 import arrowlm
-from arrowlm import cli
+from arrowlm import cli, corpus, inference, model
+from arrowlm.formula import Interner, parse_formula, print_formula
 from arrowlm.model import TrainConfig
+from arrowlm.prover import beta_normalize, format_term, prove_with_term
 
 from conftest import TOY_RAW
+from oracles import random_formula
 
 
 def manifest_keys(path):
@@ -48,6 +53,24 @@ class TestProve:
     def test_term(self, capsys):
         assert cli.main(["prove", "--term", "p->(p->q)->q"]) == 0
         assert capsys.readouterr().out.splitlines() == ["provable", "term: \\x1.\\x2.x2 x1"]
+
+    def test_normal_form_is_the_witness(self, capsys):
+        # Witnesses are beta-normal, so the printed normal form is the witness itself.
+        rng = random.Random(8)
+        atoms = [Interner().atom(w) for w in "pqr"]
+        witnessed = 0
+        for _ in range(200):
+            text = print_formula(random_formula(rng, atoms, 5))
+            term = prove_with_term(parse_formula(text))
+            capsys.readouterr()
+            status = cli.main(["prove", "--normalize", text])
+            out = capsys.readouterr().out.splitlines()
+            if term is None:
+                assert status == 1 and out == ["not provable"], text
+            else:
+                witnessed += 1
+                assert out == ["provable", f"normal form: {format_term(beta_normalize(term))}"], text
+        assert witnessed > 30
 
     def test_crash_is_exit_3(self, monkeypatch, capsys):
         def crash(goal):
@@ -116,15 +139,15 @@ class TestQuery:
         assert cli.main(["--config", str(config), "query", "--corpus", str(corpus_dir),
                          "--model", str(ckpt), "the cat"]) == 0
 
-    def test_overflowing_model_is_a_usage_error(self, tmp_path, capsys):
+    def test_overflowing_model_is_a_usage_error(self, built, tmp_path, capsys):
         # Finite parameters near 1e30 overflow the float32 logits to inf and NaN.
-        raw = tmp_path / "raw.txt"
-        raw.write_text("*** START OF TWO ***\nThe cat sits on the mat. The dog chases the cat.\n"
-                       "*** END OF TWO ***\n", encoding="utf-8")
-        corpus_dir, ckpt = tmp_path / "c", tmp_path / "m.arrw"
-        assert cli.main(["corpus", "build", "--input", str(raw), "--out", str(corpus_dir)]) == 0
-        train = ["train", "--corpus", str(corpus_dir), "--out", str(ckpt), "--lr", "1e30"]
-        assert cli.main(train + ["--warmup", "0", "--epochs", "1", "--d", "8", "--r", "2"]) == 0
+        # train refuses to write such a checkpoint, so this one is scaled by hand.
+        corpus_dir, trained = built
+        params, vocab = model.load_checkpoint(trained)
+        for _, arr in params.tensors():
+            arr *= 1e30
+        ckpt = tmp_path / "m.arrw"
+        model.save_checkpoint(params, vocab, ckpt)
         for text in ("the cat", "mat cat"):  # a ranked continuation; free generation
             capsys.readouterr()
             assert query((corpus_dir, ckpt), text) == 2
@@ -139,6 +162,34 @@ class TestQuery:
     def test_repl_fails_if_any_query_found_nothing(self, built, monkeypatch, lines, status):
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
         assert query(built, "--repl", "--symbolic") == status
+
+
+@pytest.mark.parametrize(
+    "lr, epochs, cause",
+    [("1e38", "3", "step 2: loss nan"), ("1e30", "1", "activations can reach")],
+    ids=["non-finite-step", "overflowing-parameters"],
+)
+def test_diverging_training_is_a_usage_error(built, tmp_path, capsys, lr, epochs, cause):
+    corpus_dir, _ = built
+    args = ["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "m.arrw"), "--lr", lr,
+            "--warmup", "0", "--epochs", epochs, "--batch-size", "256", "--d", "8", "--r", "2"]
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"training diverged: {cause}"), err
+    assert list(tmp_path.iterdir()) == []  # no checkpoint, loss file or manifest
+
+
+def test_config_key_must_name_a_setting(built, tmp_path, capsys):
+    corpus_dir, _ = built
+    config = tmp_path / "typo.cfg"
+    config.write_text("epoch=3\n", encoding="utf-8")
+    capsys.readouterr()
+    args = ["--config", str(config), "train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "m")]
+    assert cli.main(args) == 2
+    assert capsys.readouterr() == ("", "bad setting: config key 'epoch' is not a setting\n")
+    assert not (tmp_path / "m").exists()
 
 
 @pytest.mark.parametrize(
@@ -171,6 +222,35 @@ def test_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_library_defaults_read_the_one_table():
+    train = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+    decode = {f.name: f.default for f in dataclasses.fields(inference.DecodeConfig)}
+
+    def arg(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    library = {
+        "max_len": [arg(corpus.split_sentences, "max_len"), arg(corpus.enumerate_fragments, "max_len"),
+                    train["max_len"]],
+        "max_frag": [arg(corpus.enumerate_fragments, "k_frag"), train["k_frag"]],
+        "d": [train["d"]],
+        "r": [train["r"]],
+        "epochs": [train["epochs"]],
+        "seed": [train["seed"], decode["seed"]],
+        "batch_size": [train["batch_size"]],
+        "lr": [train["lr"]],
+        "warmup": [train["warmup_steps"]],
+        "weight_decay": [train["weight_decay"]],
+        "clip_norm": [train["clip_norm"]],
+        "top_k": [arg(inference.retrieval_first, "k")],
+        "max_new_tokens": [decode["max_new_tokens"]],
+        "temperature": [decode["temperature"]],
+    }
+    assert cli.DEFAULTS is arrowlm.DEFAULTS and library.keys() == arrowlm.DEFAULTS.keys()
+    for key, values in library.items():
+        assert values == [arrowlm.DEFAULTS[key]] * len(values), key
 
 
 def test_manifests_record_settings_and_digests(built):

@@ -16,15 +16,12 @@ from arrowlm.formula import (
     FormulaSyntaxError,
     Imp,
     Interner,
-    NotAChain,
-    impl_to_list,
     list_to_impl,
     parse_formula,
     print_formula,
-    suffix_prefixes,
 )
 
-from oracles import contiguous_subsequences
+from oracles import NotAChain, contiguous_subsequences, impl_to_list, suffix_prefixes
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from arrowlm.prover import (
     Lam,
     StepLimitExceeded,
     Var,
-    alpha_eq,
     beta_normalize,
     format_term,
     prove,
@@ -25,7 +24,7 @@ from arrowlm.prover import (
     type_check,
 )
 
-from oracles import enumerate_formulas, lj_provable, nbe_normal_form, random_formula
+from oracles import alpha_eq, enumerate_formulas, lj_provable, nbe_normal_form, random_formula
 
 I = Interner()
 

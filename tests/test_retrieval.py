@@ -1,10 +1,12 @@
 """Sentence store, exact and wildcard queries, agreement with brute-force scans."""
 
+import gc
 import random
 
 import pytest
 
-from arrowlm.formula import impl_to_list, list_to_impl, suffix_prefixes
+from arrowlm import formula
+from arrowlm.formula import Interner, list_to_impl
 from arrowlm.retrieval import (
     EmptyQuery,
     EmptySentence,
@@ -13,10 +15,9 @@ from arrowlm.retrieval import (
     build_db,
     query_exact,
     query_pattern,
-    query_text,
 )
 
-from oracles import pattern_windows, scan_matches
+from oracles import impl_to_list, pattern_windows, query_text, scan_matches, suffix_prefixes
 
 TOY = [
     "the cat sits on the mat",
@@ -35,14 +36,22 @@ def texts(db, results):
     return [" ".join(db.sentences[sid].tokens) for sid, _ in results]
 
 
+ATOMS = Interner()
+
+
+def chain(words):
+    """The left-nested formula of ``words``; the store itself keeps none."""
+    return list_to_impl([ATOMS.atom(w) for w in words])
+
+
 class TestBuildDb:
     def test_toy_corpus_stored(self, db):
         assert len(db) == 4
-        mat = db.sentences[0].formula
+        mat = chain(db.sentences[0].tokens)
         assert [a.surface for a in impl_to_list(mat)] == TOY[0].split()
 
     def test_formulas_pairwise_distinct(self, db):
-        formulas = [s.formula for s in db.sentences]
+        formulas = [chain(s.tokens) for s in db.sentences]
         assert len({id(f) for f in formulas}) == len(formulas)
         for i, f in enumerate(formulas):
             for g in formulas[i + 1 :]:
@@ -53,9 +62,14 @@ class TestBuildDb:
         assert sent is db.sentences[sid]
         [(_, sid, sent)] = query_pattern(db, db.parse_pattern(TOY[1]))
         assert sent is db.sentences[sid]
-        # Built on demand, and hash-consed: the same chain while one is alive.
-        assert sent.formula is sent.formula
-        assert [a.surface for a in impl_to_list(sent.formula)] == TOY[1].split()
+        assert [a.surface for a in impl_to_list(chain(sent.tokens))] == TOY[1].split()
+
+    def test_stores_plain_words(self):
+        gc.collect()
+        before = len(formula._NODES)
+        db = build_db([["plain_a", "plain_b"], ["plain_c", "plain_a"]])
+        assert len(formula._NODES) == before
+        assert [s.tokens for s in db.sentences] == [("plain_a", "plain_b"), ("plain_c", "plain_a")]
 
     def test_duplicates_stored_once(self):
         db = build_db([["a", "b"], ["a", "b"], ["b", "a"]])
@@ -109,8 +123,7 @@ class TestQueryExact:
         for words in (["the", "cat"], ["sits", "on"], ["the"], ["cat", "sits", "on"]):
             hits = {sid for sid, _ in query_exact(db, words)}
             for sent in db.sentences:
-                atoms = [db.interner.atom(w) for w in words]
-                in_frags = list_to_impl(atoms) in suffix_prefixes(sent.formula)
+                in_frags = chain(words) in suffix_prefixes(chain(sent.tokens))
                 assert (sent.id in hits) == in_frags
 
 
@@ -235,12 +248,11 @@ class TestIndexScanAgreement:
             qlen = rng.randint(1, 6)
             query = [rng.choice(words) for _ in range(qlen)]
             hits = {sid for sid, _ in query_exact(db, query)}
-            atoms = [db.interner.atom(w) for w in query]
-            chain = list_to_impl(atoms)
+            query_chain = chain(query)
             for sent in db.sentences:
                 is_subseq = any(
                     sent.tokens[i : i + qlen] == tuple(query)
                     for i in range(len(sent.tokens) - qlen + 1)
                 )
-                in_frags = chain in suffix_prefixes(sent.formula)
+                in_frags = query_chain in suffix_prefixes(chain(sent.tokens))
                 assert is_subseq == in_frags == (sent.id in hits)
