@@ -239,8 +239,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     manifest.add("fragments", len(training.fragments))
     manifest.start_phase("train")
     params = model.init_params(len(vocab), cfg.d, cfg.r, cfg.seed, dtype=np.float32)
-    loss_lines = []
-    t0 = time.perf_counter()
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # train checks finiteness itself
             params, history = model.train(params, training.fragments, cfg, pad_id=vocab.pad_id)
@@ -250,11 +248,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     except model.NonFiniteTraining as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 2
-    for epoch, loss in enumerate(history, 1):
-        loss_lines.append(f"{epoch}\t{loss:.6f}\t{time.perf_counter() - t0:.3f}\n")
     manifest.start_phase("save")
     model.save_checkpoint(params, vocab, args.out)
-    Path(f"{args.out}.loss").write_text("".join(loss_lines), encoding="utf-8")
+    loss_lines = "".join(f"{epoch}\t{loss:.6f}\n" for epoch, loss in enumerate(history, 1))
+    Path(f"{args.out}.loss").write_text(loss_lines, encoding="utf-8")
     manifest.finish_phase()
     if history:
         manifest.add("final_loss", f"{history[-1]:.6f}")

@@ -7,9 +7,10 @@ their text, and ranks them by per-token mean log-likelihood under the
 model (conditioning on the query tokens).  Matches at a sentence end
 have nothing left to score and are reported separately as exact hits.
 
-Free generation supports greedy, temperature/top-k sampling, and
-length-normalized beam search; PAD is always excluded from the support
-and a generated EOS terminates (and is not emitted).
+Free generation is repeated modus ponens on the left-nested chain: each
+step takes the next token from one next-token distribution, greedily (its
+argmax) or by sampling at a temperature.  PAD is never chosen, and a
+generated EOS ends the text (and is not emitted).
 
 A model whose scores overflow to inf or NaN (finite parameters can still
 overflow float32 logits) raises :class:`~arrowlm.model.ModelError` instead
@@ -53,20 +54,18 @@ class RetrievalResult:
 
 @dataclass
 class DecodeConfig:
-    mode: str = "greedy"  # greedy | sample | beam
+    mode: str = "greedy"  # greedy | sample
     temperature: float = DEFAULTS["temperature"]
-    top_k: int = 0  # 0 disables the cutoff
-    beam_width: int = 1
     max_new_tokens: int = DEFAULTS["max_new_tokens"]
     seed: int = DEFAULTS["seed"]
 
     def __post_init__(self):
-        if self.mode not in ("greedy", "sample", "beam"):
+        if self.mode not in ("greedy", "sample"):
             raise ValueError(f"unknown decode mode {self.mode!r}")
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
-        if self.top_k < 0 or self.beam_width < 1 or self.max_new_tokens < 0:
-            raise ValueError("top_k >= 0, beam_width >= 1, max_new_tokens >= 0")
+        if self.max_new_tokens < 0:
+            raise ValueError("max_new_tokens must be >= 0")
 
 
 def _run_prefix(params: ModelParams, prefix: Sequence[int]) -> np.ndarray:
@@ -145,13 +144,6 @@ def retrieval_first(
     return RetrievalResult(tuple(ranked[:k]), tuple(exact))
 
 
-def _decode_logprobs(params: ModelParams, h: np.ndarray, no_pad: np.ndarray) -> np.ndarray:
-    logp = _log_softmax(params.w_out @ h + no_pad)
-    if not np.isfinite(logp.max()):  # the best token's; NaN anywhere makes it NaN
-        raise ModelError(f"next-token log-probability is {logp.max()}")
-    return logp
-
-
 @np.errstate(over="ignore", invalid="ignore")  # non-finite scores raise ModelError
 def generate_free(
     params: ModelParams,
@@ -170,22 +162,19 @@ def generate_free(
     # Added to the logits, this promotes them to float64 and removes PAD.
     no_pad = np.zeros(params.vocab_size)
     no_pad[vocab.pad_id] = -np.inf
-    if config.mode == "beam":
-        return _beam_search(params, vocab, h, config, no_pad)
     rng = np.random.default_rng(config.seed)
     out: list[int] = []
     for _ in range(config.max_new_tokens):
-        logp = _decode_logprobs(params, h, no_pad)
+        logits = params.w_out @ h + no_pad
+        top = logits.max()
+        if not np.isfinite(top):  # NaN anywhere makes the maximum NaN
+            raise ModelError(f"next-token logit is {top}")
         if config.mode == "greedy":
-            tok = int(np.argmax(logp))
+            tok = int(np.argmax(logits))
         else:
-            scaled = logp / config.temperature
-            if config.top_k > 0:
-                keep = np.argsort(-scaled, kind="stable")[: config.top_k]
-                cut = np.full_like(scaled, -np.inf)
-                cut[keep] = scaled[keep]
-                scaled = cut
-            probs = np.exp(scaled - scaled.max())
+            # Subtracting the maximum first keeps a tiny temperature from
+            # turning every logit into -inf (and the distribution into NaN).
+            probs = np.exp((logits - top) / config.temperature)
             probs /= probs.sum()
             tok = int(rng.choice(len(probs), p=probs))
         if tok == vocab.eos_id:
@@ -193,37 +182,3 @@ def generate_free(
         out.append(tok)
         h = step(params, h, tok)
     return out
-
-
-def _beam_search(
-    params: ModelParams,
-    vocab: Vocab,
-    h0: np.ndarray,
-    config: DecodeConfig,
-    no_pad: np.ndarray,
-) -> list[int]:
-    # Hypotheses: (score, tokens, state, total logp, finished).  The score is
-    # the mean log-probability per generated token, counting a final EOS, and
-    # is fixed when the hypothesis is made.
-    beams: list[tuple[float, tuple[int, ...], np.ndarray, float, bool]] = [
-        (0.0, (), h0, 0.0, False)
-    ]
-    for _ in range(config.max_new_tokens):
-        live = [b for b in beams if not b[4]]
-        if not live:
-            break
-        candidates = [b for b in beams if b[4]]
-        for _, toks, state, total, _ in live:
-            logp = _decode_logprobs(params, state, no_pad)
-            for tok in np.argsort(-logp, kind="stable")[: config.beam_width]:
-                tok = int(tok)
-                new_total = total + float(logp[tok])
-                done = tok == vocab.eos_id
-                new_toks = toks if done else toks + (tok,)
-                candidates.append((new_total / (len(toks) + 1), new_toks, state, new_total, done))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        beams = [
-            (score, toks, state if done else step(params, state, toks[-1]), total, done)
-            for score, toks, state, total, done in candidates[: config.beam_width]
-        ]
-    return list(beams[0][1])

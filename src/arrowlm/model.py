@@ -145,9 +145,6 @@ class TrainConfig:
     max_len: int = DEFAULTS["max_len"]
     seed: int = DEFAULTS["seed"]
     weight_decay: float = DEFAULTS["weight_decay"]
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     clip_norm: float = DEFAULTS["clip_norm"]
 
 
@@ -355,6 +352,8 @@ def clip_gradients(grads: Gradients, max_norm: float) -> float:
 # LayerNorm gain/bias and the initial state are excluded from weight decay,
 # matching the usual treatment of norm and bias-like parameters.
 _DECAYED = frozenset({"emb", "u", "v", "w_out"})
+# Adam's moment decay rates and denominator floor, at their usual values.
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class AdamW:
@@ -376,16 +375,16 @@ class AdamW:
         cfg = self.config
         self.step_count += 1
         lr = self.learning_rate()
-        bc1 = 1.0 - cfg.beta1**self.step_count
-        bc2 = 1.0 - cfg.beta2**self.step_count
+        bc1 = 1.0 - BETA1**self.step_count
+        bc2 = 1.0 - BETA2**self.step_count
         for (name, param), (_, grad) in zip(params.tensors(), grads.tensors()):
             m = self.m[name]
             v = self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * grad
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * grad * grad
-            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * grad
+            v *= BETA2
+            v += (1.0 - BETA2) * grad * grad
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             if name in _DECAYED and cfg.weight_decay > 0:
                 update = update + cfg.weight_decay * param
             param -= (lr * update).astype(param.dtype)

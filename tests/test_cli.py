@@ -155,6 +155,10 @@ class TestQuery:
             assert out == "" and len(err.splitlines()) == 1, text
             assert err.startswith("cannot use model: "), err
 
+    def test_tiny_sampling_temperature_is_not_a_crash(self, built):
+        # "zebra" is out of vocabulary, so the query falls back to free generation.
+        assert query(built, "--sample", "--temperature", "1e-320", "zebra cat") in (0, 1)
+
     @pytest.mark.parametrize(
         "lines, status",
         [("cat ?x\nmouse chases\ncat ?x\n", 1), ("cat ?x\n\ndog ?x\n", 0)],
@@ -224,9 +228,20 @@ def test_import_leaves_numpy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+class Fields(dict):
+    """A dataclass's field defaults by name, remembering which names were read."""
+
+    def __init__(self, cls):
+        super().__init__((f.name, f.default) for f in dataclasses.fields(cls))
+        self.read: set[str] = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
 def test_library_defaults_read_the_one_table():
-    train = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
-    decode = {f.name: f.default for f in dataclasses.fields(inference.DecodeConfig)}
+    train, decode = Fields(TrainConfig), Fields(inference.DecodeConfig)
 
     def arg(fn, name):
         return inspect.signature(fn).parameters[name].default
@@ -251,6 +266,8 @@ def test_library_defaults_read_the_one_table():
     assert cli.DEFAULTS is arrowlm.DEFAULTS and library.keys() == arrowlm.DEFAULTS.keys()
     for key, values in library.items():
         assert values == [arrowlm.DEFAULTS[key]] * len(values), key
+    # A config field that no command-line setting reaches has no use.
+    assert train.read == train.keys() and decode.read == decode.keys() - {"mode"}
 
 
 def test_manifests_record_settings_and_digests(built):
@@ -267,3 +284,13 @@ def test_manifests_record_settings_and_digests(built):
     } | {field.name for field in dataclasses.fields(TrainConfig)} <= manifest_keys(
         ckpt.parent / f"{ckpt.name}.manifest"
     )
+
+
+def test_loss_file_has_one_line_per_epoch(built):
+    _, ckpt = built
+    loss = ckpt.parent / f"{ckpt.name}.loss"
+    lines = [line.split("\t") for line in loss.read_text(encoding="utf-8").splitlines()]
+    assert [fields[0] for fields in lines] == ["1", "2"] and {len(fields) for fields in lines} == {2}
+    manifest = ckpt.parent / f"{ckpt.name}.manifest"
+    entries = dict(line.partition("=")[::2] for line in manifest.read_text(encoding="utf-8").splitlines())
+    assert lines[-1][1] == entries["final_loss"]

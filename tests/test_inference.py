@@ -1,7 +1,5 @@
 """Scoring, retrieval-first ranking and decoding, against plain reference loops."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -88,14 +86,20 @@ class TestRetrievalFirst:
         assert not retrieval_first(params, vocab, db, ["unicorn"])
 
 
+def skewed_params(vocab, seed):
+    """Parameters whose PAD logit often wins, and whose EOS grows likelier with the seed."""
+    params = random_params(len(vocab), 8, 3, 100 + seed)
+    params.w_out[vocab.pad_id] *= 5.0
+    params.w_out[vocab.eos_id] += 0.2 * seed
+    return params
+
+
 def test_greedy_equals_argmax_loop():
     vocab = Vocab(["a", "b", "c", "d", "e"])
     config = DecodeConfig(mode="greedy", max_new_tokens=12)
     pad_wins = eos_stops = 0
     for seed in range(6):
-        params = random_params(len(vocab), 8, 3, 100 + seed)
-        params.w_out[vocab.pad_id] *= 5.0  # PAD would win many argmaxes if it were allowed
-        params.w_out[vocab.eos_id] += 0.2 * seed
+        params = skewed_params(vocab, seed)
         prompt = [seed % 5, (seed + 2) % 5]
         h = run_prefix(params, prompt)
         expected = []
@@ -111,62 +115,49 @@ def test_greedy_equals_argmax_loop():
     assert pad_wins > 0 and eos_stops > 0
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_wide_beam_equals_exhaustive_search(seed):
-    vocab = Vocab(["a", "b", "c"])
-    params = random_params(len(vocab), 8, 3, 200 + seed)
-    params.w_out[vocab.eos_id] += 0.3 * seed
-    prompt, horizon = [seed % 3], 3
-    h0 = run_prefix(params, prompt)
-    words = [vocab.index[w] for w in ("a", "b", "c")]
-    scored = []
-    for length in range(horizon + 1):
-        for toks in itertools.product(words, repeat=length):
-            h, total = h0, 0.0
-            for tok in toks:
-                total += masked_logprobs(params, h, vocab.pad_id)[tok]
-                h = step(params, h, tok)
-            if length < horizon:  # finished: the EOS is scored and counted
-                eos = total + masked_logprobs(params, h, vocab.pad_id)[vocab.eos_id]
-                scored.append((eos / (length + 1), toks))
-            else:
-                scored.append((total / length, toks))
-    best = max(scored)[1]
-    config = DecodeConfig(mode="beam", beam_width=500, max_new_tokens=horizon)
-    assert generate_free(params, vocab, prompt, config) == list(best)
+@pytest.mark.parametrize("seed", range(6))
+def test_tiny_temperature_sampling_is_greedy(seed):
+    # At T = 1e-320, (logit - max) / T is -inf for every token but the argmax.
+    vocab = Vocab(["a", "b", "c", "d", "e"])
+    params, prompt = skewed_params(vocab, seed), [seed % 5, (seed + 2) % 5]
+    greedy = generate_free(params, vocab, prompt, DecodeConfig(mode="greedy", max_new_tokens=12))
+    for decode_seed in range(3):
+        config = DecodeConfig(mode="sample", temperature=1e-320, max_new_tokens=12, seed=decode_seed)
+        assert generate_free(params, vocab, prompt, config) == greedy
 
 
-def reference_beam(params, vocab, prompt, width, horizon):
-    """Plain beam search; a hypothesis keeps the mean log-probability it was made with."""
-    beams = [(0.0, [], run_prefix(params, prompt), 0.0, False)]  # score, tokens, state, total, done
-    for _ in range(horizon):
-        if all(done for *_, done in beams):
-            break
-        pool = [b for b in beams if b[4]]
-        for _, toks, h, total, done in beams:
-            if done:
-                continue
-            logp = masked_logprobs(params, h, vocab.pad_id)
-            for tok in sorted(range(len(logp)), key=lambda t: -logp[t])[:width]:
-                new_total = total + logp[tok]
-                if tok == vocab.eos_id:
-                    pool.append((new_total / (len(toks) + 1), toks, h, new_total, True))
-                else:
-                    pool.append((new_total / (len(toks) + 1), toks + [tok], h, new_total, False))
-        pool.sort(key=lambda b: (-b[0], b[1]))
-        beams = [
-            (score, toks, h if done else step(params, h, toks[-1]), total, done)
-            for score, toks, h, total, done in pool[:width]
-        ]
-    return beams[0][1]
+def test_sampling_is_seeded_and_never_emits_pad():
+    vocab = Vocab(["a", "b", "c", "d", "e"])
+    pad_wins, outputs = 0, set()
+    for seed in range(12):
+        params, prompt = skewed_params(vocab, seed % 6), [seed % 5]
+        config = DecodeConfig(mode="sample", max_new_tokens=12, seed=seed)
+        out = generate_free(params, vocab, prompt, config)
+        assert generate_free(params, vocab, prompt, config) == out
+        assert vocab.pad_id not in out
+        outputs.add(tuple(out))
+        for i in range(len(out) + 1):
+            h = run_prefix(params, prompt + out[:i])
+            pad_wins += int(np.argmax(params.w_out @ h)) == vocab.pad_id
+    assert pad_wins > 0 and len(outputs) > 1
 
 
-def test_beam_equals_reference_beam():
-    vocab = Vocab(["a", "b", "c"])
-    for seed in range(200):
-        params = random_params(len(vocab), 6, 2, 300 + seed)
-        params.w_out[vocab.eos_id] += 0.5 * (seed % 4)
-        width, prompt = 2 + seed % 2, [seed % 3]
-        config = DecodeConfig(mode="beam", beam_width=width, max_new_tokens=6)
-        expected = reference_beam(params, vocab, prompt, width, config.max_new_tokens)
-        assert generate_free(params, vocab, prompt, config) == expected, seed
+@pytest.mark.parametrize("temperature", [0.5, 2.0])
+def test_first_token_frequencies_match_softmax(temperature):
+    # The draws come from fixed seeds, so the outcome is deterministic; each
+    # frequency must lie within 4 binomial standard errors (plus 1/n) of the
+    # float64 softmax of logits / T over the tokens other than PAD.
+    vocab = Vocab(["a", "b", "c", "d", "e"])
+    params, prompt, n = skewed_params(vocab, 2), [1, 3], 4000
+    logits = params.w_out @ run_prefix(params, prompt)
+    logits[vocab.pad_id] = -np.inf
+    expected = np.exp((logits - logits.max()) / temperature)
+    expected /= expected.sum()
+    counts = np.zeros(len(vocab))
+    for seed in range(n):
+        config = DecodeConfig(mode="sample", temperature=temperature, max_new_tokens=1, seed=seed)
+        out = generate_free(params, vocab, prompt, config)
+        counts[out[0] if out else vocab.eos_id] += 1
+    assert counts[vocab.pad_id] == 0
+    tolerance = 4 * np.sqrt(expected * (1 - expected) / n) + 1 / n
+    assert np.all(np.abs(counts / n - expected) <= tolerance), (counts / n, expected)
