@@ -4,13 +4,15 @@ Retrieval-first completion enumerates every occurrence of the query as a
 contiguous subsequence of a stored sentence, takes each sentence suffix
 after the match as a candidate continuation, deduplicates candidates by
 their text, and ranks them by per-token mean log-likelihood under the
-model (conditioning on the query tokens).  Matches at a sentence end
-have nothing left to score and are reported separately as exact hits.
+model (conditioning on the query tokens): one softmax, training's, over
+the stacked next-token logits, with no step after the last scored token.
+Matches at a sentence end have nothing left to score: they are exact hits.
 
 Free generation is repeated modus ponens on the left-nested chain: each
 step takes the next token from one next-token distribution, greedily (its
 argmax) or by sampling at a temperature.  PAD is never chosen, and a
-generated EOS ends the text (and is not emitted).
+generated EOS ends the text (and is not emitted).  The logits keep the
+parameters' dtype (float32 in a checkpoint); only sampling promotes them.
 
 A model whose scores overflow to inf or NaN (finite parameters can still
 overflow float32 logits) raises :class:`~arrowlm.model.ModelError` instead
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import DEFAULTS
 from .corpus import Vocab
-from .model import ModelError, ModelParams, TokenOutOfRange, _log_softmax, step
+from .model import ModelError, ModelParams, _softmax, _validate_tokens, step
 from .retrieval import SentenceDB
 
 
@@ -62,8 +64,8 @@ class DecodeConfig:
     def __post_init__(self):
         if self.mode not in ("greedy", "sample"):
             raise ValueError(f"unknown decode mode {self.mode!r}")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        if not 0 < self.temperature < math.inf:  # also refuses NaN
+            raise ValueError("temperature must be finite and > 0")
         if self.max_new_tokens < 0:
             raise ValueError("max_new_tokens must be >= 0")
 
@@ -81,14 +83,15 @@ def score_continuation(
     """Total and per-token log-probability of ``continuation`` after ``prefix``."""
     if not prefix:
         raise ValueError("prefix must be non-empty")
+    targets = np.array(continuation, dtype=np.int64)
+    _validate_tokens(params, targets)
     h = _run_prefix(params, prefix)
-    per_token: list[float] = []
-    for tok in continuation:
-        tok = int(tok)
-        if not (0 <= tok < params.vocab_size):
-            raise TokenOutOfRange(f"token {tok} outside vocabulary")
-        per_token.append(float(_log_softmax(params.w_out @ h)[tok]))
-        h = step(params, h, tok)
+    logits = np.empty((len(targets), params.vocab_size), dtype=params.w_out.dtype)
+    for i, tok in enumerate(continuation):
+        logits[i] = params.w_out @ h
+        if i + 1 < len(targets):  # no step after the last scored token
+            h = step(params, h, int(tok))
+    per_token = _softmax(logits, targets)[0].tolist()
     return sum(per_token), per_token
 
 
@@ -112,8 +115,7 @@ def retrieval_first(
     query = [w.lower() for w in query]
     occurrences = sorted(db.occurrences(query))
     continuations: dict[tuple[str, ...], Candidate] = {}
-    exact: list[Candidate] = []
-    exact_ids: set[int] = set()
+    exact: dict[int, Candidate] = {}  # the first exact hit in each sentence
     prefix_ids = [vocab.index[w] for w in query if w in vocab.index]
     if len(prefix_ids) != len(query):
         # A query word outside the model vocabulary cannot occur in a stored
@@ -124,9 +126,7 @@ def retrieval_first(
         end = start + len(query)
         continuation = tokens[end:]
         if not continuation:
-            if sid not in exact_ids:
-                exact_ids.add(sid)
-                exact.append(Candidate(sid, start, end, (), 0.0, 0.0))
+            exact.setdefault(sid, Candidate(sid, start, end, (), 0.0, 0.0))
             continue
         if continuation in continuations:
             continue
@@ -141,7 +141,7 @@ def retrieval_first(
     ranked = sorted(
         continuations.values(), key=lambda c: (-c.mean_logprob, c.sentence_id)
     )
-    return RetrievalResult(tuple(ranked[:k]), tuple(exact))
+    return RetrievalResult(tuple(ranked[:k]), tuple(exact.values()))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite scores raise ModelError
@@ -155,26 +155,20 @@ def generate_free(
     config = config or DecodeConfig()
     if not prompt:
         raise ValueError("prompt must be non-empty")
-    for tok in prompt:
-        if not (0 <= int(tok) < params.vocab_size):
-            raise TokenOutOfRange(f"prompt token {tok} outside vocabulary")
-    h = _run_prefix(params, prompt)
-    # Added to the logits, this promotes them to float64 and removes PAD.
-    no_pad = np.zeros(params.vocab_size)
-    no_pad[vocab.pad_id] = -np.inf
+    h = _run_prefix(params, prompt)  # step refuses a token outside the vocabulary
     rng = np.random.default_rng(config.seed)
     out: list[int] = []
     for _ in range(config.max_new_tokens):
-        logits = params.w_out @ h + no_pad
-        top = logits.max()
-        if not np.isfinite(top):  # NaN anywhere makes the maximum NaN
+        logits = params.w_out @ h
+        logits[vocab.pad_id] = -np.inf
+        tok = int(np.argmax(logits))  # the first NaN, if there is one
+        top = float(logits[tok])
+        if not math.isfinite(top):
             raise ModelError(f"next-token logit is {top}")
-        if config.mode == "greedy":
-            tok = int(np.argmax(logits))
-        else:
+        if config.mode == "sample":
             # Subtracting the maximum first keeps a tiny temperature from
             # turning every logit into -inf (and the distribution into NaN).
-            probs = np.exp((logits - top) / config.temperature)
+            probs = np.exp((logits.astype(np.float64) - top) / config.temperature)
             probs /= probs.sum()
             tok = int(rng.choice(len(probs), p=probs))
         if tok == vocab.eos_id:

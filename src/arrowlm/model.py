@@ -8,10 +8,11 @@ is never materialized here.  Next-token logits are ``W_out @ h``.
 
 The loss is streamed: per time step the (batch x vocab) logits are
 materialized, consumed by the cross-entropy, and discarded, so peak
-transient memory does not scale with sequence length.  The same pass
-turns each step's log-probabilities into the logit gradient, folds it
-into the ``W_out`` gradient and keeps only its (batch x d) image on the
-tape, so the backward pass never rebuilds logits or a softmax.
+transient memory does not scale with sequence length.  Each step
+exponentiates its logits once; scaling those exponentials by one float32
+factor per row turns them into the logit gradient, which the same pass
+folds into the ``W_out`` gradient, keeping only its (batch x d) image on
+the tape, so the backward pass never rebuilds logits or a softmax.
 
 Training is AdamW (bias-corrected, decoupled weight decay on the matrix
 parameters) with a linear warmup to a constant learning rate, global
@@ -197,16 +198,16 @@ def init_params(
 
 
 def _layer_norm(params: ModelParams, pre: np.ndarray):
-    mu = pre.mean(axis=-1, keepdims=True)
-    centered = pre - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    # sum / d is bit-identical to mean and costs a fraction of its call overhead.
+    centered = pre - pre.sum(axis=-1, keepdims=True) / params.d
+    var = (centered * centered).sum(axis=-1, keepdims=True) / params.d
     inv_std = 1.0 / np.sqrt(var + params.eps)
     xhat = centered * inv_std
     return params.gain * xhat + params.bias, xhat, inv_std
 
 
-def _step_cached(params: ModelParams, h: np.ndarray, tokens: np.ndarray):
-    """One batched update; returns the new state plus tape entries."""
+def _step_cached(params: ModelParams, h: np.ndarray, tokens):
+    """Update (B, d) states by (B,) tokens, or a (d,) state by one token; add tape entries."""
     s = np.tanh(params.emb[tokens])
     z = h @ params.v
     g = z * s
@@ -216,11 +217,10 @@ def _step_cached(params: ModelParams, h: np.ndarray, tokens: np.ndarray):
 
 
 def step(params: ModelParams, h: np.ndarray, token: int) -> np.ndarray:
-    """Apply one token operator to a single state vector."""
+    """Apply one token operator to a single (d,) state vector, with no batch axis."""
     if not (0 <= token < params.vocab_size):
         raise TokenOutOfRange(f"token {token} outside vocabulary of {params.vocab_size}")
-    out, _ = _step_cached(params, h[None, :], np.array([token]))
-    return out[0]
+    return _step_cached(params, h, token)[0]
 
 
 def pack_batch(fragments: Sequence[Sequence[int]], pad_id: int):
@@ -238,9 +238,13 @@ def pack_batch(fragments: Sequence[Sequence[int]], pad_id: int):
     return tokens, mask
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _softmax(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Turn (B, V) ``logits`` into ``exp(logits - row max)`` in place, with one exp; return
+    the log-probabilities of ``targets`` (B,) and the (B, 1) sums that normalize the rows."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    picked = logits[np.arange(len(logits)), targets]
+    sums = np.exp(logits, out=logits).sum(axis=-1, keepdims=True)
+    return picked - np.log(sums[:, 0]), sums
 
 
 def _validate_tokens(params: ModelParams, tokens: np.ndarray) -> None:
@@ -258,7 +262,9 @@ def forward_loss(
 
     After consuming ``tokens[:, :t+1]`` the model scores ``tokens[:, t+1]``;
     ``mask[:, t]`` marks real prediction positions.  Logits are streamed
-    step by step and never stacked across time.
+    step by step and never stacked across time.  The tape's logit gradient
+    is each step's one exp, scaled per row by ``mask / (n_pred * row sum)``
+    in the parameters' dtype, less that weight at the target.
     """
     _validate_tokens(params, tokens)
     if tokens.ndim != 2 or mask.shape != (tokens.shape[0], tokens.shape[1] - 1):
@@ -270,6 +276,7 @@ def forward_loss(
     tape = StepTape(tokens, mask, n_pred, np.zeros_like(params.w_out))
     h = np.broadcast_to(params.h0, (batch, params.d)).copy()
     rows = np.arange(batch)
+    weight = (mask / n_pred).astype(params.w_out.dtype)
     total = 0.0
     for t in range(width - 1):
         tape.h_in.append(h)
@@ -279,12 +286,11 @@ def forward_loss(
         tape.g.append(g)
         tape.xhat.append(xhat)
         tape.inv_std.append(inv_std)
-        logp = _log_softmax(h @ params.w_out.T)
-        step_nll = -logp[rows, tokens[:, t + 1]]
-        total += float(np.sum(step_nll, where=mask[:, t], initial=0.0))
-        d_logits = np.exp(logp, out=logp)
-        d_logits[rows, tokens[:, t + 1]] -= 1.0
-        d_logits *= mask[:, t, None] / n_pred
+        d_logits = h @ params.w_out.T
+        logp, sums = _softmax(d_logits, tokens[:, t + 1])
+        total -= float(np.sum(logp, where=mask[:, t], initial=0.0))
+        d_logits *= weight[:, t, None] / sums
+        d_logits[rows, tokens[:, t + 1]] -= weight[:, t]
         tape.d_w_out += d_logits.T @ h
         tape.d_h.append(d_logits @ params.w_out)
         # d_logits falls out of scope here: peak memory is O(batch * vocab)
@@ -321,8 +327,8 @@ def backward(
         d_xhat = d_out * params.gain
         d_pre = inv_std * (
             d_xhat
-            - d_xhat.mean(axis=-1, keepdims=True)
-            - xhat * (d_xhat * xhat).mean(axis=-1, keepdims=True)
+            - d_xhat.sum(axis=-1, keepdims=True) / params.d
+            - xhat * ((d_xhat * xhat).sum(axis=-1, keepdims=True) / params.d)
         )
         d_g = d_pre @ params.u
         grads.u += d_pre.T @ tape.g[t]
@@ -335,13 +341,9 @@ def backward(
     return grads
 
 
-def global_grad_norm(grads: Gradients) -> float:
-    return float(np.sqrt(sum(float((arr * arr).sum()) for _, arr in grads.tensors())))
-
-
 def clip_gradients(grads: Gradients, max_norm: float) -> float:
     """Scale all gradients so their global norm is at most ``max_norm``."""
-    norm = global_grad_norm(grads)
+    norm = float(np.sqrt(sum(float((arr * arr).sum()) for _, arr in grads.tensors())))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
         for _, arr in grads.tensors():
@@ -377,17 +379,21 @@ class AdamW:
         lr = self.learning_rate()
         bc1 = 1.0 - BETA1**self.step_count
         bc2 = 1.0 - BETA2**self.step_count
+        # Two temporaries reused in place, in the order of (m/bc1) / (sqrt(v/bc2) + eps) + wd*p.
         for (name, param), (_, grad) in zip(params.tensors(), grads.tensors()):
-            m = self.m[name]
-            v = self.v[name]
+            m, v = self.m[name], self.v[name]
+            tmp = np.multiply(grad, 1.0 - BETA1)
             m *= BETA1
-            m += (1.0 - BETA1) * grad
+            m += tmp
+            np.multiply(grad, 1.0 - BETA2, out=tmp)
             v *= BETA2
-            v += (1.0 - BETA2) * grad * grad
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            v += np.multiply(tmp, grad, out=tmp)
+            update = np.divide(v, bc2)
+            np.add(np.sqrt(update, out=update), ADAM_EPS, out=update)
+            np.divide(np.divide(m, bc1, out=tmp), update, out=update)
             if name in _DECAYED and cfg.weight_decay > 0:
-                update = update + cfg.weight_decay * param
-            param -= (lr * update).astype(param.dtype)
+                update += np.multiply(param, cfg.weight_decay, out=tmp)
+            param -= np.multiply(update, lr, out=update)
 
 
 def _make_batches(

@@ -4,8 +4,9 @@ Everything here is deliberately implemented by a different route from the
 code under test: a history-checked exhaustive sequent search instead of
 the committed four-rule prover, an environment-based normalizer instead
 of the step rewriter, brute-force subsequence enumeration, central finite
-differences instead of the hand-written backward pass, and an
-all-logits-at-once loss instead of the streaming one.  It also holds the
+differences instead of the hand-written backward pass, an
+all-logits-at-once loss instead of the streaming one, and AdamW written
+as plain expressions instead of in-place temporaries.  It also holds the
 helpers only tests need: the chain -> token-list inverse, fragment
 enumeration, alpha-equivalence and a text-in, text-out exact query.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from arrowlm.corpus import normalize_words
 from arrowlm.formula import Atom, Formula, FormulaError, Imp, list_to_impl, print_formula
-from arrowlm.model import Gradients, ModelParams, forward_loss
+from arrowlm.model import _DECAYED, ADAM_EPS, BETA1, BETA2, Gradients, ModelParams, forward_loss
 from arrowlm.prover import App, Lam, ProofTerm, Var
 from arrowlm.retrieval import EmptyQuery, SentenceDB, query_exact
 
@@ -275,6 +276,24 @@ def materialized_loss(params: ModelParams, tokens: np.ndarray, mask: np.ndarray)
         nll = -logp[rows, tokens[:, t + 1]]
         total += float(np.sum(nll, where=mask[:, t], initial=0.0))
     return total / int(mask.sum())
+
+
+def adamw_step(params: ModelParams, grads: Gradients, m: dict, v: dict, step_count: int, config) -> None:
+    """AdamW step ``step_count`` (from 1) as plain expressions; updates ``params``, ``m``, ``v``."""
+    lr = config.lr
+    if config.warmup_steps > 0:
+        lr = config.lr * min(step_count, config.warmup_steps) / config.warmup_steps
+    bc1 = 1.0 - BETA1**step_count
+    bc2 = 1.0 - BETA2**step_count
+    for (name, param), (_, grad) in zip(params.tensors(), grads.tensors()):
+        m[name] *= BETA1
+        m[name] += (1.0 - BETA1) * grad
+        v[name] *= BETA2
+        v[name] += (1.0 - BETA2) * grad * grad
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
+        if name in _DECAYED and config.weight_decay > 0:
+            update = update + config.weight_decay * param
+        param -= (lr * update).astype(param.dtype)
 
 
 def dense_operator(params: ModelParams, token: int) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from arrowlm.corpus import Vocab, build_vocab, split_sentences
 from arrowlm.inference import DecodeConfig, generate_free, retrieval_first, score_continuation
-from arrowlm.model import pack_batch, step
+from arrowlm.model import ModelError, pack_batch, step
 from arrowlm.retrieval import build_db
 
 from conftest import TOY_RAW
@@ -113,6 +113,39 @@ def test_greedy_equals_argmax_loop():
             h = step(params, h, tok)
         assert generate_free(params, vocab, prompt, config) == expected, seed
     assert pad_wins > 0 and eos_stops > 0
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(mode="beam"),
+        dict(temperature=0.0),
+        dict(temperature=-1.0),
+        dict(mode="sample", temperature=float("nan")),
+        dict(mode="sample", temperature=float("inf")),
+        dict(max_new_tokens=-1),
+    ],
+)
+def test_decode_config_refuses_bad_settings(settings):
+    with pytest.raises(ValueError):
+        DecodeConfig(**settings)
+
+
+@pytest.mark.parametrize("mode", ["greedy", "sample"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_chosen_logit_raises(mode, bad):
+    # argmax returns the first NaN, so a NaN after the largest finite logit is
+    # still the chosen one; +inf is the largest logit outright.
+    vocab = Vocab(["a", "b", "c", "d", "e"])
+    params, prompt = random_params(len(vocab), 8, 3, 5, dtype=np.float32), [1, 3]
+    h = run_prefix(params, prompt)
+    params.w_out[0] = 10 * h  # the largest finite logit
+    params.w_out[3] = np.where(h > 0, bad, 0.0)
+    logits = params.w_out @ h
+    np.testing.assert_equal(logits[3], bad)
+    assert np.argmax(np.where(np.isfinite(logits), logits, -np.inf)) == 0
+    with pytest.raises(ModelError, match="next-token logit is"):
+        generate_free(params, vocab, prompt, DecodeConfig(mode=mode, max_new_tokens=4))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -27,6 +27,7 @@ from arrowlm.model import (
 )
 
 from oracles import (
+    adamw_step,
     dense_operator,
     finite_difference_grads,
     materialized_loss,
@@ -206,6 +207,21 @@ class TestNonCommutativity:
         mb = dense_operator(params, 7)
         assert np.linalg.norm(ma @ mb - mb @ ma) > 1e-6
 
+    def test_shared_orthonormal_basis_commutes_but_layer_norm_keeps_order(self):
+        # With U = V orthonormal, V^T U is the identity, so the operators of
+        # tokens 0 and 1 commute; the LayerNorm between the two steps does not.
+        params = random_params(5, 8, 3, 1)
+        generic = dense_operator(params, 0) @ dense_operator(params, 1)
+        assert np.abs(generic - dense_operator(params, 1) @ dense_operator(params, 0)).max() > 1e-3
+        basis, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 3)))
+        params.u, params.v = basis.copy(), basis.copy()
+        ma, mb = dense_operator(params, 0), dense_operator(params, 1)
+        assert np.abs(ma @ mb - mb @ ma).max() <= 1e-15
+        h = params.h0
+        hab = step(params, step(params, h, 0), 1)
+        hba = step(params, step(params, h, 1), 0)
+        assert np.linalg.norm(hab - hba) > 1e-2
+
     def test_factored_step_matches_dense_operator(self):
         params = random_params(9, 16, 4, 42)
         h = np.linspace(-1, 1, 16)
@@ -270,6 +286,25 @@ class TestTrain:
             train(params, [(0, 1, 2)], TrainConfig(d=8, r=2), pad_id=5)
         for (_, arr), old in zip(params.tensors(), before):
             assert np.array_equal(arr, old, equal_nan=True)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_adamw_matches_the_plain_expressions_bit_for_bit(self, weight_decay):
+        params = random_params(6, 8, 2, 9, dtype=np.float32)
+        reference = random_params(6, 8, 2, 9, dtype=np.float32)
+        cfg = TrainConfig(d=8, r=2, lr=0.05, warmup_steps=3, weight_decay=weight_decay)
+        opt = AdamW(params, cfg)
+        m = {name: np.zeros_like(arr) for name, arr in reference.tensors()}
+        v = {name: np.zeros_like(arr) for name, arr in reference.tensors()}
+        rng = np.random.default_rng(4)
+        for k in range(1, 7):  # three warmup steps, then three at the full rate
+            grads = Gradients(
+                *(rng.standard_normal(arr.shape).astype(np.float32) for _, arr in params.tensors())
+            )
+            opt.update(params, grads)
+            adamw_step(reference, grads, m, v, k, cfg)
+        for name, arr in params.tensors():
+            assert np.array_equal(arr, getattr(reference, name)), name
+            assert np.array_equal(opt.m[name], m[name]) and np.array_equal(opt.v[name], v[name]), name
 
     def test_warmup_ramp(self):
         params = init_params(6, 8, 2, 0)

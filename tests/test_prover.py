@@ -40,6 +40,10 @@ class TestProve:
     def test_right_nested_permutation_invariance(self):
         assert prove(parse("(p->q->r) -> (q->p->r)"))
 
+    def test_curried_form_does_not_entail_the_chain(self):
+        # A chain entails its curried form (test_continuation_theorems), not the converse.
+        assert not prove(parse("(p->q->r) -> ((p->q)->r)"))
+
     def test_modus_ponens_chain(self):
         assert prove(parse("((the->cat)->sits) -> (the->cat) -> sits"))
 
