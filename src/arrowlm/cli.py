@@ -8,16 +8,19 @@ model whose query scores are not finite), 3 internal error (an
 unexpected exception, reported as one line on stderr).  Every
 corpus/train run writes a ``key=value`` manifest with resolved settings,
 input digests, per-phase timings, and peak RSS, enough to reproduce the
-run; query runs print the same to stderr.
+run; query runs print the same to stderr, with ``sha256_sentences`` and
+``sha256_vocab`` for the corpus and, when ``--model`` is read,
+``sha256_checkpoint``.
+
+Each command imports only what it runs, since a cold start pays for every
+module loaded: ``prove`` loads no numpy, ``dataclasses`` or ``hashlib``,
+and ``query --symbolic`` loads no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
 import math
-import resource
 import sys
 import time
 from pathlib import Path
@@ -57,6 +60,8 @@ class Manifest:
         self.entries.append((key, str(value)))
 
     def digest(self, key: str, path) -> None:
+        import hashlib
+
         sha = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         self.add(f"sha256_{key}", sha)
 
@@ -71,6 +76,8 @@ class Manifest:
             self._phase_start = None
 
     def finalize(self) -> None:
+        import resource
+
         self.finish_phase()
         rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         self.add("peak_rss_bytes", rss_kb * 1024)
@@ -193,6 +200,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    import dataclasses
+
     import numpy as np
 
     from . import corpus, model
@@ -275,7 +284,7 @@ def _print_query_block(result, generated: Optional[list[str]]) -> None:
 
 
 def _answer_query(raw: str, args, params, vocab, db) -> int:
-    from . import corpus, inference, retrieval
+    from . import corpus, retrieval
 
     if args.symbolic:
         items = db.parse_pattern(raw)
@@ -290,6 +299,8 @@ def _answer_query(raw: str, args, params, vocab, db) -> int:
                 print(text)
         print()
         return 0 if results else 1
+    from . import inference
+
     words = corpus.normalize_words(raw)
     if not words:
         print()
@@ -311,19 +322,26 @@ def _answer_query(raw: str, args, params, vocab, db) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    from . import corpus, model, retrieval
+    from . import corpus, retrieval
 
     corpus_dir = Path(args.corpus)
     manifest = Manifest()
     manifest.add("command", "query")
+    model_errors: tuple = ()  # a symbolic query runs no model, so loads none (nor numpy)
     try:
         manifest.start_phase("load")
         sentences = corpus.read_sentences(corpus_dir / "sentences.txt")
         corpus_vocab = corpus.read_vocab(corpus_dir / "vocab.txt")
+        manifest.digest("sentences", corpus_dir / "sentences.txt")
+        manifest.digest("vocab", corpus_dir / "vocab.txt")
         params, vocab = (None, corpus_vocab)
         if not args.symbolic:
+            from . import model
+
+            model_errors = (model.ModelError,)
             params, vocab = model.load_checkpoint(args.model)
-    except (OSError, corpus.CorpusError, model.ModelError) as exc:
+            manifest.digest("checkpoint", args.model)
+    except (OSError, corpus.CorpusError, *model_errors) as exc:
         print(f"cannot load model/corpus: {exc}", file=sys.stderr)
         return 2
     if vocab.words != corpus_vocab.words:
@@ -344,7 +362,7 @@ def cmd_query(args: argparse.Namespace) -> int:
                     status = max(status, _answer_query(line, args, params, vocab, db))
         else:
             status = _answer_query(args.query, args, params, vocab, db)
-    except model.ModelError as exc:  # e.g. scores that overflow to inf or NaN
+    except model_errors as exc:  # e.g. scores that overflow to inf or NaN
         print(f"cannot use model: {exc}", file=sys.stderr)
         return 2
     manifest.finalize()

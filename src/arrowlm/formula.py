@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import FrozenInstanceError
 from typing import Optional, Sequence, Union
 
 
@@ -75,14 +74,22 @@ def _enter(key: tuple, node):
 
 
 class _Node:
-    """Immutability for the shared nodes, as frozen dataclasses had it."""
+    """Immutability for the shared nodes, as frozen dataclasses had it.
+
+    The error class is imported where it is raised: ``dataclasses`` costs
+    a cold start more than the whole prover.
+    """
 
     __slots__ = ()
 
     def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 

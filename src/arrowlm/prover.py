@@ -31,32 +31,75 @@ validated here by ``type_check`` and ``beta_normalize``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from .formula import Atom, Formula, Imp
+from .formula import Atom, Formula, Imp, _Node
 
 
 class StepLimitExceeded(Exception):
     """beta_normalize exceeded its reduction budget (ill-typed input guard)."""
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Term(_Node):
+    """An immutable lambda term, equal to and hashed as its class and fields.
+
+    Plain slotted classes rather than frozen dataclasses, which would load
+    ``dataclasses`` and ``inspect`` on every ``arrowlm prove``.  A subclass
+    names its fields in ``__slots__``, in constructor order.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__()[1] == other.__reduce__()[1]
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        cls, values = self.__reduce__()
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, values))
+        return f"{cls.__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Lam:
-    bound: str
-    body: "ProofTerm"
+class Var(_Term):
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str) -> "Var":
+        term = object.__new__(cls)
+        _SET_NAME(term, name)
+        return term
 
 
-@dataclass(frozen=True)
-class App:
-    fun: "ProofTerm"
-    arg: "ProofTerm"
+class Lam(_Term):
+    __slots__ = ("bound", "body")
 
+    def __new__(cls, bound: str, body: "ProofTerm") -> "Lam":
+        term = object.__new__(cls)
+        _SET_BOUND(term, bound)
+        _SET_BODY(term, body)
+        return term
+
+
+class App(_Term):
+    __slots__ = ("fun", "arg")
+
+    def __new__(cls, fun: "ProofTerm", arg: "ProofTerm") -> "App":
+        term = object.__new__(cls)
+        _SET_FUN(term, fun)
+        _SET_ARG(term, arg)
+        return term
+
+
+# The slots' own setters, which _Node.__setattr__ does not block.
+_SET_NAME = Var.name.__set__
+_SET_BOUND, _SET_BODY = Lam.bound.__set__, Lam.body.__set__
+_SET_FUN, _SET_ARG = App.fun.__set__, App.arg.__set__
 
 ProofTerm = Union[Var, Lam, App]
 

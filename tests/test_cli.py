@@ -1,6 +1,7 @@
 """Exit codes, settings, query normalization and manifests of the command-line front end."""
 
 import dataclasses
+import hashlib
 import inspect
 import io
 import os
@@ -219,13 +220,30 @@ def test_out_of_range_setting_is_a_usage_error(built, tmp_path, capsys, args):
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("bad setting: ")
 
 
-def test_import_leaves_numpy_unloaded():
-    # `arrowlm prove` pays for every module cli imports at start-up.
+_LOADED_AFTER = """
+import sys
+from arrowlm import cli
+for argv in {runs!r}:
+    cli.main(argv)
+print(sorted(m for m in {modules!r} if m in sys.modules))
+"""
+
+
+def test_import_leaves_numpy_unloaded(built):
+    # A cold start pays for every module it loads, so a command loads only what it runs.
     env = dict(os.environ, PYTHONPATH=str(Path(arrowlm.__file__).parents[1]))
-    script = "import sys, arrowlm.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False"
+
+    def loaded_after(runs, modules):
+        script = _LOADED_AFTER.format(runs=runs, modules=modules)
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        return out.stdout.splitlines()[-1]
+
+    prove_runs = [["prove", "--term", "((p->q)->p)->p"], ["prove", "--term", "p->(p->q)->q"]]
+    assert loaded_after(prove_runs, ["numpy", "dataclasses", "inspect", "hashlib", "resource"]) == "[]"
+    corpus_dir, _ = built
+    query_runs = [["query", "--symbolic", "--corpus", str(corpus_dir), "cat ?x"]]
+    assert loaded_after(query_runs, ["numpy"]) == "[]"
 
 
 class Fields(dict):
@@ -284,6 +302,28 @@ def test_manifests_record_settings_and_digests(built):
     } | {field.name for field in dataclasses.fields(TrainConfig)} <= manifest_keys(
         ckpt.parent / f"{ckpt.name}.manifest"
     )
+
+
+def test_query_manifest_digests_its_inputs(built, capsys):
+    corpus_dir, ckpt = built
+
+    def sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def manifest(*args):
+        capsys.readouterr()
+        assert cli.main(["query", "--corpus", str(corpus_dir), *args, "the cat"]) == 0
+        return dict(line.partition("=")[::2] for line in capsys.readouterr().err.splitlines())
+
+    inputs = {
+        "sha256_sentences": sha256(corpus_dir / "sentences.txt"),
+        "sha256_vocab": sha256(corpus_dir / "vocab.txt"),
+    }
+    read = manifest("--model", str(ckpt))
+    assert {k: read.get(k) for k in inputs} == inputs
+    assert read["sha256_checkpoint"] == sha256(ckpt)
+    symbolic = manifest("--model", str(ckpt), "--symbolic")  # the model is not read
+    assert {k: symbolic.get(k) for k in inputs} == inputs and "sha256_checkpoint" not in symbolic
 
 
 def test_loss_file_has_one_line_per_epoch(built):

@@ -1,7 +1,10 @@
 """Provability decisions, witness terms, type checking, normalization."""
 
+import copy
+import dataclasses
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -89,6 +92,29 @@ class TestProve:
                     found = True
                     break
             assert found, n
+
+    def test_permuted_chains_against_the_oracle(self):
+        # chain(σw) -> chain(w) for each distinct rearrangement σw != w of every
+        # chain of 2-3 tokens over {a, b, c}, repeats allowed, and of a b c d.
+        words = [w for n in (2, 3) for w in itertools.product("abc", repeat=n)] + [tuple("abcd")]
+        pairs = sorted({(p, w) for w in words for p in itertools.permutations(w) if p != w})
+
+        def chain(word):
+            return list_to_impl([I.atom(t) for t in word])
+
+        provable = set()
+        for p, w in pairs:
+            f = Imp(chain(p), chain(w))
+            decided = prove(f)
+            assert decided == lj_provable(f), (p, w)
+            if decided:
+                provable.add(("".join(p), "".join(w)))
+        assert len(pairs) == 95
+        # What the oracle finds, not a rule: only ((x->x)->y) -> ((y->x)->x).
+        assert provable == {
+            ("aab", "baa"), ("aac", "caa"), ("bba", "abb"),
+            ("bbc", "cbb"), ("cca", "acc"), ("ccb", "bcc"),
+        }
 
     def test_memo_bounds_the_search(self, monkeypatch):
         # Seed 2032 is the hardest of depth-7 seeds 0-3999 for this search; the
@@ -184,6 +210,49 @@ class TestProveWithTerm:
         for _ in range(2000):
             f = random_formula(rng, atoms, 6)
             assert prove(f) == (prove_with_term(f) is not None)
+
+
+def sample_terms():
+    return (Var("x"), Lam("x", Var("y")), App(Var("x"), Var("y")),
+            Lam("x", App(Var("x"), Lam("y", Var("x")))))
+
+
+class TestTerms:
+    TERMS = sample_terms()
+
+    def test_equal_by_structure_and_hashable(self):
+        twins = sample_terms()
+        for term, twin in zip(self.TERMS, twins):
+            assert term == twin and term is not twin and hash(term) == hash(twin)
+        assert len(set(self.TERMS + twins)) == len(self.TERMS)
+        assert Var("x") != Var("y") and App(Var("x"), Var("y")) != App(Var("y"), Var("x"))
+
+    def test_classes_never_compare_equal(self):
+        assert Lam("x", Var("y")) != App(Var("x"), Var("y"))
+        assert App(Var("x"), Var("y")) != Lam("x", Var("y"))
+        assert Var("x") != "x"
+
+    def test_fields_are_read_only(self):
+        first_field = {Var: "name", Lam: "bound", App: "fun"}
+        for term in self.TERMS:
+            name = first_field[type(term)]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(term, name, "z")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(term, name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                term.extra = 1
+
+    def test_survive_pickle_and_copy(self):
+        for term in self.TERMS:
+            for clone in (pickle.loads(pickle.dumps(term)), copy.deepcopy(term), copy.copy(term)):
+                assert clone == term and type(clone) is type(term) and repr(clone) == repr(term)
+
+    def test_repr_names_the_fields(self):
+        assert repr(Lam("x", App(Var("x"), Var("y")))) == (
+            "Lam(bound='x', body=App(fun=Var(name='x'), arg=Var(name='y')))"
+        )
+        assert Var(name="x") == Var("x") and App(fun=Var("f"), arg=Var("a")) == App(Var("f"), Var("a"))
 
 
 class TestTypeCheck:
