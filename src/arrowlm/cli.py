@@ -1,16 +1,25 @@
 """Command-line front end: prove, corpus build, train, query.
 
+One table, :data:`_SETTINGS`, names each command's settings, all keys of
+:data:`arrowlm.DEFAULTS`.  A setting's flag is ``--`` and the key with
+dashes, typed like its default; a ``--config`` file sets it as
+``key=value``; :data:`_LOWEST` range-checks it.
+
 Exit codes: 0 success (provable / results found), 1 valid but negative
 (not provable / no retrieval results; in ``--repl``, any query without
 results), 2 usage or I/O errors (including a setting outside its range
 or a config key that names no setting, training that diverges, and a
 model whose query scores are not finite), 3 internal error (an
-unexpected exception, reported as one line on stderr).  Every
-corpus/train run writes a ``key=value`` manifest with resolved settings,
-input digests, per-phase timings, and peak RSS, enough to reproduce the
-run; query runs print the same to stderr, with ``sha256_sentences`` and
-``sha256_vocab`` for the corpus and, when ``--model`` is read,
-``sha256_checkpoint``.
+unexpected exception, reported as one line on stderr).  ``query`` needs
+exactly one of ``--model`` and ``--symbolic`` and exactly one of QUERY
+and ``--repl``, or exits 2 before reading anything.
+
+Corpus and train runs write a ``key=value`` manifest: version, command,
+every setting of the command under its ``--config`` key (so those lines,
+as a config file, re-run it), input digests, per-phase timings and peak
+RSS.  Query runs print the same to stderr, plus ``sample`` and
+``symbolic``; their digests are ``sha256_sentences``, ``sha256_vocab``
+and, when ``--model`` is read, ``sha256_checkpoint``.
 
 Each command imports only what it runs, since a cold start pays for every
 module loaded: ``prove`` loads no numpy, ``dataclasses`` or ``hashlib``,
@@ -29,6 +38,17 @@ from typing import Optional, Sequence
 from . import DEFAULTS, __version__
 from .formula import FormulaSyntaxError, parse_formula
 from .prover import format_term, prove, prove_with_term
+
+# The settings each command reads, in flag order.
+_SETTINGS = {
+    "corpus": ("max_len", "max_frag"),
+    "train": ("d", "r", "epochs", "seed", "batch_size", "lr", "warmup", "weight_decay",
+              "clip_norm", "max_len", "max_frag"),
+    "query": ("top_k", "max_new_tokens", "temperature", "seed"),
+}
+
+# TrainConfig's own names for two settings (bench/workloads.py builds it by them).
+_TRAIN_FIELDS = {"warmup": "warmup_steps", "max_frag": "k_frag"}
 
 # The lowest value of each setting, and whether that value is itself allowed.
 _LOWEST = {
@@ -50,10 +70,12 @@ _LOWEST = {
 
 
 class Manifest:
-    """Ordered key=value run record with phase timings."""
+    """Ordered key=value run record: the command's settings, then digests and timings."""
 
-    def __init__(self):
-        self.entries: list[tuple[str, str]] = [("version", __version__)]
+    def __init__(self, args: argparse.Namespace):
+        self.entries: list[tuple[str, str]] = [("version", __version__), ("command", args.command)]
+        for key in _SETTINGS[args.command]:
+            self.add(key, getattr(args, key))
         self._phase_start: Optional[tuple[str, float]] = None
 
     def add(self, key: str, value) -> None:
@@ -112,9 +134,8 @@ def _resolve(args: argparse.Namespace, file_config: dict[str, str]) -> None:
     unknown = sorted(file_config.keys() - DEFAULTS.keys())
     if unknown:
         raise ValueError(f"config key {unknown[0]!r} is not a setting")
-    for key, default in DEFAULTS.items():
-        if not hasattr(args, key):
-            continue
+    for key in _SETTINGS.get(args.command, ()):
+        default = DEFAULTS[key]
         value = getattr(args, key)
         if value is None and key in file_config:
             try:
@@ -137,25 +158,21 @@ def cmd_prove(args: argparse.Namespace) -> int:
     except FormulaSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
-    if args.term or args.normalize:
+    if args.term:
         term = prove_with_term(goal)
         provable = term is not None
     else:
-        term = None
         provable = prove(goal)
     print("provable" if provable else "not provable")
-    if term is not None:
-        if args.term:
-            print(f"term: {format_term(term)}")
-        if args.normalize:
-            print(f"normal form: {format_term(term)}")  # witnesses are beta-normal
+    if args.term and provable:
+        print(f"term: {format_term(term)}")
     return 0 if provable else 1
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
     from . import corpus
 
-    manifest = Manifest()
+    manifest = Manifest(args)
     try:
         raw = Path(args.input).read_text(encoding="utf-8")
     except OSError as exc:
@@ -163,11 +180,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest.add("command", "corpus")
     manifest.add("input", args.input)
     manifest.digest("input", args.input)
-    manifest.add("max_len", args.max_len)
-    manifest.add("max_frag", args.max_frag)
     manifest.start_phase("split")
     body = corpus.strip_boilerplate(raw)
     sentences = corpus.split_sentences(body, max_len=args.max_len)
@@ -200,28 +214,15 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    import dataclasses
-
     import numpy as np
 
     from . import corpus, model
 
     cfg = model.TrainConfig(
-        d=args.d,
-        r=args.r,
-        lr=args.lr,
-        warmup_steps=args.warmup,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        k_frag=args.max_frag,
-        max_len=args.max_len,
-        seed=args.seed,
-        weight_decay=args.weight_decay,
-        clip_norm=args.clip_norm,
+        **{_TRAIN_FIELDS.get(key, key): getattr(args, key) for key in _SETTINGS["train"]}
     )
     corpus_dir = Path(args.corpus)
-    manifest = Manifest()
-    manifest.add("command", "train")
+    manifest = Manifest(args)
     try:
         manifest.start_phase("load")
         sentences = corpus.read_sentences(corpus_dir / "sentences.txt")
@@ -237,8 +238,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     if cfg.r > cfg.d:
         print(f"invalid shape: d={cfg.d}, r={cfg.r}", file=sys.stderr)
         return 2
-    for field in dataclasses.fields(cfg):
-        manifest.add(field.name, getattr(cfg, field.name))
     manifest.digest("sentences", corpus_dir / "sentences.txt")
     manifest.digest("vocab", corpus_dir / "vocab.txt")
     manifest.start_phase("fragments")
@@ -325,8 +324,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     from . import corpus, retrieval
 
     corpus_dir = Path(args.corpus)
-    manifest = Manifest()
-    manifest.add("command", "query")
+    manifest = Manifest(args)
+    manifest.add("sample", args.sample)
+    manifest.add("symbolic", args.symbolic)
     model_errors: tuple = ()  # a symbolic query runs no model, so loads none (nor numpy)
     try:
         manifest.start_phase("load")
@@ -350,9 +350,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     manifest.start_phase("build_db")
     db = retrieval.build_db(sentences)
     manifest.start_phase("queries")
-    if not args.repl and args.query is None:
-        print("no query given (pass QUERY or --repl)", file=sys.stderr)
-        return 2
     try:
         if args.repl:
             status = 0
@@ -380,32 +377,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="decide an implicational formula")
     p.add_argument("formula")
-    p.add_argument("--term", action="store_true", help="print a lambda witness")
-    p.add_argument("--normalize", action="store_true", help="print its normal form")
+    p.add_argument("--term", action="store_true", help="print a lambda witness (beta-normal)")
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("corpus", help="build corpus artifacts from raw text")
     p.add_argument("action", choices=["build"])
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--max-frag", type=int, dest="max_frag")
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("train", help="train a checkpoint on corpus artifacts")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--warmup", type=int)
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--clip-norm", type=float, dest="clip_norm")
-    p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--max-frag", type=int, dest="max_frag")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("query", help="retrieval-first completion or symbolic qa")
@@ -415,17 +398,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repl", action="store_true")
     p.add_argument("--symbolic", action="store_true", help="pure subsequence qa, wildcards allowed")
     p.add_argument("--sample", action="store_true", help="sample instead of greedy fallback")
-    p.add_argument("--top-k", type=int, dest="top_k")
-    p.add_argument("--max-new-tokens", type=int, dest="max_new_tokens")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_query)
+
+    for command, keys in _SETTINGS.items():
+        for key in keys:
+            flag = "--" + key.replace("_", "-")
+            sub.choices[command].add_argument(flag, type=type(DEFAULTS[key]), dest=key)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "query" and (args.model is not None) == args.symbolic:
+        print("query needs exactly one of --model and --symbolic", file=sys.stderr)
+        return 2
+    if args.command == "query" and (args.query is not None) == args.repl:
+        print("query needs exactly one of QUERY and --repl", file=sys.stderr)
+        return 2
     file_config: dict[str, str] = {}
     if args.config:
         try:
@@ -437,9 +427,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _resolve(args, file_config)
     except ValueError as exc:
         print(f"bad setting: {exc}", file=sys.stderr)
-        return 2
-    if args.command == "query" and not args.symbolic and not args.model:
-        print("query needs --model unless --symbolic", file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -56,10 +56,6 @@ class DegenerateBatch(ModelError):
     """A batch with no prediction positions."""
 
 
-class TapeMismatch(ModelError):
-    """backward() received a tape recorded for a different batch."""
-
-
 class NonFiniteTraining(ModelError):
     """A training step produced a non-finite loss or gradient norm."""
 
@@ -154,16 +150,11 @@ class StepTape:
     """Per-step cache of forward_loss; the output layer is differentiated already."""
 
     tokens: np.ndarray  # (B, T) the padded batch
-    mask: np.ndarray  # (B, T-1) prediction-position mask
     n_pred: int
     d_w_out: np.ndarray  # (vocab, d) the whole W_out gradient
-    d_h: list[np.ndarray] = field(default_factory=list)  # (B, d) from step t's logits
-    h_in: list[np.ndarray] = field(default_factory=list)  # (B, d) per step
-    z: list[np.ndarray] = field(default_factory=list)  # (B, r)
-    s: list[np.ndarray] = field(default_factory=list)  # (B, r)
-    g: list[np.ndarray] = field(default_factory=list)  # (B, r)
-    xhat: list[np.ndarray] = field(default_factory=list)  # (B, d)
-    inv_std: list[np.ndarray] = field(default_factory=list)  # (B, 1)
+    # Per step: (h_in, z, s, g, xhat, inv_std, d_h) of shapes (B, d), (B, r), (B, r),
+    # (B, r), (B, d), (B, 1), (B, d); d_h is the state gradient from that step's logits.
+    steps: list[tuple[np.ndarray, ...]] = field(default_factory=list)
 
 
 def init_params(
@@ -273,33 +264,26 @@ def forward_loss(
     if n_pred == 0:
         raise DegenerateBatch("batch has no prediction positions")
     batch, width = tokens.shape
-    tape = StepTape(tokens, mask, n_pred, np.zeros_like(params.w_out))
+    tape = StepTape(tokens, n_pred, np.zeros_like(params.w_out))
     h = np.broadcast_to(params.h0, (batch, params.d)).copy()
     rows = np.arange(batch)
     weight = (mask / n_pred).astype(params.w_out.dtype)
     total = 0.0
     for t in range(width - 1):
-        tape.h_in.append(h)
-        h, (z, s, g, xhat, inv_std) = _step_cached(params, h, tokens[:, t])
-        tape.z.append(z)
-        tape.s.append(s)
-        tape.g.append(g)
-        tape.xhat.append(xhat)
-        tape.inv_std.append(inv_std)
+        h_in = h
+        h, cache = _step_cached(params, h, tokens[:, t])
         d_logits = h @ params.w_out.T
         logp, sums = _softmax(d_logits, tokens[:, t + 1])
         total -= float(np.sum(logp, where=mask[:, t], initial=0.0))
         d_logits *= weight[:, t, None] / sums
         d_logits[rows, tokens[:, t + 1]] -= weight[:, t]
         tape.d_w_out += d_logits.T @ h
-        tape.d_h.append(d_logits @ params.w_out)
+        tape.steps.append((h_in, *cache, d_logits @ params.w_out))
         # d_logits falls out of scope here: peak memory is O(batch * vocab)
     return total / n_pred, tape
 
 
-def backward(
-    params: ModelParams, tokens: np.ndarray, mask: np.ndarray, tape: StepTape
-) -> Gradients:
+def backward(params: ModelParams, tape: StepTape) -> Gradients:
     """Exact reverse-mode gradients of the mean loss for every tensor.
 
     The output layer was differentiated during :func:`forward_loss`, so
@@ -307,21 +291,12 @@ def backward(
     ``d_h``.  LayerNorm uses the standard three-term rule for population
     statistics.
     """
-    if (
-        tape.tokens.shape != tokens.shape
-        or not np.array_equal(tape.tokens, tokens)
-        or not np.array_equal(tape.mask, mask)
-        or len(tape.h_in) != tokens.shape[1] - 1
-    ):
-        raise TapeMismatch("tape was not produced by forward_loss on this batch")
     grads = Gradients.zeros_like(params)
     grads.w_out += tape.d_w_out
-    batch, width = tokens.shape
-    d_h_next = np.zeros((batch, params.d), dtype=params.h0.dtype)
-    for t in range(width - 2, -1, -1):
-        xhat = tape.xhat[t]
-        inv_std = tape.inv_std[t]
-        d_out = tape.d_h[t] + d_h_next
+    d_h_next = np.zeros((len(tape.tokens), params.d), dtype=params.h0.dtype)
+    for t in range(len(tape.steps) - 1, -1, -1):
+        h_in, z, s, g, xhat, inv_std, d_h = tape.steps[t]
+        d_out = d_h + d_h_next
         grads.gain += (d_out * xhat).sum(axis=0)
         grads.bias += d_out.sum(axis=0)
         d_xhat = d_out * params.gain
@@ -331,11 +306,11 @@ def backward(
             - xhat * ((d_xhat * xhat).sum(axis=-1, keepdims=True) / params.d)
         )
         d_g = d_pre @ params.u
-        grads.u += d_pre.T @ tape.g[t]
-        d_z = d_g * tape.s[t]
-        d_s = d_g * tape.z[t]
-        grads.v += tape.h_in[t].T @ d_z
-        np.add.at(grads.emb, tokens[:, t], d_s * (1.0 - tape.s[t] ** 2))
+        grads.u += d_pre.T @ g
+        d_z = d_g * s
+        d_s = d_g * z
+        grads.v += h_in.T @ d_z
+        np.add.at(grads.emb, tape.tokens[:, t], d_s * (1.0 - s**2))
         d_h_next = d_pre + d_z @ params.v.T
     grads.h0 += d_h_next.sum(axis=0)
     return grads
@@ -435,7 +410,7 @@ def train(
         for batch in _make_batches(fragments, config.batch_size, rng):
             tokens, mask = pack_batch(batch, pad_id)
             loss, tape = forward_loss(params, tokens, mask)
-            grads = backward(params, tokens, mask, tape)
+            grads = backward(params, tape)
             norm = clip_gradients(grads, config.clip_norm)
             if not (math.isfinite(loss) and math.isfinite(norm)):
                 raise NonFiniteTraining(

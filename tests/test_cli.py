@@ -1,5 +1,6 @@
 """Exit codes, settings, query normalization and manifests of the command-line front end."""
 
+import argparse
 import dataclasses
 import hashlib
 import inspect
@@ -41,7 +42,8 @@ def built(tmp_path_factory):
 
 def query(built, *args):
     corpus_dir, ckpt = built
-    return cli.main(["query", "--corpus", str(corpus_dir), "--model", str(ckpt), *args])
+    model = [] if "--symbolic" in args else ["--model", str(ckpt)]  # a symbolic query refuses one
+    return cli.main(["query", "--corpus", str(corpus_dir), *model, *args])
 
 
 class TestProve:
@@ -56,7 +58,7 @@ class TestProve:
         assert capsys.readouterr().out.splitlines() == ["provable", "term: \\x1.\\x2.x2 x1"]
 
     def test_normal_form_is_the_witness(self, capsys):
-        # Witnesses are beta-normal, so the printed normal form is the witness itself.
+        # Witnesses are beta-normal, so the printed term is its own normal form.
         rng = random.Random(8)
         atoms = [Interner().atom(w) for w in "pqr"]
         witnessed = 0
@@ -64,13 +66,13 @@ class TestProve:
             text = print_formula(random_formula(rng, atoms, 5))
             term = prove_with_term(parse_formula(text))
             capsys.readouterr()
-            status = cli.main(["prove", "--normalize", text])
+            status = cli.main(["prove", "--term", text])
             out = capsys.readouterr().out.splitlines()
             if term is None:
                 assert status == 1 and out == ["not provable"], text
             else:
                 witnessed += 1
-                assert out == ["provable", f"normal form: {format_term(beta_normalize(term))}"], text
+                assert out == ["provable", f"term: {format_term(beta_normalize(term))}"], text
         assert witnessed > 30
 
     def test_crash_is_exit_3(self, monkeypatch, capsys):
@@ -120,7 +122,8 @@ class TestQuery:
         assert capsys.readouterr().out == "exact: sentence 0\n\n"
         assert cli.main(args + ["the cat sits on the"]) == 0
         assert capsys.readouterr().out.startswith("1. mat  (mean ")
-        assert cli.main(args + ["--symbolic", "the cat sits on the mat"]) == 0
+        symbolic = ["query", "--corpus", str(short), "--symbolic", "the cat sits on the mat"]
+        assert cli.main(symbolic) == 0
         assert capsys.readouterr().out == "the cat sits on the mat\n\n"
 
     def test_max_frag_is_not_a_query_flag(self, built, tmp_path):
@@ -136,7 +139,7 @@ class TestQuery:
         assert "max_frag=3\n" in (tmp_path / "c" / "corpus.manifest").read_text(encoding="utf-8")
         train = ["train", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "m")]
         assert cli.main(["--config", str(config), *train, "--d", "4", "--r", "1", "--epochs", "1"]) == 0
-        assert "k_frag=3\n" in (tmp_path / "m.manifest").read_text(encoding="utf-8")
+        assert "max_frag=3\n" in (tmp_path / "m.manifest").read_text(encoding="utf-8")
         assert cli.main(["--config", str(config), "query", "--corpus", str(corpus_dir),
                          "--model", str(ckpt), "the cat"]) == 0
 
@@ -155,6 +158,28 @@ class TestQuery:
             out, err = capsys.readouterr()
             assert out == "" and len(err.splitlines()) == 1, text
             assert err.startswith("cannot use model: "), err
+
+    @pytest.mark.parametrize(
+        "args, stdin, message",
+        [
+            (["--symbolic", "--model", "/nonexistent/model.ckpt", "cat ?x"], "",
+             "exactly one of --model and --symbolic"),
+            (["--model", "/nonexistent/model.ckpt", "the cat"], "", "cannot load model/corpus"),
+            (["--model", "{model}", "--repl", "the cat"], "the dog\n",
+             "exactly one of QUERY and --repl"),
+            (["--model", "/nonexistent/model.ckpt"], "", "exactly one of QUERY and --repl"),
+        ],
+        ids=["symbolic-with-model", "bad-model-is-read", "query-with-repl", "no-query"],
+    )
+    def test_usage_errors_come_before_any_read(self, built, monkeypatch, capsys, args, stdin,
+                                               message):
+        corpus_dir, ckpt = built
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        capsys.readouterr()
+        argv = ["query", "--corpus", str(corpus_dir), *(a.format(model=ckpt) for a in args)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and message in err, err
 
     def test_tiny_sampling_temperature_is_not_a_crash(self, built):
         # "zebra" is out of vocabulary, so the query falls back to free generation.
@@ -295,13 +320,68 @@ def test_manifests_record_settings_and_digests(built):
         "sentences", "vocab_size", "fragments", "sha256_sentences.txt",
         "sha256_vocab.txt", "sha256_fragments.txt", "seconds_split", "peak_rss_bytes",
     } <= manifest_keys(corpus_dir / "corpus.manifest")
+    train = manifest_keys(ckpt.parent / f"{ckpt.name}.manifest")
     assert {
-        "version", "command", "d", "r", "lr", "warmup_steps", "epochs", "batch_size",
-        "seed", "sha256_sentences", "sha256_vocab", "fragments", "final_loss",
-        "sha256_checkpoint", "seconds_train", "peak_rss_bytes",
-    } | {field.name for field in dataclasses.fields(TrainConfig)} <= manifest_keys(
-        ckpt.parent / f"{ckpt.name}.manifest"
-    )
+        "version", "command", "d", "r", "lr", "warmup", "epochs", "batch_size", "seed",
+        "weight_decay", "clip_norm", "max_len", "max_frag", "sha256_sentences", "sha256_vocab",
+        "fragments", "final_loss", "sha256_checkpoint", "seconds_train", "peak_rss_bytes",
+    } <= train
+    assert not train & {"warmup_steps", "k_frag"}  # only names that --config accepts
+
+
+def test_settings_table_drives_every_flag():
+    # No default is unreachable from the command line, and no setting goes unchecked.
+    assert set(cli._LOWEST) == arrowlm.DEFAULTS.keys() == set().union(*cli._SETTINGS.values())
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: [o for a in p._actions for o in a.option_strings] for name, p in sub.choices.items()}
+    assert options == {
+        "prove": ["-h", "--help", "--term"],
+        "corpus": ["-h", "--help", "--input", "--out", "--max-len", "--max-frag"],
+        "train": ["-h", "--help", "--corpus", "--out", "--d", "--r", "--epochs", "--seed",
+                  "--batch-size", "--lr", "--warmup", "--weight-decay", "--clip-norm",
+                  "--max-len", "--max-frag"],
+        "query": ["-h", "--help", "--model", "--corpus", "--repl", "--symbolic", "--sample",
+                  "--top-k", "--max-new-tokens", "--temperature", "--seed"],
+    }
+    floats = {"lr", "weight_decay", "clip_norm", "temperature"}
+    for p in sub.choices.values():
+        for a in p._actions:
+            if a.dest in arrowlm.DEFAULTS:
+                assert (a.type, a.default) == (float if a.dest in floats else int, None), a.dest
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["prove", "--normalize", "p->p"])
+    assert exc.value.code == 2
+
+
+def test_manifest_settings_rerun_the_command(built, tmp_path):
+    # A manifest's setting lines, given back as --config, reproduce every output byte.
+    raw = built[0].parent / "raw.txt"
+
+    def run(name, corpus_config=(), train_config=(), corpus_flags=(), train_flags=()):
+        corpus_dir, ckpt = tmp_path / f"{name}-corpus", tmp_path / f"{name}.arrw"
+        assert cli.main([*corpus_config, "corpus", "build", "--input", str(raw),
+                         "--out", str(corpus_dir), *corpus_flags]) == 0
+        assert cli.main([*train_config, "train", "--corpus", str(corpus_dir),
+                         "--out", str(ckpt), *train_flags]) == 0
+        outputs = [corpus_dir / n for n in ("sentences.txt", "vocab.txt", "fragments.txt")]
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs + [ckpt]]
+        return digests, corpus_dir / "corpus.manifest", tmp_path / f"{ckpt.name}.manifest"
+
+    def config(manifest):
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        path = manifest.with_suffix(".cfg")
+        path.write_text("".join(f"{line}\n" for line in lines
+                                if line.partition("=")[0] in arrowlm.DEFAULTS), encoding="utf-8")
+        return ["--config", str(path)]
+
+    shape = ["--max-len", "5", "--max-frag", "3"]  # 5 words cut two of the four sentences
+    first, corpus_manifest, train_manifest = run(
+        "first", corpus_flags=shape, train_flags=shape + [
+            "--d", "6", "--r", "3", "--epochs", "3", "--seed", "5", "--lr", "0.01", "--warmup", "2"])
+    again, _, _ = run("again", config(corpus_manifest), config(train_manifest))
+    default, _, _ = run("default")
+    assert again == first
+    assert all(a != b for a, b in zip(first, default))
 
 
 def test_query_manifest_digests_its_inputs(built, capsys):
@@ -319,11 +399,14 @@ def test_query_manifest_digests_its_inputs(built, capsys):
         "sha256_sentences": sha256(corpus_dir / "sentences.txt"),
         "sha256_vocab": sha256(corpus_dir / "vocab.txt"),
     }
-    read = manifest("--model", str(ckpt))
+    read = manifest("--model", str(ckpt), "--top-k", "1", "--sample", "--seed", "7")
     assert {k: read.get(k) for k in inputs} == inputs
     assert read["sha256_checkpoint"] == sha256(ckpt)
-    symbolic = manifest("--model", str(ckpt), "--symbolic")  # the model is not read
+    settings = ("command", "top_k", "max_new_tokens", "temperature", "seed", "sample", "symbolic")
+    assert [read.get(k) for k in settings] == ["query", "1", "32", "1.0", "7", "True", "False"]
+    symbolic = manifest("--symbolic")  # reads no model
     assert {k: symbolic.get(k) for k in inputs} == inputs and "sha256_checkpoint" not in symbolic
+    assert (symbolic["sample"], symbolic["symbolic"]) == ("False", "True")
 
 
 def test_loss_file_has_one_line_per_epoch(built):
