@@ -17,7 +17,9 @@ and ``--repl``, or exits 2 before reading anything.
 Corpus and train runs write a ``key=value`` manifest: version, command,
 every setting of the command under its ``--config`` key (so those lines,
 as a config file, re-run it), input digests, per-phase timings and peak
-RSS.  Query runs print the same to stderr, plus ``sample`` and
+RSS; a corpus manifest also says whether the input had boilerplate
+markers.  ``corpus build`` creates ``--out`` only once the input has
+sentences.  Query runs print the same to stderr, plus ``sample`` and
 ``symbolic``; their digests are ``sha256_sentences``, ``sha256_vocab``
 and, when ``--model`` is read, ``sha256_checkpoint``.
 
@@ -32,6 +34,7 @@ import argparse
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -178,16 +181,20 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest.add("input", args.input)
     manifest.digest("input", args.input)
     manifest.start_phase("split")
-    body = corpus.strip_boilerplate(raw)
+    # Plain text has no start/end markers: a manifest line says so, not a warning.
+    with warnings.catch_warnings(record=True) as missing_markers:
+        warnings.simplefilter("always")
+        body = corpus.strip_boilerplate(raw)
+    manifest.add("boilerplate_markers", "absent" if missing_markers else "present")
     sentences = corpus.split_sentences(body, max_len=args.max_len)
     if not sentences:
         print("no sentences found in input", file=sys.stderr)
         return 2
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest.start_phase("vocab")
     vocab = corpus.build_vocab(sentences)
     manifest.start_phase("fragments")

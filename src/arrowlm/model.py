@@ -6,13 +6,13 @@ update is ``h' = LayerNorm(h + U((V^T h) * s_t))``.  The operator is
 always applied in factored form (cost O(d*r) per step); the dense matrix
 is never materialized here.  Next-token logits are ``W_out @ h``.
 
-The loss is streamed: per time step the (batch x vocab) logits are
-materialized, consumed by the cross-entropy, and discarded, so peak
-transient memory does not scale with sequence length.  Each step
-exponentiates its logits once; scaling those exponentials by one float32
-factor per row turns them into the logit gradient, which the same pass
-folds into the ``W_out`` gradient, keeping only its (batch x d) image on
-the tape, so the backward pass never rebuilds logits or a softmax.
+Teacher forcing splits a training step: the time loop runs only the token
+operators, then the output layer reads all (steps x batch) states out in
+blocks of at most ``_OUT_ROWS`` rows.  Each block materializes its logits,
+exponentiates them once and scales them per row into the logit gradient,
+which it folds into the ``W_out`` and state gradients before discarding
+it, so peak transient memory is bounded by the block, not by the sequence
+length, and the backward pass never rebuilds logits or a softmax.
 
 Training is AdamW (bias-corrected, decoupled weight decay on the matrix
 parameters) with a linear warmup to a constant learning rate, global
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -125,10 +125,6 @@ class Gradients(_TensorSet):
     bias: np.ndarray
     w_out: np.ndarray
 
-    @classmethod
-    def zeros_like(cls, params: ModelParams) -> "Gradients":
-        return cls(*(np.zeros_like(arr) for _, arr in params.tensors()))
-
 
 @dataclass
 class TrainConfig:
@@ -147,14 +143,18 @@ class TrainConfig:
 
 @dataclass
 class StepTape:
-    """Per-step cache of forward_loss; the output layer is differentiated already."""
+    """What backward needs from forward_loss, stacked time-major; W_out is differentiated already."""
 
     tokens: np.ndarray  # (B, T) the padded batch
     n_pred: int
     d_w_out: np.ndarray  # (vocab, d) the whole W_out gradient
-    # Per step: (h_in, z, s, g, xhat, inv_std, d_h) of shapes (B, d), (B, r), (B, r),
-    # (B, r), (B, d), (B, 1), (B, d); d_h is the state gradient from that step's logits.
-    steps: list[tuple[np.ndarray, ...]] = field(default_factory=list)
+    h: np.ndarray  # (T, B, d) the states before each step, then the last one
+    z: np.ndarray  # (T-1, B, r) V^T h
+    s: np.ndarray  # (T-1, B, r) gates
+    g: np.ndarray  # (T-1, B, r) z * s
+    xhat: np.ndarray  # (T-1, B, d) normalized pre-activations
+    inv_std: np.ndarray  # (T-1, B, 1)
+    d_h: np.ndarray  # (T-1, B, d) each step's state gradient from its own logits
 
 
 def init_params(
@@ -246,16 +246,23 @@ def _validate_tokens(params: ModelParams, tokens: np.ndarray) -> None:
         )
 
 
+# Rows of one output-layer block.  A default batch (32 fragments of at most
+# 5 tokens, so 4 steps) is one block; 128-row blocks measured slower.
+_OUT_ROWS = 256
+
+
 def forward_loss(
     params: ModelParams, tokens: np.ndarray, mask: np.ndarray
 ) -> tuple[float, StepTape]:
     """Mean next-token cross-entropy (nats per prediction) plus the tape.
 
     After consuming ``tokens[:, :t+1]`` the model scores ``tokens[:, t+1]``;
-    ``mask[:, t]`` marks real prediction positions.  Logits are streamed
-    step by step and never stacked across time.  The tape's logit gradient
-    is each step's one exp, scaled per row by ``mask / (n_pred * row sum)``
-    in the parameters' dtype, less that weight at the target.
+    ``mask[:, t]`` marks real prediction positions.  The time loop runs only
+    the token operators; the output layer then reads the states out in
+    time-major blocks of at most ``_OUT_ROWS`` rows, so logits exist for one
+    block at a time.  The tape's logit gradient is each block's one exp,
+    scaled per row by ``mask / (n_pred * row sum)`` in the parameters'
+    dtype, less that weight at the target.
     """
     _validate_tokens(params, tokens)
     if tokens.ndim != 2 or mask.shape != (tokens.shape[0], tokens.shape[1] - 1):
@@ -264,61 +271,71 @@ def forward_loss(
     if n_pred == 0:
         raise DegenerateBatch("batch has no prediction positions")
     batch, width = tokens.shape
-    tape = StepTape(tokens, n_pred, np.zeros_like(params.w_out))
-    h = np.broadcast_to(params.h0, (batch, params.d)).copy()
-    rows = np.arange(batch)
-    weight = (mask / n_pred).astype(params.w_out.dtype)
+    steps, dtype = width - 1, params.h0.dtype
+    h = np.empty((width, batch, params.d), dtype)
+    h[0] = params.h0
+    z, s, g = (np.empty((steps, batch, params.r), dtype) for _ in range(3))
+    xhat, inv_std = np.empty((steps, batch, params.d), dtype), np.empty((steps, batch, 1), dtype)
+    for t in range(steps):
+        h[t + 1], (z[t], s[t], g[t], xhat[t], inv_std[t]) = _step_cached(params, h[t], tokens[:, t])
+    states = h[1:].reshape(-1, params.d)
+    targets, live = tokens[:, 1:].T.ravel(), mask.T.ravel()
+    weight = (live / n_pred).astype(params.w_out.dtype)
+    d_h = np.empty_like(states)
+    logits = np.empty((min(len(states), _OUT_ROWS), params.vocab_size), params.w_out.dtype)
     total = 0.0
-    for t in range(width - 1):
-        h_in = h
-        h, cache = _step_cached(params, h, tokens[:, t])
-        d_logits = h @ params.w_out.T
-        logp, sums = _softmax(d_logits, tokens[:, t + 1])
-        total -= float(np.sum(logp, where=mask[:, t], initial=0.0))
-        d_logits *= weight[:, t, None] / sums
-        d_logits[rows, tokens[:, t + 1]] -= weight[:, t]
-        tape.d_w_out += d_logits.T @ h
-        tape.steps.append((h_in, *cache, d_logits @ params.w_out))
-        # d_logits falls out of scope here: peak memory is O(batch * vocab)
+    for lo in range(0, len(states), _OUT_ROWS):
+        rows = slice(lo, lo + _OUT_ROWS)
+        h_rows = states[rows]
+        d_logits = np.matmul(h_rows, params.w_out.T, out=logits[: len(h_rows)])
+        logp, sums = _softmax(d_logits, targets[rows])
+        total -= float(np.sum(logp, where=live[rows], initial=0.0))
+        d_logits *= weight[rows, None] / sums
+        d_logits[np.arange(len(d_logits)), targets[rows]] -= weight[rows]
+        block = d_logits.T @ h_rows
+        d_w_out = block if lo == 0 else np.add(d_w_out, block, out=d_w_out)
+        np.matmul(d_logits, params.w_out, out=d_h[rows])
+    tape = StepTape(tokens, n_pred, d_w_out, h, z, s, g, xhat, inv_std, d_h.reshape(xhat.shape))
     return total / n_pred, tape
 
 
 def backward(params: ModelParams, tape: StepTape) -> Gradients:
     """Exact reverse-mode gradients of the mean loss for every tensor.
 
-    The output layer was differentiated during :func:`forward_loss`, so
-    this walks only the recurrence, starting each step from the tape's
-    ``d_h``.  LayerNorm uses the standard three-term rule for population
-    statistics.
+    The output layer was differentiated during :func:`forward_loss`, so the
+    time loop walks only the recurrence, starting each step from the tape's
+    ``d_h``; each parameter gradient is then taken once over all steps.
+    LayerNorm uses the standard three-term rule for population statistics.
     """
-    grads = Gradients.zeros_like(params)
-    grads.w_out += tape.d_w_out
-    d_h_next = np.zeros((len(tape.tokens), params.d), dtype=params.h0.dtype)
-    for t in range(len(tape.steps) - 1, -1, -1):
-        h_in, z, s, g, xhat, inv_std, d_h = tape.steps[t]
-        d_out = d_h + d_h_next
-        grads.gain += (d_out * xhat).sum(axis=0)
-        grads.bias += d_out.sum(axis=0)
-        d_xhat = d_out * params.gain
-        d_pre = inv_std * (
+    d_out, d_pre, d_g = np.empty_like(tape.d_h), np.empty_like(tape.d_h), np.empty_like(tape.g)
+    d_next = np.zeros_like(tape.d_h[0])
+    for t in range(len(tape.d_h) - 1, -1, -1):
+        d_xhat = np.add(tape.d_h[t], d_next, out=d_out[t]) * params.gain
+        xhat = tape.xhat[t]
+        d_pre[t] = tape.inv_std[t] * (
             d_xhat
             - d_xhat.sum(axis=-1, keepdims=True) / params.d
             - xhat * ((d_xhat * xhat).sum(axis=-1, keepdims=True) / params.d)
         )
-        d_g = d_pre @ params.u
-        grads.u += d_pre.T @ g
-        d_z = d_g * s
-        d_s = d_g * z
-        grads.v += h_in.T @ d_z
-        np.add.at(grads.emb, tape.tokens[:, t], d_s * (1.0 - s**2))
-        d_h_next = d_pre + d_z @ params.v.T
-    grads.h0 += d_h_next.sum(axis=0)
-    return grads
+        np.matmul(d_pre[t], params.u, out=d_g[t])
+        d_next = d_pre[t] + (d_g[t] * tape.s[t]) @ params.v.T
+    emb = np.zeros_like(params.emb)
+    d_emb = d_g * tape.z * (1.0 - tape.s**2)
+    np.add.at(emb, tape.tokens[:, :-1].T.ravel(), d_emb.reshape(-1, params.r))
+    return Gradients(
+        h0=d_next.sum(axis=0),
+        emb=emb,
+        u=d_pre.reshape(-1, params.d).T @ tape.g.reshape(-1, params.r),
+        v=tape.h[:-1].reshape(-1, params.d).T @ (d_g * tape.s).reshape(-1, params.r),
+        gain=(d_out * tape.xhat).sum(axis=(0, 1)),
+        bias=d_out.sum(axis=(0, 1)),
+        w_out=tape.d_w_out,
+    )
 
 
 def clip_gradients(grads: Gradients, max_norm: float) -> float:
     """Scale all gradients so their global norm is at most ``max_norm``."""
-    norm = float(np.sqrt(sum(float((arr * arr).sum()) for _, arr in grads.tensors())))
+    norm = math.sqrt(sum(float(np.vdot(arr, arr)) for _, arr in grads.tensors()))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
         for _, arr in grads.tensors():

@@ -239,7 +239,7 @@ def finite_difference_grads(
     params: ModelParams, tokens: np.ndarray, mask: np.ndarray, delta: float = 1e-4
 ) -> Gradients:
     """Central finite differences of the mean loss for every coordinate."""
-    grads = Gradients.zeros_like(params)
+    grads = Gradients(*(np.zeros_like(arr) for _, arr in params.tensors()))
     for (_, tensor), (_, out) in zip(params.tensors(), grads.tensors()):
         flat = tensor.reshape(-1)
         flat_out = out.reshape(-1)

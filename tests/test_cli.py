@@ -222,6 +222,32 @@ def test_config_key_must_name_a_setting(built, tmp_path, capsys):
     assert not (tmp_path / "m").exists()
 
 
+def test_corpus_without_sentences_leaves_no_out_dir(tmp_path, capsys):
+    raw = tmp_path / "dots.txt"
+    raw.write_text("...", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["corpus", "build", "--input", str(raw), "--out", str(tmp_path / "D")]) == 2
+    assert capsys.readouterr() == ("", "no sentences found in input\n")
+    assert not (tmp_path / "D").exists()
+
+
+def test_plain_text_corpus_prints_no_warning(built, tmp_path):
+    # Text without start/end markers is a normal input: the manifest records it, stderr stays clean.
+    raw = tmp_path / "plain.txt"
+    raw.write_text(TOY_RAW, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(arrowlm.__file__).parents[1]))
+    script = "import sys; from arrowlm import cli; sys.exit(cli.main(sys.argv[1:]))"
+    argv = ["corpus", "build", "--input", str(raw), "--out", str(tmp_path / "c")]
+    run = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0 and "Warning" not in run.stderr, run.stderr
+    lines = (tmp_path / "c" / "corpus.manifest").read_text(encoding="utf-8").splitlines()
+    assert "boilerplate_markers=absent" in lines
+    corpus_dir, _ = built
+    assert "boilerplate_markers=present" in (corpus_dir / "corpus.manifest").read_text(
+        encoding="utf-8").splitlines()
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,5 +1,8 @@
 """Forward/backward numerics, training behavior, checkpoint format."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,9 @@ from arrowlm.model import (
     NonFiniteTraining,
     TokenOutOfRange,
     TrainConfig,
+    _OUT_ROWS,
     backward,
+    clip_gradients,
     forward_loss,
     init_params,
     load_checkpoint,
@@ -38,6 +43,18 @@ def random_batch(rng, vocab_size, n_seq, length):
     tokens = rng.integers(0, vocab_size - 1, size=(n_seq, length))  # no PAD
     mask = np.ones((n_seq, length - 1), dtype=bool)
     return tokens, mask
+
+
+def assert_close_grads(analytic, numeric, rtol):
+    for (name, a), (_, f) in zip(analytic.tensors(), numeric.tensors()):
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
+        rel = np.abs(a - f) / denom
+        assert rel.max() <= rtol, (name, rel.max())
+
+
+def layer_norm(params, pre):
+    centered = pre - pre.mean()
+    return params.gain * centered / np.sqrt(np.mean(centered**2) + params.eps) + params.bias
 
 
 class TestInitParams:
@@ -135,10 +152,7 @@ class TestBackward:
             _, tape = forward_loss(params, tokens, mask)
             analytic = backward(params, tape)
             numeric = finite_difference_grads(params, tokens, mask, delta=1e-4)
-            for (name, a), (_, f) in zip(analytic.tensors(), numeric.tensors()):
-                denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
-                rel = np.abs(a - f) / denom
-                assert rel.max() <= 1e-4, (seed, name, rel.max())
+            assert_close_grads(analytic, numeric, 1e-4)
 
     def test_untouched_embedding_rows_zero(self):
         params = random_params(9, 8, 3, 4)
@@ -178,6 +192,46 @@ class TestBackward:
             grads_a.tensors(), g1.tensors(), g2.tensors()
         ):
             np.testing.assert_allclose(ga, (2 * g1a + g2a) / 3, atol=1e-12)
+
+
+class TestOutputBlocks:
+    """Batches whose (steps x batch) prediction rows span several output-layer blocks."""
+
+    def batch(self):
+        params = random_params(7, 8, 3, 21)
+        tokens, mask = random_batch(np.random.default_rng(21), 7, 40, 10)
+        assert _OUT_ROWS < 40 * 9 < 2 * _OUT_ROWS
+        # Rows are time-major, row t*40 + b, so the second block starts at (t, b).
+        t, b = divmod(_OUT_ROWS, 40)
+        mask[b - 4 : b + 4, t - 1 : t + 2] = False  # gaps straddling the boundary
+        mask[3] = False
+        return params, tokens, mask
+
+    def test_loss_equals_materialized(self):
+        params, tokens, mask = self.batch()
+        loss, _ = forward_loss(params, tokens, mask)
+        assert abs(loss - materialized_loss(params, tokens, mask)) <= 1e-10
+
+    def test_gradients_match_finite_differences(self):
+        params, tokens, mask = self.batch()
+        _, tape = forward_loss(params, tokens, mask)
+        numeric = finite_difference_grads(params, tokens, mask, delta=1e-4)
+        assert_close_grads(backward(params, tape), numeric, 1e-4)
+
+    def test_transient_memory_is_bounded_by_a_block(self):
+        # A 257-token batch has 8 blocks of rows; stacking every step's logits would hold 8.
+        params = random_params(400, 8, 2, 3)
+        tokens, mask = random_batch(np.random.default_rng(3), 400, 8, 257)
+        assert mask.size >= 4 * _OUT_ROWS
+        block_logits = _OUT_ROWS * params.vocab_size * params.w_out.itemsize
+        tracemalloc.start()
+        try:
+            _, tape = forward_loss(params, tokens, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in vars(tape).values() if isinstance(a, np.ndarray) and a is not tokens)
+        assert peak - kept < 2 * block_logits, (peak, kept, block_logits)
 
 
 class TestNonCommutativity:
@@ -221,6 +275,72 @@ class TestNonCommutativity:
         s = np.tanh(params.emb[tok])
         pre = h + params.u @ ((params.v.T @ h) * s)
         np.testing.assert_allclose(m @ h, pre, atol=1e-12)
+
+
+class TestArchitectureClaim:
+    """The abstract's claim: a multiplicative RNN whose token operators are low rank."""
+
+    def states(self, params):
+        return [params.h0, *np.random.default_rng(5).normal(0, 1, (3, params.d))]
+
+    def test_step_is_layer_norm_of_the_dense_operator(self):
+        params = random_params(9, 16, 4, 77)
+        for h in self.states(params):
+            for tok in range(params.vocab_size):
+                expected = layer_norm(params, dense_operator(params, tok) @ h)
+                np.testing.assert_allclose(step(params, h, tok), expected, rtol=0, atol=1e-12)
+
+    def test_operator_is_identity_plus_rank_r(self):
+        params = random_params(9, 16, 4, 77)
+        for tok in range(params.vocab_size):
+            m = dense_operator(params, tok)
+            assert np.linalg.matrix_rank(m - np.eye(params.d)) <= params.r < params.d
+
+    def test_update_is_a_factored_mrnn_transition(self):
+        # Sutskever, Martens & Hinton (ICML 2011): f_t = diag(W_fx x_t) W_fh h_{t-1} and
+        # h_t = phi(W_hf f_t), here with W_fh = V^T, W_hf = U, factor gates W_fx x_t =
+        # tanh(emb_t) for a one-hot x_t, and phi(a) = LayerNorm(h_{t-1} + a).
+        params = random_params(9, 16, 4, 77)
+        w_fx, w_fh, w_hf = np.tanh(params.emb).T, params.v.T, params.u
+        for h in self.states(params):
+            for tok in range(params.vocab_size):
+                x = np.eye(params.vocab_size)[tok]
+                f = (w_fx @ x) * (w_fh @ h)
+                expected = layer_norm(params, h + w_hf @ f)
+                np.testing.assert_allclose(step(params, h, tok), expected, rtol=0, atol=1e-12)
+
+
+class TestClipGradients:
+    @staticmethod
+    def grads(dtype):
+        params = random_params(50, 16, 4, 8, dtype=dtype)  # generic gradient-shaped tensors
+        return Gradients(*(arr for _, arr in params.tensors()))
+
+    @staticmethod
+    def reference_norm(grads):
+        return math.sqrt(sum(float((arr.astype(np.float64) ** 2).sum()) for _, arr in grads.tensors()))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_returns_the_norm_and_scales_every_tensor_to_max_norm(self, dtype):
+        grads = self.grads(dtype)
+        before = [arr.copy() for _, arr in grads.tensors()]
+        reference = self.reference_norm(grads)
+        norm = clip_gradients(grads, reference / 4)
+        assert abs(norm - reference) <= 1e-6 * reference
+        assert self.reference_norm(grads) == pytest.approx(reference / 4, rel=1e-6)
+        for (name, arr), old in zip(grads.tensors(), before):
+            np.testing.assert_allclose(arr, old / 4, rtol=1e-6, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("factor", [2.0, 0.0], ids=["below-max-norm", "max-norm-0"])
+    def test_leaves_tensors_bit_identical(self, dtype, factor):
+        grads = self.grads(dtype)
+        before = [arr.copy() for _, arr in grads.tensors()]
+        reference = self.reference_norm(grads)
+        norm = clip_gradients(grads, factor * reference)
+        assert abs(norm - reference) <= 1e-6 * reference
+        for (_, arr), old in zip(grads.tensors(), before):
+            assert np.array_equal(arr, old)
 
 
 class TestTrain:
