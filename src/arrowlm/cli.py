@@ -7,9 +7,10 @@ dashes, typed like its default; a ``--config`` file sets it as
 
 Exit codes: 0 success (provable / results found), 1 valid but negative
 (not provable / no retrieval results; in ``--repl``, any query without
-results), 2 usage or I/O errors (including a setting outside its range
-or a config key that names no setting, training that diverges, and a
-model whose query scores are not finite), 3 internal error (an
+results), 2 usage or I/O errors (including an input that is not UTF-8,
+an ``--out`` that cannot be written, a setting outside its range or a
+config key that names no setting, training that diverges, and a model
+whose query scores are not finite), 3 internal error (an
 unexpected exception, reported as one line on stderr).  ``query`` needs
 exactly one of ``--model`` and ``--symbolic`` and exactly one of QUERY
 and ``--repl``, or exits 2 before reading anything.
@@ -178,7 +179,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     manifest = Manifest(args)
     try:
         raw = Path(args.input).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
     manifest.add("input", args.input)
@@ -193,8 +194,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if not sentences:
         print("no sentences found in input", file=sys.stderr)
         return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest.start_phase("vocab")
     vocab = corpus.build_vocab(sentences)
     manifest.start_phase("fragments")
@@ -202,9 +201,15 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         sentences, vocab, k_frag=args.max_frag, max_len=args.max_len
     )
     manifest.start_phase("write")
-    corpus.write_sentences(out_dir / "sentences.txt", sentences)
-    corpus.write_vocab(out_dir / "vocab.txt", vocab)
-    corpus.write_fragments(out_dir / "fragments.txt", training, vocab)
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        corpus.write_sentences(out_dir / "sentences.txt", sentences)
+        corpus.write_vocab(out_dir / "vocab.txt", vocab)
+        corpus.write_fragments(out_dir / "fragments.txt", training, vocab)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     manifest.finish_phase()
     manifest.add("sentences", len(sentences))
     manifest.add("vocab_size", len(vocab))
@@ -234,7 +239,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         manifest.start_phase("load")
         sentences = corpus.read_sentences(corpus_dir / "sentences.txt")
         vocab = corpus.read_vocab(corpus_dir / "vocab.txt")
-    except (OSError, corpus.CorpusError) as exc:
+    except (OSError, UnicodeDecodeError, corpus.CorpusError) as exc:
         print(f"cannot load corpus: {exc}", file=sys.stderr)
         return 2
     for sent in sentences:
@@ -264,7 +269,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 2
     manifest.start_phase("save")
-    model.save_checkpoint(params, vocab, args.out)
+    try:
+        model.save_checkpoint(params, vocab, args.out)
+    except OSError as exc:
+        print(f"cannot write checkpoint: {exc}", file=sys.stderr)
+        return 2
     loss_lines = "".join(f"{epoch}\t{loss:.6f}\n" for epoch, loss in enumerate(history, 1))
     Path(f"{args.out}.loss").write_text(loss_lines, encoding="utf-8")
     manifest.finish_phase()
@@ -348,7 +357,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             model_errors = (model.ModelError,)
             params, vocab = model.load_checkpoint(args.model)
             manifest.digest("checkpoint", args.model)
-    except (OSError, corpus.CorpusError, *model_errors) as exc:
+    except (OSError, UnicodeDecodeError, corpus.CorpusError, *model_errors) as exc:
         print(f"cannot load model/corpus: {exc}", file=sys.stderr)
         return 2
     if vocab.words != corpus_vocab.words:

@@ -59,10 +59,9 @@ class Vocab:
 
 @dataclass
 class TrainingSet:
-    """Deduplicated fragment list plus fragment -> (sentence id, offset)."""
+    """The deduplicated fragments, in first-seen order."""
 
     fragments: list[tuple[int, ...]] = field(default_factory=list)
-    provenance: dict[tuple[int, ...], tuple[int, int]] = field(default_factory=dict)
 
 
 def strip_boilerplate(raw: str) -> str:
@@ -125,25 +124,25 @@ def enumerate_fragments(
 ) -> TrainingSet:
     """Emit all length-2..k_frag fragments plus EOS-terminated sentences.
 
-    Fragments are globally deduplicated; provenance records the first
-    (sentence id, offset) a fragment was seen at.  Length-1 spans carry no
-    prediction target and are excluded.
+    Fragments are globally deduplicated and kept in the order first seen.
+    Length-1 spans carry no prediction target and are excluded.
     """
     if k_frag < 2:
         raise ValueError("k_frag must be >= 2")
     ts = TrainingSet()
-    for sid, sent in enumerate(sentences):
+    seen: set[tuple[int, ...]] = set()
+    for sent in sentences:
         ids = vocab.encode(sent[:max_len])
         n = len(ids)
         for i in range(n):
             for j in range(i + 2, min(i + k_frag, n) + 1):
                 frag = tuple(ids[i:j])
-                if frag not in ts.provenance:
-                    ts.provenance[frag] = (sid, i)
+                if frag not in seen:
+                    seen.add(frag)
                     ts.fragments.append(frag)
         full = tuple(ids) + (vocab.eos_id,)
-        if full not in ts.provenance:
-            ts.provenance[full] = (sid, 0)
+        if full not in seen:
+            seen.add(full)
             ts.fragments.append(full)
     return ts
 

@@ -1,7 +1,9 @@
-"""Implicational formulas over interned word atoms.
+"""Implicational formulas over word atoms.
 
 A token sequence ``w1 ... wn`` is encoded as the left-nested implication
-chain ``((((w1->w2)->w3)->...)->wn)``.  This module owns the hash-consed
+chain ``((((w1->w2)->w3)->...)->wn)``, so an atom stands for a word and is
+nothing but its spelling: ``Atom("cat")`` is the same object wherever and
+however often it is built or parsed.  This module owns the hash-consed
 formula tree, that chain encoding (:func:`list_to_impl`), and the textual
 ``->`` notation.  Retrieval works on the equivalent word sequences and
 builds no formulas.
@@ -12,7 +14,7 @@ from __future__ import annotations
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 
 class FormulaError(Exception):
@@ -34,9 +36,10 @@ class FormulaSyntaxError(FormulaError):
 # Hash-consing (Filliatre & Conchon 2006): every Atom/Imp value exists once,
 # so structural equality is identity and both ``==`` and ``hash`` are the
 # default C-level object ones -- O(1), never recursive, and never a Python
-# call on the prover's hot path.  _NODES maps a node's fields to a weak
-# reference that remembers that key; when the node dies, _forget drops the
-# entry, so the table holds only live formulas.  Keys hold the children,
+# call on the prover's hot path.  _NODES maps a node's key -- an atom's
+# spelling (a str), an implication's (antecedent, consequent) pair -- to a
+# weak reference that remembers that key; when the node dies, _forget drops
+# the entry, so the table holds only live formulas.  Keys hold the children,
 # which a live parent keeps alive anyway.
 _NODES: dict = {}
 
@@ -57,7 +60,7 @@ def _forget(entry: _Entry) -> None:
     _remove_dead_weakref(_NODES, entry.key)
 
 
-def _enter(key: tuple, node):
+def _enter(key: Union[str, tuple], node):
     """The node for ``key``: ``node`` itself, or an equal one entered first.
 
     Lock-free: ``setdefault`` enters ``node`` atomically unless an entry is
@@ -94,31 +97,28 @@ class _Node:
 
 
 class Atom(_Node):
-    """A propositional atom: an interned word.
+    """A propositional atom: a word, identified by its spelling alone.
 
-    ``id`` and ``surface`` are a bijection within one Interner, so equality
-    over both fields coincides with id equality there.  Atoms are
-    hash-consed: equal atoms are the same object.
+    Atoms are hash-consed, keyed by ``surface``: one word is one object
+    everywhere, so formulas parsed or built apart compare equal.
     """
 
-    __slots__ = ("id", "surface", "__weakref__")
+    __slots__ = ("surface", "__weakref__")
 
-    def __new__(cls, id: int, surface: str) -> "Atom":
-        key = (id, surface)
-        entry = _NODES.get(key)
+    def __new__(cls, surface: str) -> "Atom":
+        entry = _NODES.get(surface)
         atom = entry and entry()
         if atom is None:
             atom = object.__new__(cls)
-            _SET_ID(atom, id)
             _SET_SURFACE(atom, surface)
-            atom = _enter(key, atom)
+            atom = _enter(surface, atom)
         return atom
 
     def __reduce__(self):
-        return Atom, (self.id, self.surface)
+        return Atom, (self.surface,)
 
     def __repr__(self) -> str:
-        return f"Atom({self.id!r}, {self.surface!r})"
+        return f"Atom({self.surface!r})"
 
 
 class Imp(_Node):
@@ -149,28 +149,16 @@ class Imp(_Node):
 
 
 # The slots' own setters, which _Node.__setattr__ does not block.
-_SET_ID, _SET_SURFACE = Atom.id.__set__, Atom.surface.__set__
+_SET_SURFACE = Atom.surface.__set__
 _SET_ANTECEDENT, _SET_CONSEQUENT = Imp.antecedent.__set__, Imp.consequent.__set__
 
 Formula = Union[Atom, Imp]
 
 
+# The benchmark's fixtures still build atoms as ``Interner().atom(word)``;
+# ROADMAP item 1 moves them to ``Atom(word)`` and deletes this alias.
 class Interner:
-    """The word -> :class:`Atom` table that formulas to be compared share.
-
-    Ids are dense, assigned in first-occurrence order.  The parser reads
-    the table directly.
-    """
-
-    def __init__(self):
-        self._atoms: dict[str, Atom] = {}
-
-    def atom(self, surface: str) -> Atom:
-        """Return the atom for ``surface``, interning it if new."""
-        atom = self._atoms.get(surface)
-        if atom is None:
-            atom = self._atoms[surface] = Atom(len(self._atoms), surface)
-        return atom
+    atom = staticmethod(Atom)
 
 
 def list_to_impl(tokens: Sequence[Atom]) -> Formula:
@@ -216,22 +204,24 @@ def _fold(operands: list[Formula]) -> Formula:
     return acc
 
 
-def _group(text: str, lexemes: list[str], index: int, nested: bool, interner: Interner) -> tuple[Formula, int]:
+def _group(text: str, lexemes: list[str], index: int, nested: bool) -> tuple[Formula, int]:
     """Parse operands joined by ``->`` from ``lexemes[index]``: (formula, next index).
 
     ``nested`` means a ``(`` opened this group, so it must close with ``)``.
-    Each parenthesis level is one recursive call.
+    Each parenthesis level is one recursive call.  A word already in the
+    node table costs one dict lookup, not an ``Atom`` call.
     """
-    atoms = interner._atoms
+    nodes = _NODES
     operands: list[Formula] = []
     n = len(lexemes)
     while True:
         lexeme = lexemes[index] if index < n else ""
         if lexeme == "(":
-            group, index = _group(text, lexemes, index + 1, True, interner)
+            group, index = _group(text, lexemes, index + 1, True)
             operands.append(group)
         elif lexeme and lexeme[-1] in _WORD_CHARS:
-            operands.append(atoms.get(lexeme) or interner.atom(lexeme))
+            entry = nodes.get(lexeme)
+            operands.append(entry and entry() or Atom(lexeme))
             index += 1
         else:
             raise _syntax_error(text, index, "expected atom or '('")
@@ -249,17 +239,16 @@ def _group(text: str, lexemes: list[str], index: int, nested: bool, interner: In
     return _fold(operands), index
 
 
-def parse_formula(text: str, interner: Optional[Interner] = None) -> Formula:
+def parse_formula(text: str) -> Formula:
     """Parse ``->`` notation (right-associative; parentheses group).
 
-    Atoms are interned into ``interner`` (a fresh one if omitted), so all
-    formulas meant to be compared must share one interner.  An arrow chain
-    is a loop, but each parenthesis level is one Python frame, so nesting
-    near the recursion limit (a left-nested chain of about 1,000 atoms)
-    raises ``RecursionError`` here, as it would in the prover.
+    A word parses to its :class:`Atom`, so separate parses of the same
+    words share their atoms and compare equal.  An arrow chain is a loop,
+    but each parenthesis level is one Python frame, so nesting near the
+    recursion limit (a left-nested chain of about 1,000 atoms) raises
+    ``RecursionError`` here, as it would in the prover.
     """
-    interner = interner if interner is not None else Interner()
-    return _group(text, _LEXEME_RE.findall(text), 0, False, interner)[0]
+    return _group(text, _LEXEME_RE.findall(text), 0, False)[0]
 
 
 def print_formula(f: Formula) -> str:

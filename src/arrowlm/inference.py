@@ -113,7 +113,7 @@ def retrieval_first(
     if k < 1:
         raise ValueError("k must be >= 1")
     query = [w.lower() for w in query]
-    occurrences = sorted(db.occurrences(query))
+    occurrences = db.occurrences(query)
     continuations: dict[tuple[str, ...], Candidate] = {}
     exact: dict[int, Candidate] = {}  # the first exact hit in each sentence
     prefix_ids = [vocab.index[w] for w in query if w in vocab.index]

@@ -31,20 +31,13 @@ class EmptyQuery(RetrievalError):
 
 
 @dataclass(frozen=True)
-class Word:
-    """A concrete query token."""
-
-    text: str
-
-
-@dataclass(frozen=True)
 class Wildcard:
     """An unknown query token; equal names must bind the same word."""
 
     name: Optional[str] = None
 
 
-QueryItem = Union[Word, Wildcard]
+QueryItem = Union[str, Wildcard]
 
 
 @dataclass(frozen=True)
@@ -70,19 +63,23 @@ class SentenceDB:
         return len(self.sentences)
 
     def occurrences(self, words: Sequence[str]) -> list[tuple[int, int]]:
-        """All (sentence id, start offset) where ``words`` occur contiguously."""
+        """All (sentence id, start offset) where ``words`` occur contiguously.
+
+        The list is in (sentence id, offset) order.
+        """
         if not words or any(word not in self.positions for word in words):
             return []
-        return [(sid, off) for sid, off, _ in self._match([Word(word) for word in words])]
+        return [(sid, off) for sid, off, _ in self._match(words)]
 
     def _match(self, items: Sequence[QueryItem]) -> Iterator[tuple[int, int, dict[str, str]]]:
         """Yield (sentence id, offset, bindings) for every window ``items`` match.
 
-        Windows come in (sentence id, offset) order.  A pattern of wildcards
-        only tries every window.
+        Windows come in (sentence id, offset) order: an anchor word's
+        positions are, and shifting each back by the anchor's index ``j``
+        keeps them so.  A pattern of wildcards only tries every window.
         """
         m = len(items)
-        concrete = [(j, it.text) for j, it in enumerate(items) if isinstance(it, Word)]
+        concrete = [(j, it) for j, it in enumerate(items) if isinstance(it, str)]
         if concrete:
             j, word = min(concrete, key=lambda c: len(self.positions.get(c[1], ())))
             starts = ((sid, off - j) for sid, off in self.positions.get(word, ()) if off >= j)
@@ -94,8 +91,8 @@ class SentenceDB:
                 continue
             bindings: dict[str, str] = {}
             for item, word in zip(items, window):
-                if isinstance(item, Word):
-                    if item.text != word:
+                if isinstance(item, str):
+                    if item != word:
                         break
                 elif item.name is not None:
                     if bindings.setdefault(item.name, word) != word:
@@ -121,7 +118,7 @@ class SentenceDB:
                 for word in normalize_words(part):
                     if word not in self.positions:
                         return None
-                    items.append(Word(word))
+                    items.append(word)
         return items
 
 

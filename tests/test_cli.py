@@ -15,7 +15,7 @@ import pytest
 
 import arrowlm
 from arrowlm import cli, corpus, inference, model
-from arrowlm.formula import Interner, parse_formula, print_formula
+from arrowlm.formula import Atom, parse_formula, print_formula
 from arrowlm.model import TrainConfig
 from arrowlm.prover import beta_normalize, format_term, prove_with_term
 
@@ -60,7 +60,7 @@ class TestProve:
     def test_normal_form_is_the_witness(self, capsys):
         # Witnesses are beta-normal, so the printed term is its own normal form.
         rng = random.Random(8)
-        atoms = [Interner().atom(w) for w in "pqr"]
+        atoms = [Atom(w) for w in "pqr"]
         witnessed = 0
         for _ in range(200):
             text = print_formula(random_formula(rng, atoms, 5))
@@ -229,6 +229,39 @@ def test_corpus_without_sentences_leaves_no_out_dir(tmp_path, capsys):
     assert cli.main(["corpus", "build", "--input", str(raw), "--out", str(tmp_path / "D")]) == 2
     assert capsys.readouterr() == ("", "no sentences found in input\n")
     assert not (tmp_path / "D").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["corpus", "build", "--input", "{raw}", "--out", "{tmp}/file"],
+        ["corpus", "build", "--input", "{tmp}/latin1.txt", "--out", "{tmp}/c"],
+        ["train", "--corpus", "{corpus}", "--out", "{tmp}/missing/m"],
+        ["train", "--corpus", "{corpus}", "--out", "{tmp}"],
+        ["train", "--corpus", "{tmp}/latin1", "--out", "{tmp}/m"],
+        ["query", "--corpus", "{tmp}/latin1", "--model", "{model}", "the cat"],
+    ],
+    ids=["corpus-out-is-a-file", "corpus-input-not-utf8", "train-out-dir-missing",
+         "train-out-is-a-dir", "train-sentences-not-utf8", "query-sentences-not-utf8"],
+)
+def test_io_errors_are_usage_errors(built, tmp_path, capsys, args):
+    corpus_dir, ckpt = built
+    (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+    (tmp_path / "latin1.txt").write_bytes("The caf\u00e9 is open.".encode("latin-1"))
+    (tmp_path / "latin1").mkdir()
+    for name in ("sentences.txt", "vocab.txt"):
+        (tmp_path / "latin1" / name).write_bytes((corpus_dir / name).read_bytes())
+    with open(tmp_path / "latin1" / "sentences.txt", "ab") as fh:
+        fh.write("caf\u00e9\n".encode("latin-1"))
+    before = sorted(tmp_path.rglob("*"))
+    paths = dict(raw=corpus_dir.parent / "raw.txt", corpus=corpus_dir, model=ckpt, tmp=tmp_path)
+    capsys.readouterr()
+    small = ["--d", "4", "--r", "1", "--epochs", "1"] if args[0] == "train" else []
+    assert cli.main([arg.format(**paths) for arg in args] + small) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("cannot "), err
+    assert sorted(tmp_path.rglob("*")) == before  # no --out, checkpoint or manifest
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
 
 
 def test_plain_text_corpus_prints_no_warning(built, tmp_path):

@@ -120,18 +120,18 @@ class TestEnumerateFragments:
         with pytest.raises(ValueError):
             enumerate_fragments([["a", "b"]], vocab, k_frag=1)
 
-    def test_provenance_points_at_real_spans(self):
+    def test_fragments_occur_in_the_sentences(self):
         sents = split_sentences(TOY_RAW)
         vocab = build_vocab(sents)
         ts = enumerate_fragments(sents, vocab, k_frag=5)
         for frag in ts.fragments:
-            sid, off = ts.provenance[frag]
             words = vocab.decode(frag)
             if words[-1] == EOS_WORD:
-                assert off == 0
-                assert sents[sid] == words[:-1]
+                assert words[:-1] in sents
             else:
-                assert sents[sid][off : off + len(words)] == words
+                assert any(
+                    sent[off : off + len(words)] == words for sent in sents for off in range(len(sent))
+                ), words
 
     def test_linear_size_bound(self):
         sents = split_sentences(TOY_RAW)

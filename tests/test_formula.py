@@ -15,68 +15,63 @@ from arrowlm.formula import (
     EmptyTokenList,
     FormulaSyntaxError,
     Imp,
-    Interner,
     list_to_impl,
     parse_formula,
     print_formula,
 )
+from arrowlm.prover import prove
 
 from oracles import NotAChain, contiguous_subsequences, impl_to_list, suffix_prefixes
 
 
-@pytest.fixture
-def interner():
-    return Interner()
-
-
-def atoms(interner, text):
-    return [interner.atom(w) for w in text.split()]
+def atoms(text):
+    return [Atom(w) for w in text.split()]
 
 
 class TestListToImpl:
-    def test_six_token_chain(self, interner):
-        chain = list_to_impl(atoms(interner, "the cat sits on the map"))
-        expected = parse_formula("(((((the->cat)->sits)->on)->the)->map)", interner)
+    def test_six_token_chain(self):
+        chain = list_to_impl(atoms("the cat sits on the map"))
+        expected = parse_formula("(((((the->cat)->sits)->on)->the)->map)")
         assert chain == expected
 
-    def test_single_token(self, interner):
-        (x,) = atoms(interner, "x")
+    def test_single_token(self):
+        (x,) = atoms("x")
         assert list_to_impl([x]) == x
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyTokenList):
             list_to_impl([])
 
-    def test_round_trip_random(self, interner):
+    def test_round_trip_random(self):
         rng = random.Random(7)
         words = "a b c d e f g".split()
         for _ in range(500):
-            toks = [interner.atom(rng.choice(words)) for _ in range(rng.randint(1, 30))]
+            toks = [Atom(rng.choice(words)) for _ in range(rng.randint(1, 30))]
             assert impl_to_list(list_to_impl(toks)) == toks
 
 
 class TestImplToList:
-    def test_three_token_chain(self, interner):
-        f = parse_formula("(the->cat)->sits", interner)
+    def test_three_token_chain(self):
+        f = parse_formula("(the->cat)->sits")
         assert [a.surface for a in impl_to_list(f)] == ["the", "cat", "sits"]
 
-    def test_single_atom(self, interner):
-        p = interner.atom("p")
+    def test_single_atom(self):
+        p = Atom("p")
         assert impl_to_list(p) == [p]
 
-    def test_right_nested_rejected(self, interner):
+    def test_right_nested_rejected(self):
         with pytest.raises(NotAChain):
-            impl_to_list(parse_formula("p->(q->r)", interner))
+            impl_to_list(parse_formula("p->(q->r)"))
 
 
 class TestParse:
-    def test_right_associative(self, interner):
-        p, q = atoms(interner, "p q")
-        assert parse_formula("p->q->p", interner) == Imp(p, Imp(q, p))
+    def test_right_associative(self):
+        p, q = atoms("p q")
+        assert parse_formula("p->q->p") == Imp(p, Imp(q, p))
 
-    def test_parenthesized_antecedent(self, interner):
-        p, q, r = atoms(interner, "p q r")
-        assert parse_formula("((p->q)->r)", interner) == Imp(Imp(p, q), r)
+    def test_parenthesized_antecedent(self):
+        p, q, r = atoms("p q r")
+        assert parse_formula("((p->q)->r)") == Imp(Imp(p, q), r)
 
     def test_dangling_arrow(self):
         with pytest.raises(FormulaSyntaxError) as err:
@@ -94,30 +89,30 @@ class TestParse:
         with pytest.raises(FormulaSyntaxError):
             parse_formula("p)->q")
 
-    def test_word_atoms(self, interner):
-        f = parse_formula("don't->x_1", interner)
+    def test_word_atoms(self):
+        f = parse_formula("don't->x_1")
         assert isinstance(f, Imp)
         assert f.antecedent.surface == "don't"
         assert f.consequent.surface == "x_1"
 
 
 class TestPrint:
-    def test_antecedent_parenthesized(self, interner):
-        p, q, r = atoms(interner, "p q r")
+    def test_antecedent_parenthesized(self):
+        p, q, r = atoms("p q r")
         assert print_formula(Imp(Imp(p, q), r)) == "(p->q)->r"
 
-    def test_chain_print(self, interner):
-        chain = list_to_impl(atoms(interner, "the cat sits"))
+    def test_chain_print(self):
+        chain = list_to_impl(atoms("the cat sits"))
         assert print_formula(chain) == "(the->cat)->sits"
         # structurally equal to the fully parenthesized rendering
-        assert parse_formula("((the->cat)->sits)", interner) == chain
+        assert parse_formula("((the->cat)->sits)") == chain
 
-    def test_atom(self, interner):
-        assert print_formula(interner.atom("p")) == "p"
+    def test_atom(self):
+        assert print_formula(Atom("p")) == "p"
 
-    def test_parse_print_identity_random(self, interner):
+    def test_parse_print_identity_random(self):
         rng = random.Random(123)
-        names = [interner.atom(w) for w in "p q r s".split()]
+        names = [Atom(w) for w in "p q r s".split()]
 
         def build(depth):
             if depth == 0 or rng.random() < 0.4:
@@ -126,7 +121,7 @@ class TestPrint:
 
         for _ in range(10_000):
             f = build(10)
-            assert parse_formula(print_formula(f), interner) == f
+            assert parse_formula(print_formula(f)) == f
 
 
 def chain_text(words):
@@ -135,19 +130,19 @@ def chain_text(words):
 
 
 class TestDeepInput:
-    def test_ten_thousand_atom_chain(self, interner):
+    def test_ten_thousand_atom_chain(self):
         words = [f"w{i % 7}" for i in range(10_000)]
-        built = list_to_impl([interner.atom(w) for w in words])
-        twin = list_to_impl([interner.atom(w) for w in words])
+        built = list_to_impl([Atom(w) for w in words])
+        twin = list_to_impl([Atom(w) for w in words])
         assert print_formula(built) == chain_text(words)
         assert built == twin
         assert hash(built) == hash(twin)
         assert [a.surface for a in impl_to_list(built)] == words
         # An arrow chain is a loop in the parser; only parentheses nest frames.
         flat = "->".join(words)
-        assert print_formula(parse_formula(flat, interner)) == flat
+        assert print_formula(parse_formula(flat)) == flat
         prefix = words[:300]
-        assert parse_formula(chain_text(prefix), interner) == list_to_impl([interner.atom(w) for w in prefix])
+        assert parse_formula(chain_text(prefix)) == list_to_impl([Atom(w) for w in prefix])
 
     def test_error_offsets_deep_in_long_input(self):
         body = "->".join(["p"] * 4_000)
@@ -164,11 +159,18 @@ class TestDeepInput:
 
 
 class TestHashConsing:
-    def test_equal_formulas_are_one_object(self, interner):
-        p, q = atoms(interner, "p q")
-        assert Imp(Imp(p, q), p) is parse_formula("(p->q)->p", interner)
-        assert Atom(p.id, p.surface) is p
+    def test_equal_formulas_are_one_object(self):
+        p, q = atoms("p q")
+        assert Imp(Imp(p, q), p) is parse_formula("(p->q)->p")
+        assert Atom(p.surface) is p
         assert Imp(p, q) != Imp(q, p)
+
+    def test_an_atom_is_its_spelling(self):
+        # Separate parses share their atoms, so a context built apart from the goal proves it.
+        assert Atom("p") is parse_formula("p")
+        assert parse_formula("p->q").consequent is parse_formula("q")
+        assert prove(parse_formula("q"), (parse_formula("p->q"), parse_formula("p")))
+        assert repr(Atom("p")) == "Atom('p')"
 
     def test_table_holds_only_live_formulas(self):
         before = len(formula._NODES)
@@ -177,21 +179,21 @@ class TestHashConsing:
         del f
         assert len(formula._NODES) == before
 
-    def test_nodes_are_frozen(self, interner):
-        p, q = atoms(interner, "p q")
+    def test_nodes_are_frozen(self):
+        p, q = atoms("p q")
         imp = Imp(p, q)
         with pytest.raises(FrozenInstanceError):
             imp.consequent = p
         with pytest.raises(FrozenInstanceError):
-            p.id = 7
+            p.surface = "q"
         with pytest.raises(FrozenInstanceError):
             del imp.antecedent
-        assert Imp(p, q) is imp and imp.consequent is q and p.id == 0
+        assert Imp(p, q) is imp and imp.consequent is q and p.surface == "p"
 
-    def test_rebuilt_while_the_collector_runs_callbacks(self, interner):
+    def test_rebuilt_while_the_collector_runs_callbacks(self):
         # The collector clears the node's weak reference, then runs this
         # callback, which builds an equal node, and only then the table's own.
-        p, q = atoms(interner, "p q")
+        p, q = atoms("p q")
         rebuilt = []
 
         class Holder:
@@ -206,15 +208,17 @@ class TestHashConsing:
         assert watch() is None and len(rebuilt) == 1
         assert Imp(p, q) is rebuilt[0]
 
-    def test_pickle_and_copy_keep_identity(self, interner):
-        f = parse_formula("(p->q)->p", interner)
-        assert pickle.loads(pickle.dumps(f)) is f
-        assert copy.deepcopy(f) is f
+    def test_pickle_and_copy_keep_identity(self):
+        f = parse_formula("(p->q)->p")
+        p = Atom("p")
+        for node in (f, p):
+            assert pickle.loads(pickle.dumps(node)) is node
+            assert copy.deepcopy(node) is node
 
 
 class TestSuffixPrefixes:
-    def test_reference_enumeration(self, interner):
-        f = parse_formula("(((the->little)->cat)->sits)", interner)
+    def test_reference_enumeration(self):
+        f = parse_formula("(((the->little)->cat)->sits)")
         got = [print_formula(g) for g in suffix_prefixes(f)]
         assert got == [
             "sits",
@@ -229,23 +233,23 @@ class TestSuffixPrefixes:
             "the",
         ]
 
-    def test_single_atom(self, interner):
-        p = interner.atom("p")
+    def test_single_atom(self):
+        p = Atom("p")
         assert suffix_prefixes(p) == [p]
 
-    def test_not_a_chain(self, interner):
+    def test_not_a_chain(self):
         with pytest.raises(NotAChain):
-            suffix_prefixes(parse_formula("p->(q->r)", interner))
+            suffix_prefixes(parse_formula("p->(q->r)"))
 
-    def test_counts_up_to_64(self, interner):
+    def test_counts_up_to_64(self):
         for n in range(1, 65):
-            toks = [interner.atom(f"w{i}") for i in range(n)]
+            toks = [Atom(f"w{i}") for i in range(n)]
             assert len(suffix_prefixes(list_to_impl(toks))) == n * (n + 1) // 2
 
-    def test_seven_token_chain_matches_brute_force(self, interner):
+    def test_seven_token_chain_matches_brute_force(self):
         rng = random.Random(99)
         words = "a b c".split()
-        toks = [interner.atom(rng.choice(words)) for _ in range(7)]
+        toks = [Atom(rng.choice(words)) for _ in range(7)]
         frags = suffix_prefixes(list_to_impl(toks))
         assert len(frags) == 28
         expected = {
@@ -253,11 +257,11 @@ class TestSuffixPrefixes:
         }
         assert set(frags) == expected
 
-    def test_fragment_subsequence_equivalence_exhaustive(self, interner):
+    def test_fragment_subsequence_equivalence_exhaustive(self):
         # all 3^1 + ... + 3^8 chains over a 3-word alphabet
         import itertools
 
-        words = [interner.atom(w) for w in ("a", "b", "c")]
+        words = [Atom(w) for w in ("a", "b", "c")]
         for n in range(1, 9):
             for toks in itertools.product(words, repeat=n):
                 chain = list_to_impl(toks)

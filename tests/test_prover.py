@@ -14,7 +14,7 @@ import pytest
 
 import arrowlm
 from arrowlm import prover
-from arrowlm.formula import Imp, Interner, list_to_impl, parse_formula
+from arrowlm.formula import Atom, Imp, list_to_impl, parse_formula
 from arrowlm.prover import (
     App,
     Lam,
@@ -29,29 +29,23 @@ from arrowlm.prover import (
 
 from oracles import alpha_eq, enumerate_formulas, lj_provable, nbe_normal_form, random_formula
 
-I = Interner()
-
-
-def parse(text):
-    return parse_formula(text, I)
-
 
 class TestProve:
     def test_left_nested_permutation_counterexample(self):
-        assert not prove(parse("((p->q)->r) -> ((q->p)->r)"))
+        assert not prove(parse_formula("((p->q)->r) -> ((q->p)->r)"))
 
     def test_right_nested_permutation_invariance(self):
-        assert prove(parse("(p->q->r) -> (q->p->r)"))
+        assert prove(parse_formula("(p->q->r) -> (q->p->r)"))
 
     def test_curried_form_does_not_entail_the_chain(self):
         # A chain entails its curried form (test_continuation_theorems), not the converse.
-        assert not prove(parse("(p->q->r) -> ((p->q)->r)"))
+        assert not prove(parse_formula("(p->q->r) -> ((p->q)->r)"))
 
     def test_modus_ponens_chain(self):
-        assert prove(parse("((the->cat)->sits) -> (the->cat) -> sits"))
+        assert prove(parse_formula("((the->cat)->sits) -> (the->cat) -> sits"))
 
     def test_peirce_not_intuitionistic(self):
-        assert not prove(parse("((p->q)->p)->p"))
+        assert not prove(parse_formula("((p->q)->p)->p"))
 
     def test_continuation_theorems(self):
         for text in (
@@ -60,13 +54,13 @@ class TestProve:
             "((e->p)->q)->(p->q)",
             "e -> (((e->a)->b)->c) -> ((a->b)->c)",
         ):
-            assert prove(parse(text)), text
+            assert prove(parse_formula(text)), text
 
     def test_atom_unprovable(self):
-        assert not prove(I.atom("p"))
+        assert not prove(Atom("p"))
 
     def test_with_context(self):
-        p, q = I.atom("p"), I.atom("q")
+        p, q = Atom("p"), Atom("q")
         assert prove(q, (p, Imp(p, q)))
         assert prove(q, (Imp(p, q), p, p))
         assert not prove(q, (p,))
@@ -74,7 +68,7 @@ class TestProve:
     def test_completion_of_chains(self):
         # chain of n tokens -> (prefix chain of n-1) -> last atom, n = 2..12
         for n in range(2, 13):
-            toks = [I.atom(f"w{i}") for i in range(n)]
+            toks = [Atom(f"w{i}") for i in range(n)]
             full = list_to_impl(toks)
             prefix = list_to_impl(toks[:-1])
             assert prove(Imp(full, Imp(prefix, toks[-1]))), n
@@ -82,7 +76,7 @@ class TestProve:
     def test_order_sensitivity_of_chains(self):
         # for each length some permutation of the chain is not implied by it
         for n in range(3, 7):
-            toks = [I.atom(f"w{i}") for i in range(n)]
+            toks = [Atom(f"w{i}") for i in range(n)]
             chain = list_to_impl(toks)
             found = False
             for perm in itertools.permutations(toks):
@@ -100,7 +94,7 @@ class TestProve:
         pairs = sorted({(p, w) for w in words for p in itertools.permutations(w) if p != w})
 
         def chain(word):
-            return list_to_impl([I.atom(t) for t in word])
+            return list_to_impl([Atom(t) for t in word])
 
         provable = set()
         for p, w in pairs:
@@ -119,7 +113,7 @@ class TestProve:
     def test_memo_bounds_the_search(self, monkeypatch):
         # Seed 2032 is the hardest of depth-7 seeds 0-3999 for this search; the
         # unmemoized multiset-context search made 1,455,329 calls on it.
-        f = random_formula(random.Random(2032), [I.atom(w) for w in "pqr"], 7)
+        f = random_formula(random.Random(2032), [Atom(w) for w in "pqr"], 7)
         search, calls = prover._search, 0
 
         def counted(*args):
@@ -134,12 +128,11 @@ class TestProve:
 
 _WITNESS_SCRIPT = """
 import random
-from arrowlm.formula import Interner
+from arrowlm.formula import Atom
 from arrowlm.prover import format_term, prove_with_term
 from oracles import random_formula
 
-interner = Interner()
-atoms = [interner.atom(w) for w in "pqr"]
+atoms = [Atom(w) for w in "pqr"]
 rng = random.Random(5)
 for _ in range(400):
     term = prove_with_term(random_formula(rng, atoms, 6))
@@ -149,11 +142,11 @@ for _ in range(400):
 
 class TestProveWithTerm:
     def test_k_combinator(self):
-        term = prove_with_term(parse("p->q->p"))
+        term = prove_with_term(parse_formula("p->q->p"))
         assert alpha_eq(term, Lam("a", Lam("b", Var("a"))))
 
     def test_s_combinator(self):
-        term = prove_with_term(parse("(p->q->r)->(p->q)->p->r"))
+        term = prove_with_term(parse_formula("(p->q->r)->(p->q)->p->r"))
         expected = Lam(
             "x",
             Lam("y", Lam("z", App(App(Var("x"), Var("z")), App(Var("y"), Var("z"))))),
@@ -161,11 +154,11 @@ class TestProveWithTerm:
         assert alpha_eq(term, expected)
 
     def test_modus_ponens_term(self):
-        term = prove_with_term(parse("p->(p->q)->q"))
+        term = prove_with_term(parse_formula("p->(p->q)->q"))
         assert alpha_eq(term, Lam("x", Lam("y", App(Var("y"), Var("x")))))
 
     def test_atom_has_no_witness(self):
-        assert prove_with_term(I.atom("p")) is None
+        assert prove_with_term(Atom("p")) is None
 
     def test_continuation_theorem_witnesses_type_check(self):
         for text in (
@@ -174,14 +167,14 @@ class TestProveWithTerm:
             "((e->p)->q)->(p->q)",
             "e -> (((e->a)->b)->c) -> ((a->b)->c)",
         ):
-            f = parse(text)
+            f = parse_formula(text)
             term = prove_with_term(f)
             assert term is not None and type_check(term, f), text
 
     def test_witnesses_are_beta_normal(self):
         # type_check rejects redexes; a lambda-valued auxiliary hypothesis gave three here.
         rng = random.Random(0)
-        atoms = [I.atom(w) for w in "pqr"]
+        atoms = [Atom(w) for w in "pqr"]
         witnessed = 0
         for _ in range(600):
             f = random_formula(rng, atoms, 6)
@@ -206,7 +199,7 @@ class TestProveWithTerm:
 
     def test_agreement_with_prove(self):
         rng = random.Random(11)
-        atoms = [I.atom(w) for w in "p q r s".split()]
+        atoms = [Atom(w) for w in "p q r s".split()]
         for _ in range(2000):
             f = random_formula(rng, atoms, 6)
             assert prove(f) == (prove_with_term(f) is not None)
@@ -257,20 +250,20 @@ class TestTerms:
 
 class TestTypeCheck:
     def test_identity(self):
-        assert type_check(Lam("x", Var("x")), parse("p->p"))
+        assert type_check(Lam("x", Var("x")), parse_formula("p->p"))
 
     def test_s_term_against_s_type(self):
-        f = parse("(p->q->r)->(p->q)->p->r")
+        f = parse_formula("(p->q->r)->(p->q)->p->r")
         assert type_check(prove_with_term(f), f)
 
     def test_atom_mismatch(self):
-        assert not type_check(Lam("x", Var("x")), parse("p->q"))
+        assert not type_check(Lam("x", Var("x")), parse_formula("p->q"))
 
     def test_unbound_variable(self):
-        assert not type_check(Var("x"), I.atom("p"))
+        assert not type_check(Var("x"), Atom("p"))
 
     def test_env_lookup(self):
-        p = I.atom("p")
+        p = Atom("p")
         assert type_check(Var("x"), p, {"x": p})
 
 
@@ -285,8 +278,8 @@ class TestBetaNormalize:
         assert beta_normalize(t) == Var("a")
 
     def test_skk_is_identity(self):
-        s = prove_with_term(parse("(p->q->r)->(p->q)->p->r"))
-        k = prove_with_term(parse("p->q->p"))
+        s = prove_with_term(parse_formula("(p->q->r)->(p->q)->p->r"))
+        k = prove_with_term(parse_formula("p->q->p"))
         skk = App(App(App(s, k), k), Var("arg"))
         assert beta_normalize(skk) == Var("arg")
         assert alpha_eq(nbe_normal_form(skk), Var("arg"))
@@ -307,7 +300,7 @@ class TestBetaNormalize:
 
     def test_idempotence_on_witnesses(self):
         rng = random.Random(3)
-        atoms = [I.atom(w) for w in "p q".split()]
+        atoms = [Atom(w) for w in "p q".split()]
         for _ in range(300):
             f = random_formula(rng, atoms, 6)
             term = prove_with_term(f)
@@ -320,14 +313,14 @@ class TestBetaNormalize:
 
 class TestOracleAgreement:
     def test_small_formulas_against_sequent_search(self):
-        atoms = [I.atom("p"), I.atom("q")]
+        atoms = [Atom("p"), Atom("q")]
         formulas = enumerate_formulas(atoms, 4)
         assert len(formulas) == 2 + 4 + 16 + 80 + 448
         for f in formulas:
             assert prove(f) == lj_provable(f)
 
     def test_witnesses_type_check_small(self):
-        atoms = [I.atom("p"), I.atom("q")]
+        atoms = [Atom("p"), Atom("q")]
         for f in enumerate_formulas(atoms, 5):
             term = prove_with_term(f)
             if term is not None:

@@ -6,12 +6,11 @@ import random
 import pytest
 
 from arrowlm import formula
-from arrowlm.formula import Interner, list_to_impl
+from arrowlm.formula import Atom, list_to_impl
 from arrowlm.retrieval import (
     EmptyQuery,
     EmptySentence,
     Wildcard,
-    Word,
     build_db,
     query_exact,
     query_pattern,
@@ -36,12 +35,9 @@ def texts(db, results):
     return [" ".join(db.sentences[sid].tokens) for sid, _ in results]
 
 
-ATOMS = Interner()
-
-
 def chain(words):
     """The left-nested formula of ``words``; the store itself keeps none."""
-    return list_to_impl([ATOMS.atom(w) for w in words])
+    return list_to_impl([Atom(w) for w in words])
 
 
 class TestBuildDb:
@@ -206,6 +202,26 @@ class TestIndexScanAgreement:
                 assert db.occurrences(query) == [(sid, off) for sid, off, _ in windows]
                 long_hits += qlen > 5 and bool(hits)
         assert long_hits > 50
+
+    def test_occurrences_come_in_id_and_offset_order(self):
+        # retrieval_first relies on this order without sorting.  The anchor is
+        # the query's rarest word; here it is often not the first one.
+        rng = random.Random(2026)
+        anchored_later = 0
+        for _ in range(100):
+            sentences = [
+                [rng.choice("aaab") for _ in range(rng.randint(1, 12))]
+                for _ in range(rng.randint(1, 12))
+            ]
+            db = build_db(sentences)
+            for _ in range(10):
+                query = [rng.choice("ab") for _ in range(rng.randint(2, 4))]
+                got = db.occurrences(query)
+                assert got == sorted(got), query
+                rarest = min(query, key=lambda w: len(db.positions.get(w, ())))
+                repeated = len(set(query)) < len(query)
+                anchored_later += bool(got) and repeated and query.index(rarest) > 0
+        assert anchored_later > 50
 
     def test_patterns_random_corpora(self):
         rng = random.Random(2025)
