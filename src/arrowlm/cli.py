@@ -19,10 +19,14 @@ Corpus and train runs write a ``key=value`` manifest: version, command,
 every setting of the command under its ``--config`` key (so those lines,
 as a config file, re-run it), input digests, per-phase timings and peak
 RSS; a corpus manifest also says whether the input had boilerplate
-markers.  ``corpus build`` creates ``--out`` only once the input has
-sentences.  Query runs print the same to stderr, plus ``sample`` and
-``symbolic``; their digests are ``sha256_sentences``, ``sha256_vocab``
-and, when ``--model`` is read, ``sha256_checkpoint``.
+markers.  ``corpus build`` writes ``sentences.txt`` (``query`` reads it),
+``vocab.txt`` (``train``, ``query``) and ``fragments.txt`` (``train``'s
+training set); it creates ``--out`` only once the input has sentences,
+and a failed write removes what it wrote.  ``train`` refuses an ``--out``
+that is a directory or in none before it reads the corpus.  Query runs
+print the same to stderr, plus ``sample`` and ``symbolic``; their
+digests are ``sha256_sentences``, ``sha256_vocab`` and, when ``--model``
+is read, ``sha256_checkpoint``.
 
 Each command imports only what it runs, since a cold start pays for every
 module loaded: ``prove`` loads no numpy, ``dataclasses`` or ``hashlib``,
@@ -47,12 +51,12 @@ from .prover import format_term, prove, prove_with_term
 _SETTINGS = {
     "corpus": ("max_len", "max_frag"),
     "train": ("d", "r", "epochs", "seed", "batch_size", "lr", "warmup", "weight_decay",
-              "clip_norm", "max_len", "max_frag"),
+              "clip_norm"),
     "query": ("top_k", "max_new_tokens", "temperature", "seed"),
 }
 
-# TrainConfig's own names for two settings (bench/workloads.py builds it by them).
-_TRAIN_FIELDS = {"warmup": "warmup_steps", "max_frag": "k_frag"}
+# TrainConfig's own name for a setting (bench/workloads.py builds it by that name).
+_TRAIN_FIELDS = {"warmup": "warmup_steps"}
 
 # The lowest value of each setting, and whether that value is itself allowed.
 _LOWEST = {
@@ -197,31 +201,37 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     manifest.start_phase("vocab")
     vocab = corpus.build_vocab(sentences)
     manifest.start_phase("fragments")
-    training = corpus.enumerate_fragments(
-        sentences, vocab, k_frag=args.max_frag, max_len=args.max_len
-    )
+    training = corpus.enumerate_fragments(sentences, vocab, k_frag=args.max_frag,
+                                          max_len=args.max_len)
     manifest.start_phase("write")
     out_dir = Path(args.out)
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
+    written: list[Path] = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        corpus.write_sentences(out_dir / "sentences.txt", sentences)
-        corpus.write_vocab(out_dir / "vocab.txt", vocab)
-        corpus.write_fragments(out_dir / "fragments.txt", training, vocab)
+        for name, write, *data in (("sentences.txt", corpus.write_sentences, sentences),
+                                   ("vocab.txt", corpus.write_vocab, vocab),
+                                   ("fragments.txt", corpus.write_fragments, training, vocab)):
+            written.append(out_dir / name)
+            write(out_dir / name, *data)
+        manifest.finish_phase()
+        manifest.add("sentences", len(sentences))
+        manifest.add("vocab_size", len(vocab))
+        manifest.add("fragments", len(training.fragments))
+        for path in written:
+            manifest.digest(path.name, path)
+        manifest.finalize()
+        written.append(out_dir / "corpus.manifest")
+        manifest.write(written[-1])
     except OSError as exc:
+        for path in filter(Path.is_file, written):
+            path.unlink()
+        for path in filter(Path.is_dir, created):
+            path.rmdir()
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
-    manifest.finish_phase()
-    manifest.add("sentences", len(sentences))
-    manifest.add("vocab_size", len(vocab))
-    manifest.add("fragments", len(training.fragments))
-    for name in ("sentences.txt", "vocab.txt", "fragments.txt"):
-        manifest.digest(name, out_dir / name)
-    manifest.finalize()
-    manifest.write(out_dir / "corpus.manifest")
-    print(
-        f"corpus: {len(sentences)} sentences, |V|={len(vocab)}, "
-        f"{len(training.fragments)} training fragments -> {out_dir}"
-    )
+    print(f"corpus: {len(sentences)} sentences, |V|={len(vocab)}, "
+          f"{len(training.fragments)} training fragments -> {out_dir}")
     return 0
 
 
@@ -233,29 +243,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = model.TrainConfig(
         **{_TRAIN_FIELDS.get(key, key): getattr(args, key) for key in _SETTINGS["train"]}
     )
+    if cfg.r > cfg.d:
+        print(f"invalid shape: d={cfg.d}, r={cfg.r}", file=sys.stderr)
+        return 2
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        problem = "is a directory" if out.is_dir() else "lies in no directory"
+        print(f"cannot write checkpoint: {args.out} {problem}", file=sys.stderr)
+        return 2
     corpus_dir = Path(args.corpus)
     manifest = Manifest(args)
     try:
         manifest.start_phase("load")
-        sentences = corpus.read_sentences(corpus_dir / "sentences.txt")
         vocab = corpus.read_vocab(corpus_dir / "vocab.txt")
+        training = corpus.read_fragments(corpus_dir / "fragments.txt", vocab)
     except (OSError, UnicodeDecodeError, corpus.CorpusError) as exc:
         print(f"cannot load corpus: {exc}", file=sys.stderr)
         return 2
-    for sent in sentences:
-        for word in sent:
-            if word not in vocab:
-                print(f"corpus/vocab mismatch: unknown word {word!r}", file=sys.stderr)
-                return 2
-    if cfg.r > cfg.d:
-        print(f"invalid shape: d={cfg.d}, r={cfg.r}", file=sys.stderr)
-        return 2
-    manifest.digest("sentences", corpus_dir / "sentences.txt")
-    manifest.digest("vocab", corpus_dir / "vocab.txt")
-    manifest.start_phase("fragments")
-    training = corpus.enumerate_fragments(
-        sentences, vocab, k_frag=cfg.k_frag, max_len=cfg.max_len
-    )
+    for name in ("fragments", "vocab"):
+        manifest.digest(name, corpus_dir / f"{name}.txt")
     manifest.add("fragments", len(training.fragments))
     manifest.start_phase("train")
     params = model.init_params(len(vocab), cfg.d, cfg.r, cfg.seed, dtype=np.float32)
@@ -306,7 +312,7 @@ def _answer_query(raw: str, args, params, vocab, db) -> int:
         results = retrieval.query_pattern(db, items) if items else []
         named = [it.name for it in (items or []) if isinstance(it, retrieval.Wildcard) and it.name]
         for bindings, sid, _ in results:
-            text = " ".join(db.sentences[sid].tokens)
+            text = " ".join(db.sentences[sid])
             if named:
                 bound = ", ".join(f"{n}={bindings[n]}" for n in named)
                 print(f"{bound}: {text}")

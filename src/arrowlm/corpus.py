@@ -7,6 +7,9 @@ stay inside words so clitics do not explode the vocabulary.  Training
 items are every contiguous fragment of length 2..k_frag plus each full
 sentence with an EOS marker, globally deduplicated; with k_frag fixed
 the item count is linear in corpus size.
+
+``corpus build`` writes ``sentences.txt`` (``query`` reads it),
+``vocab.txt`` (``train`` and ``query``) and ``fragments.txt`` (``train``).
 """
 
 from __future__ import annotations
@@ -176,3 +179,19 @@ def write_fragments(path, training_set: TrainingSet, vocab: Vocab) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for frag in training_set.fragments:
             fh.write(" ".join(vocab.words[i] for i in frag) + "\n")
+
+
+def read_fragments(path, vocab: Vocab) -> TrainingSet:
+    """Inverse of :func:`write_fragments`: one fragment of 2+ vocab words per line."""
+    ts = TrainingSet()
+    with open(path, encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
+            words = line.split()
+            unknown = [word for word in words if word not in vocab]
+            if unknown or len(words) < 2:
+                problem = f"unknown word {unknown[0]!r}" if unknown else "fewer than 2 words"
+                raise CorpusError(f"{path}:{n}: {problem}")
+            ts.fragments.append(tuple(vocab.encode(words)))
+    if not ts.fragments:
+        raise CorpusError(f"{path}: no fragments")
+    return ts

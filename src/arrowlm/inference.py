@@ -122,9 +122,8 @@ def retrieval_first(
         # sentence built from the same corpus, so occurrences is empty too.
         return RetrievalResult((), ())
     for sid, start in occurrences:
-        tokens = db.sentences[sid].tokens
         end = start + len(query)
-        continuation = tokens[end:]
+        continuation = db.sentences[sid][end:]
         if not continuation:
             exact.setdefault(sid, Candidate(sid, start, end, (), 0.0, 0.0))
             continue

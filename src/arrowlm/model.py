@@ -134,6 +134,7 @@ class TrainConfig:
     warmup_steps: int = DEFAULTS["warmup"]
     epochs: int = DEFAULTS["epochs"]
     batch_size: int = DEFAULTS["batch_size"]
+    # Nothing in arrowlm reads these two; they stay because bench/workloads.py passes them.
     k_frag: int = DEFAULTS["max_frag"]
     max_len: int = DEFAULTS["max_len"]
     seed: int = DEFAULTS["seed"]

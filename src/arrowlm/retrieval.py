@@ -27,7 +27,7 @@ class EmptySentence(RetrievalError):
 
 
 class EmptyQuery(RetrievalError):
-    """A text query was empty after normalization."""
+    """A pattern or text query was empty (a text query after normalization)."""
 
 
 @dataclass(frozen=True)
@@ -40,18 +40,12 @@ class Wildcard:
 QueryItem = Union[str, Wildcard]
 
 
-@dataclass(frozen=True)
-class Sentence:
-    id: int
-    tokens: tuple[str, ...]
-
-
 class SentenceDB:
-    """Immutable deduplicated sentence store with a positional word index."""
+    """Immutable deduplicated word tuples, ``sentences[sid]``, with a positional word index."""
 
     def __init__(
         self,
-        sentences: tuple[Sentence, ...],
+        sentences: tuple[tuple[str, ...], ...],
         positions: dict[str, tuple[tuple[int, int], ...]],
         k_max: int,
     ):
@@ -84,9 +78,10 @@ class SentenceDB:
             j, word = min(concrete, key=lambda c: len(self.positions.get(c[1], ())))
             starts = ((sid, off - j) for sid, off in self.positions.get(word, ()) if off >= j)
         else:
-            starts = ((s.id, off) for s in self.sentences for off in range(len(s.tokens) - m + 1))
+            starts = ((sid, off) for sid, toks in enumerate(self.sentences)
+                      for off in range(len(toks) - m + 1))
         for sid, off in starts:
-            window = self.sentences[sid].tokens[off : off + m]
+            window = self.sentences[sid][off : off + m]
             if len(window) < m:
                 continue
             bindings: dict[str, str] = {}
@@ -130,43 +125,24 @@ def build_db(sentences: Iterable[Sequence[str]], k_max: int = 5) -> SentenceDB:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    stored: list[Sentence] = []
-    seen: set[tuple[str, ...]] = set()
+    ids: dict[tuple[str, ...], int] = {}
     positions: dict[str, list[tuple[int, int]]] = {}
     for sent in sentences:
         toks = tuple(sent)
         if not toks:
             raise EmptySentence("sentences must contain at least one token")
-        if toks in seen:
+        if toks in ids:
             continue
-        seen.add(toks)
-        sid = len(stored)
-        stored.append(Sentence(sid, toks))
+        sid = ids[toks] = len(ids)
         for off, word in enumerate(toks):
             positions.setdefault(word, []).append((sid, off))
     frozen = {word: tuple(hits) for word, hits in positions.items()}
-    return SentenceDB(tuple(stored), frozen, k_max)
-
-
-def query_exact(db: SentenceDB, words: Sequence[str]) -> list[tuple[int, Sentence]]:
-    """Sentences containing ``words`` contiguously, once each, in id order.
-
-    Returns (sentence id, sentence) pairs.
-    """
-    if not words:
-        raise EmptyQuery("query must contain at least one word")
-    seen: set[int] = set()
-    out: list[tuple[int, Sentence]] = []
-    for sid, _ in db.occurrences(words):
-        if sid not in seen:
-            seen.add(sid)
-            out.append((sid, db.sentences[sid]))
-    return out
+    return SentenceDB(tuple(ids), frozen, k_max)
 
 
 def query_pattern(
     db: SentenceDB, items: Sequence[QueryItem]
-) -> list[tuple[dict[str, str], int, Sentence]]:
+) -> list[tuple[dict[str, str], int, tuple[str, ...]]]:
     """Match a word/wildcard pattern against all sentence windows.
 
     Returns (bindings, sentence id, sentence) triples, deduplicated on
@@ -174,11 +150,8 @@ def query_pattern(
     """
     if not items:
         raise EmptyQuery("pattern must contain at least one item")
-    results: list[tuple[dict[str, str], int, Sentence]] = []
-    seen: set[tuple[tuple[tuple[str, str], ...], int]] = set()
+    results: dict[tuple, tuple[dict[str, str], int, tuple[str, ...]]] = {}
     for sid, _, bindings in db._match(items):
         key = (tuple(sorted(bindings.items())), sid)
-        if key not in seen:
-            seen.add(key)
-            results.append((bindings, sid, db.sentences[sid]))
-    return results
+        results.setdefault(key, (bindings, sid, db.sentences[sid]))
+    return list(results.values())

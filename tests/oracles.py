@@ -22,7 +22,7 @@ from arrowlm.corpus import normalize_words
 from arrowlm.formula import Atom, Formula, FormulaError, Imp, list_to_impl, print_formula
 from arrowlm.model import _DECAYED, ADAM_EPS, BETA1, BETA2, Gradients, ModelParams, forward_loss
 from arrowlm.prover import App, Lam, ProofTerm, Var
-from arrowlm.retrieval import EmptyQuery, SentenceDB, query_exact
+from arrowlm.retrieval import EmptyQuery, SentenceDB
 
 # ---------------------------------------------------------------------------
 # Exhaustive sequent search (loop-checked) for implicational intuitionistic
@@ -203,7 +203,8 @@ def query_text(db: SentenceDB, raw: str) -> list[str]:
     words = normalize_words(raw)
     if not words:
         raise EmptyQuery("query is empty after normalization")
-    return [" ".join(db.sentences[sid].tokens) for sid, _ in query_exact(db, words)]
+    hits = dict.fromkeys(sid for sid, _ in db.occurrences(words))  # each sentence once
+    return [" ".join(db.sentences[sid]) for sid in hits]
 
 
 def pattern_windows(sentences, parts) -> list[tuple[int, int, dict[str, str]]]:

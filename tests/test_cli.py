@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import arrowlm
@@ -127,19 +128,27 @@ class TestQuery:
         assert capsys.readouterr().out == "the cat sits on the mat\n\n"
 
     def test_max_frag_is_not_a_query_flag(self, built, tmp_path):
+        # Nor a train flag: train reads the fragments corpus build shaped.
         corpus_dir, ckpt = built
-        with pytest.raises(SystemExit) as exc:
-            query(built, "--max-frag", "3", "the cat")
-        assert exc.value.code == 2
-        # A config file may still set it for corpus and train; query ignores it.
+        train = ["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "m")]
+        for argv in (["query", "--corpus", str(corpus_dir), "--model", str(ckpt), "--max-frag", "3",
+                      "the cat"], train + ["--max-frag", "3"], train + ["--max-len", "5"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+        # A config file may still set it: corpus build reads it, train and query ignore it.
         config = tmp_path / "frag.cfg"
         config.write_text("max_frag=3\n", encoding="utf-8")
         raw = ["--input", str(corpus_dir.parent / "raw.txt"), "--out", str(tmp_path / "c")]
         assert cli.main(["--config", str(config), "corpus", "build", *raw]) == 0
-        assert "max_frag=3\n" in (tmp_path / "c" / "corpus.manifest").read_text(encoding="utf-8")
+        corpus_lines = (tmp_path / "c" / "corpus.manifest").read_text(encoding="utf-8").splitlines()
+        assert "max_frag=3" in corpus_lines
         train = ["train", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "m")]
         assert cli.main(["--config", str(config), *train, "--d", "4", "--r", "1", "--epochs", "1"]) == 0
-        assert "max_frag=3\n" in (tmp_path / "m.manifest").read_text(encoding="utf-8")
+        train_lines = (tmp_path / "m.manifest").read_text(encoding="utf-8").splitlines()
+        assert not any(line.startswith("max_frag=") for line in train_lines)
+        assert [line for line in train_lines if line.startswith("fragments=")] == [
+            line for line in corpus_lines if line.startswith("fragments=")]
         assert cli.main(["--config", str(config), "query", "--corpus", str(corpus_dir),
                          "--model", str(ckpt), "the cat"]) == 0
 
@@ -236,21 +245,37 @@ def test_corpus_without_sentences_leaves_no_out_dir(tmp_path, capsys):
     [
         ["corpus", "build", "--input", "{raw}", "--out", "{tmp}/file"],
         ["corpus", "build", "--input", "{tmp}/latin1.txt", "--out", "{tmp}/c"],
+        ["corpus", "build", "--input", "{raw}", "--out", "{tmp}/o"],
         ["train", "--corpus", "{corpus}", "--out", "{tmp}/missing/m"],
         ["train", "--corpus", "{corpus}", "--out", "{tmp}"],
         ["train", "--corpus", "{tmp}/latin1", "--out", "{tmp}/m"],
+        ["train", "--corpus", "{tmp}/unknown-word", "--out", "{tmp}/m"],
+        ["train", "--corpus", "{tmp}/empty", "--out", "{tmp}/m"],
+        ["train", "--corpus", "{tmp}/one-word", "--out", "{tmp}/m"],
         ["query", "--corpus", "{tmp}/latin1", "--model", "{model}", "the cat"],
     ],
-    ids=["corpus-out-is-a-file", "corpus-input-not-utf8", "train-out-dir-missing",
-         "train-out-is-a-dir", "train-sentences-not-utf8", "query-sentences-not-utf8"],
+    ids=["corpus-out-is-a-file", "corpus-input-not-utf8", "corpus-vocab-is-a-dir",
+         "train-out-dir-missing", "train-out-is-a-dir", "train-fragments-not-utf8",
+         "train-fragments-unknown-word", "train-fragments-empty", "train-fragments-one-word",
+         "query-sentences-not-utf8"],
 )
-def test_io_errors_are_usage_errors(built, tmp_path, capsys, args):
+def test_io_errors_are_usage_errors(built, tmp_path, monkeypatch, capsys, args):
     corpus_dir, ckpt = built
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a train run that fails reached model.train")
+
+    monkeypatch.setattr(model, "train", unreachable)
     (tmp_path / "file").write_text("kept\n", encoding="utf-8")
     (tmp_path / "latin1.txt").write_bytes("The caf\u00e9 is open.".encode("latin-1"))
-    (tmp_path / "latin1").mkdir()
-    for name in ("sentences.txt", "vocab.txt"):
-        (tmp_path / "latin1" / name).write_bytes((corpus_dir / name).read_bytes())
+    (tmp_path / "o" / "vocab.txt").mkdir(parents=True)  # the second of three writes fails
+    bad_fragments = {"latin1": "the caf\u00e9\n".encode("latin-1"), "unknown-word": b"the zebra\n",
+                     "empty": b"", "one-word": b"the cat\nthe\n"}
+    for name, text in bad_fragments.items():
+        (tmp_path / name).mkdir()
+        for kept in ("sentences.txt", "vocab.txt"):
+            (tmp_path / name / kept).write_bytes((corpus_dir / kept).read_bytes())
+        (tmp_path / name / "fragments.txt").write_bytes(text)
     with open(tmp_path / "latin1" / "sentences.txt", "ab") as fh:
         fh.write("caf\u00e9\n".encode("latin-1"))
     before = sorted(tmp_path.rglob("*"))
@@ -286,13 +311,11 @@ def test_plain_text_corpus_prints_no_warning(built, tmp_path):
     [
         ["corpus", "build", "--input", "{raw}", "--out", "{tmp}/c", "--max-frag", "1"],
         ["train", "--corpus", "{corpus}", "--out", "{tmp}/m", "--batch-size", "0"],
-        ["train", "--corpus", "{corpus}", "--out", "{tmp}/m", "--max-frag", "1"],
         ["--config", "{tmp}/bad.cfg", "train", "--corpus", "{corpus}", "--out", "{tmp}/m"],
         ["query", "--corpus", "{corpus}", "--model", "{model}", "--top-k", "0", "the cat"],
         ["query", "--corpus", "{corpus}", "--model", "{model}", "--temperature", "0", "the"],
     ],
-    ids=["corpus-max-frag", "train-batch-size", "train-max-frag", "config-d", "query-top-k",
-         "query-temperature"],
+    ids=["corpus-max-frag", "train-batch-size", "config-d", "query-top-k", "query-temperature"],
 )
 def test_out_of_range_setting_is_a_usage_error(built, tmp_path, capsys, args):
     corpus_dir, ckpt = built
@@ -368,7 +391,8 @@ def test_library_defaults_read_the_one_table():
     assert cli.DEFAULTS is arrowlm.DEFAULTS and library.keys() == arrowlm.DEFAULTS.keys()
     for key, values in library.items():
         assert values == [arrowlm.DEFAULTS[key]] * len(values), key
-    # A config field that no command-line setting reaches has no use.
+    # A config field that no command-line setting reaches has no use; k_frag and max_len
+    # are read by nothing in arrowlm and stay only because bench/workloads.py passes them.
     assert train.read == train.keys() and decode.read == decode.keys() - {"mode"}
 
 
@@ -382,10 +406,12 @@ def test_manifests_record_settings_and_digests(built):
     train = manifest_keys(ckpt.parent / f"{ckpt.name}.manifest")
     assert {
         "version", "command", "d", "r", "lr", "warmup", "epochs", "batch_size", "seed",
-        "weight_decay", "clip_norm", "max_len", "max_frag", "sha256_sentences", "sha256_vocab",
-        "fragments", "final_loss", "sha256_checkpoint", "seconds_train", "peak_rss_bytes",
+        "weight_decay", "clip_norm", "sha256_fragments", "sha256_vocab", "fragments",
+        "final_loss", "sha256_checkpoint", "seconds_train", "peak_rss_bytes",
     } <= train
     assert not train & {"warmup_steps", "k_frag"}  # only names that --config accepts
+    # The corpus manifest records how the fragments were shaped; train reads only them.
+    assert not train & {"max_len", "max_frag", "sha256_sentences"}
 
 
 def test_settings_table_drives_every_flag():
@@ -397,8 +423,7 @@ def test_settings_table_drives_every_flag():
         "prove": ["-h", "--help", "--term"],
         "corpus": ["-h", "--help", "--input", "--out", "--max-len", "--max-frag"],
         "train": ["-h", "--help", "--corpus", "--out", "--d", "--r", "--epochs", "--seed",
-                  "--batch-size", "--lr", "--warmup", "--weight-decay", "--clip-norm",
-                  "--max-len", "--max-frag"],
+                  "--batch-size", "--lr", "--warmup", "--weight-decay", "--clip-norm"],
         "query": ["-h", "--help", "--model", "--corpus", "--repl", "--symbolic", "--sample",
                   "--top-k", "--max-new-tokens", "--temperature", "--seed"],
     }
@@ -435,7 +460,7 @@ def test_manifest_settings_rerun_the_command(built, tmp_path):
 
     shape = ["--max-len", "5", "--max-frag", "3"]  # 5 words cut two of the four sentences
     first, corpus_manifest, train_manifest = run(
-        "first", corpus_flags=shape, train_flags=shape + [
+        "first", corpus_flags=shape, train_flags=[
             "--d", "6", "--r", "3", "--epochs", "3", "--seed", "5", "--lr", "0.01", "--warmup", "2"])
     again, _, _ = run("again", config(corpus_manifest), config(train_manifest))
     default, _, _ = run("default")
@@ -466,6 +491,27 @@ def test_query_manifest_digests_its_inputs(built, capsys):
     symbolic = manifest("--symbolic")  # reads no model
     assert {k: symbolic.get(k) for k in inputs} == inputs and "sha256_checkpoint" not in symbolic
     assert (symbolic["sample"], symbolic["symbolic"]) == ("False", "True")
+
+
+def test_train_reads_the_corpus_fragments(built, tmp_path):
+    # Cut fragments.txt to 3 lines: train trains on exactly those, and reads no sentences.txt.
+    corpus_dir, _ = built
+    cut = tmp_path / "cut"
+    cut.mkdir()
+    (cut / "vocab.txt").write_bytes((corpus_dir / "vocab.txt").read_bytes())
+    lines = (corpus_dir / "fragments.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    (cut / "fragments.txt").write_text("".join(lines[:3]), encoding="utf-8")
+    ckpt = tmp_path / "m.arrw"
+    small = ["--d", "8", "--r", "2", "--epochs", "2", "--seed", "3"]
+    assert cli.main(["train", "--corpus", str(cut), "--out", str(ckpt), *small]) == 0
+    assert "fragments=3" in (tmp_path / "m.arrw.manifest").read_text(encoding="utf-8").splitlines()
+    vocab = corpus.read_vocab(cut / "vocab.txt")
+    fragments = [tuple(vocab.encode(line.split())) for line in lines[:3]]
+    params = model.init_params(len(vocab), 8, 2, 3, dtype=np.float32)
+    params, _ = model.train(params, fragments, TrainConfig(d=8, r=2, epochs=2, seed=3),
+                            pad_id=vocab.pad_id)
+    model.save_checkpoint(params, vocab, tmp_path / "ref.arrw")
+    assert ckpt.read_bytes() == (tmp_path / "ref.arrw").read_bytes()
 
 
 def test_loss_file_has_one_line_per_epoch(built):

@@ -7,10 +7,12 @@ import pytest
 from arrowlm.corpus import (
     EOS_WORD,
     PAD_WORD,
+    CorpusError,
     EmptyCorpus,
     Vocab,
     build_vocab,
     enumerate_fragments,
+    read_fragments,
     read_sentences,
     read_vocab,
     split_sentences,
@@ -171,6 +173,18 @@ class TestFileFormats:
         assert digests[0] == digests[1]
         assert read_sentences(tmp_path / "one" / "sentences.txt") == sents
         assert read_vocab(tmp_path / "one" / "vocab.txt").words == vocab.words
+        assert read_fragments(tmp_path / "one" / "fragments.txt", vocab).fragments == ts.fragments
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("the cat\nthe zebra\n", "2: unknown word 'zebra'"), ("", "no fragments"),
+         ("the cat\nthe\n", "2: fewer than 2 words")],
+    )
+    def test_bad_fragments_are_corpus_errors(self, tmp_path, text, message):
+        path = tmp_path / "fragments.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusError, match=message):
+            read_fragments(path, build_vocab(split_sentences(TOY_RAW)))
 
     def test_vocab_must_end_with_specials(self, tmp_path):
         path = tmp_path / "vocab.txt"

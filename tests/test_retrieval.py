@@ -12,7 +12,6 @@ from arrowlm.retrieval import (
     EmptySentence,
     Wildcard,
     build_db,
-    query_exact,
     query_pattern,
 )
 
@@ -31,8 +30,13 @@ def db():
     return build_db([s.split() for s in TOY])
 
 
-def texts(db, results):
-    return [" ".join(db.sentences[sid].tokens) for sid, _ in results]
+def hit_ids(db, words):
+    """The ids of the sentences ``words`` occur in, once each, in id order."""
+    return list(dict.fromkeys(sid for sid, _ in db.occurrences(words)))
+
+
+def texts(db, sids):
+    return [" ".join(db.sentences[sid]) for sid in sids]
 
 
 def chain(words):
@@ -43,29 +47,27 @@ def chain(words):
 class TestBuildDb:
     def test_toy_corpus_stored(self, db):
         assert len(db) == 4
-        mat = chain(db.sentences[0].tokens)
+        mat = chain(db.sentences[0])
         assert [a.surface for a in impl_to_list(mat)] == TOY[0].split()
 
     def test_formulas_pairwise_distinct(self, db):
-        formulas = [chain(s.tokens) for s in db.sentences]
+        formulas = [chain(s) for s in db.sentences]
         assert len({id(f) for f in formulas}) == len(formulas)
         for i, f in enumerate(formulas):
             for g in formulas[i + 1 :]:
                 assert f != g
 
     def test_results_carry_the_sentence(self, db):
-        [(sid, sent)] = query_exact(db, TOY[1].split())
-        assert sent is db.sentences[sid]
         [(_, sid, sent)] = query_pattern(db, db.parse_pattern(TOY[1]))
-        assert sent is db.sentences[sid]
-        assert [a.surface for a in impl_to_list(chain(sent.tokens))] == TOY[1].split()
+        assert sent is db.sentences[sid] and sent == tuple(TOY[1].split())
+        assert [a.surface for a in impl_to_list(chain(sent))] == TOY[1].split()
 
     def test_stores_plain_words(self):
         gc.collect()
         before = len(formula._NODES)
         db = build_db([["plain_a", "plain_b"], ["plain_c", "plain_a"]])
         assert len(formula._NODES) == before
-        assert [s.tokens for s in db.sentences] == [("plain_a", "plain_b"), ("plain_c", "plain_a")]
+        assert db.sentences == (("plain_a", "plain_b"), ("plain_c", "plain_a"))
 
     def test_duplicates_stored_once(self):
         db = build_db([["a", "b"], ["a", "b"], ["b", "a"]])
@@ -84,50 +86,49 @@ class TestBuildDb:
         # One entry per stored token, in (sentence id, offset) order.
         for word, hits in db.positions.items():
             assert list(hits) == sorted(set(hits))
-            assert all(db.sentences[sid].tokens[off] == word for sid, off in hits)
-        assert sum(map(len, db.positions.values())) == sum(len(s.tokens) for s in db.sentences)
+            assert all(db.sentences[sid][off] == word for sid, off in hits)
+        assert sum(map(len, db.positions.values())) == sum(map(len, db.sentences))
 
 
 class TestQueryExact:
     def test_the_cat_returns_three(self, db):
-        got = texts(db, query_exact(db, ["the", "cat"]))
+        got = texts(db, hit_ids(db, ["the", "cat"]))
         assert got == [TOY[0], TOY[2], TOY[3]]
 
     def test_sits(self, db):
-        got = texts(db, query_exact(db, ["sits"]))
+        got = texts(db, hit_ids(db, ["sits"]))
         assert got == [TOY[0], TOY[1]]
 
     def test_absent_tokens(self, db):
-        assert query_exact(db, ["purple", "unicorn"]) == []
+        assert db.occurrences(["purple", "unicorn"]) == []
 
-    def test_empty_query_rejected(self, db):
-        with pytest.raises(EmptyQuery):
-            query_exact(db, [])
+    def test_empty_query_has_no_occurrences(self, db):
+        assert db.occurrences([]) == []
 
     def test_whole_sentence_query(self, db):
         words = TOY[0].split()  # 6 words, longer than any n-gram a store used to index
-        got = texts(db, query_exact(db, words))
+        got = texts(db, hit_ids(db, words))
         assert got == [TOY[0]]
 
     def test_no_duplicate_ids(self):
         db = build_db([["a", "b", "a", "b"]])
-        results = query_exact(db, ["a", "b"])
-        assert [sid for sid, _ in results] == [0]
+        assert db.occurrences(["a", "b"]) == [(0, 0), (0, 2)]
+        assert query_text(db, "a b") == ["a b a b"]
 
     def test_membership_matches_fragment_semantics(self, db):
         # query hits iff the query chain is a suffix-prefix fragment
         for words in (["the", "cat"], ["sits", "on"], ["the"], ["cat", "sits", "on"]):
-            hits = {sid for sid, _ in query_exact(db, words)}
-            for sent in db.sentences:
-                in_frags = chain(words) in suffix_prefixes(chain(sent.tokens))
-                assert (sent.id in hits) == in_frags
+            hits = set(hit_ids(db, words))
+            for sid, sent in enumerate(db.sentences):
+                in_frags = chain(words) in suffix_prefixes(chain(sent))
+                assert (sid in hits) == in_frags
 
 
 class TestQueryPattern:
     def test_the_x_chases(self, db):
         items = db.parse_pattern("the ?x chases")
         results = query_pattern(db, items)
-        got = {(b["x"], " ".join(db.sentences[sid].tokens)) for b, sid, _ in results}
+        got = {(b["x"], " ".join(db.sentences[sid])) for b, sid, _ in results}
         assert got == {("cat", TOY[2]), ("dog", TOY[3])}
 
     def test_single_wildcard_matches_every_sentence(self, db):
@@ -137,7 +138,7 @@ class TestQueryPattern:
             per_sentence.setdefault(sid, set()).add(bindings["w"])
         assert set(per_sentence) == {0, 1, 2, 3}
         for sid, words in per_sentence.items():
-            assert words == set(db.sentences[sid].tokens)
+            assert words == set(db.sentences[sid])
 
     def test_repeated_name_requires_same_word(self, db):
         # no sentence in the toy corpus repeats a word adjacently
@@ -188,7 +189,7 @@ class TestIndexScanAgreement:
                 for _ in range(rng.randint(1, 12))
             ]
             db = build_db(sentences)
-            stored = [s.tokens for s in db.sentences]
+            stored = db.sentences
             for qlen in range(1, 10):
                 source = rng.choice(stored)
                 if trial % 2 and len(source) >= qlen:  # a stored window, so long queries hit
@@ -197,7 +198,7 @@ class TestIndexScanAgreement:
                 else:
                     query = [rng.choice(words) for _ in range(qlen)]
                 hits = scan_matches(stored, query)
-                assert [sid for sid, _ in query_exact(db, query)] == hits
+                assert hit_ids(db, query) == hits
                 windows = pattern_windows(stored, query)
                 assert db.occurrences(query) == [(sid, off) for sid, off, _ in windows]
                 long_hits += qlen > 5 and bool(hits)
@@ -234,7 +235,7 @@ class TestIndexScanAgreement:
                 for _ in range(rng.randint(1, 10))
             ]
             db = build_db(sentences)
-            stored = [s.tokens for s in db.sentences]
+            stored = db.sentences
             for _ in range(20):
                 pool = wildcards if trial % 4 == 0 else words + wildcards
                 parts = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
@@ -263,12 +264,11 @@ class TestIndexScanAgreement:
         for _ in range(200):
             qlen = rng.randint(1, 6)
             query = [rng.choice(words) for _ in range(qlen)]
-            hits = {sid for sid, _ in query_exact(db, query)}
+            hits = set(hit_ids(db, query))
             query_chain = chain(query)
-            for sent in db.sentences:
+            for sid, sent in enumerate(db.sentences):
                 is_subseq = any(
-                    sent.tokens[i : i + qlen] == tuple(query)
-                    for i in range(len(sent.tokens) - qlen + 1)
+                    sent[i : i + qlen] == tuple(query) for i in range(len(sent) - qlen + 1)
                 )
-                in_frags = query_chain in suffix_prefixes(chain(sent.tokens))
-                assert is_subseq == in_frags == (sent.id in hits)
+                in_frags = query_chain in suffix_prefixes(chain(sent))
+                assert is_subseq == in_frags == (sid in hits)
