@@ -21,12 +21,15 @@ as a config file, re-run it), input digests, per-phase timings and peak
 RSS; a corpus manifest also says whether the input had boilerplate
 markers.  ``corpus build`` writes ``sentences.txt`` (``query`` reads it),
 ``vocab.txt`` (``train``, ``query``) and ``fragments.txt`` (``train``'s
-training set); it creates ``--out`` only once the input has sentences,
-and a failed write removes what it wrote.  ``train`` refuses an ``--out``
-that is a directory or in none before it reads the corpus.  Query runs
-print the same to stderr, plus ``sample`` and ``symbolic``; their
-digests are ``sha256_sentences``, ``sha256_vocab`` and, when ``--model``
-is read, ``sha256_checkpoint``.
+training set).  Outputs are all or none: a command writes them into a
+fresh ``.arrowlm-*`` stage beside them, then moves each into place with
+``os.replace``, which is atomic per file (``rename(2)``) but not across
+files; a killed run may leave a stage that no command reads.  ``train``
+refuses an output name that is a directory, or an ``--out`` in no
+directory, before it reads the corpus.  Query runs print the same to
+stderr, plus ``sample`` and ``symbolic``; their digests are
+``sha256_sentences``, ``sha256_vocab`` and, when ``--model`` is read,
+``sha256_checkpoint``.
 
 Each command imports only what it runs, since a cold start pays for every
 module loaded: ``prove`` loads no numpy, ``dataclasses`` or ``hashlib``,
@@ -36,10 +39,12 @@ and ``query --symbolic`` loads no numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import shutil
 import sys
+import tempfile
 import time
-import warnings
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -115,8 +120,30 @@ class Manifest:
     def text(self) -> str:
         return "".join(f"{k}={v}\n" for k, v in self.entries)
 
-    def write(self, path) -> None:
-        Path(path).write_text(self.text(), encoding="utf-8")
+
+@contextlib.contextmanager
+def _outputs(out_dir: Path):
+    """Yield a stage directory, then publish its files into ``out_dir``: all or none.
+
+    The body writes each output into the stage under its final name.  Unless a
+    target is a directory, each then moves into place with ``os.replace``.  An
+    exception removes the stage and any directory made for ``out_dir``.
+    """
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".arrowlm-", dir=out_dir) as stage:
+            yield Path(stage)
+            staged = {path: out_dir / path.name for path in sorted(Path(stage).iterdir())}
+            in_the_way = [target for target in staged.values() if target.is_dir()]
+            if in_the_way:
+                raise IsADirectoryError(f"{in_the_way[0]} is a directory")
+            for path, target in staged.items():
+                path.replace(target)
+    except BaseException:
+        if created:
+            shutil.rmtree(created[-1], ignore_errors=True)
+        raise
 
 
 def _load_config_file(path) -> dict[str, str]:
@@ -189,11 +216,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     manifest.add("input", args.input)
     manifest.digest("input", args.input)
     manifest.start_phase("split")
-    # Plain text has no start/end markers: a manifest line says so, not a warning.
-    with warnings.catch_warnings(record=True) as missing_markers:
-        warnings.simplefilter("always")
-        body = corpus.strip_boilerplate(raw)
-    manifest.add("boilerplate_markers", "absent" if missing_markers else "present")
+    body = corpus.strip_boilerplate(raw)  # a body between markers lacks the start line
+    manifest.add("boilerplate_markers", "absent" if body == raw else "present")
     sentences = corpus.split_sentences(body, max_len=args.max_len)
     if not sentences:
         print("no sentences found in input", file=sys.stderr)
@@ -205,29 +229,20 @@ def cmd_corpus(args: argparse.Namespace) -> int:
                                           max_len=args.max_len)
     manifest.start_phase("write")
     out_dir = Path(args.out)
-    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
-    written: list[Path] = []
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, write, *data in (("sentences.txt", corpus.write_sentences, sentences),
-                                   ("vocab.txt", corpus.write_vocab, vocab),
-                                   ("fragments.txt", corpus.write_fragments, training, vocab)):
-            written.append(out_dir / name)
-            write(out_dir / name, *data)
-        manifest.finish_phase()
-        manifest.add("sentences", len(sentences))
-        manifest.add("vocab_size", len(vocab))
-        manifest.add("fragments", len(training.fragments))
-        for path in written:
-            manifest.digest(path.name, path)
-        manifest.finalize()
-        written.append(out_dir / "corpus.manifest")
-        manifest.write(written[-1])
+        with _outputs(out_dir) as stage:
+            corpus.write_sentences(stage / "sentences.txt", sentences)
+            corpus.write_vocab(stage / "vocab.txt", vocab)
+            corpus.write_fragments(stage / "fragments.txt", training, vocab)
+            manifest.finish_phase()
+            manifest.add("sentences", len(sentences))
+            manifest.add("vocab_size", len(vocab))
+            manifest.add("fragments", len(training.fragments))
+            for name in ("sentences.txt", "vocab.txt", "fragments.txt"):
+                manifest.digest(name, stage / name)
+            manifest.finalize()
+            (stage / "corpus.manifest").write_text(manifest.text(), encoding="utf-8")
     except OSError as exc:
-        for path in filter(Path.is_file, written):
-            path.unlink()
-        for path in filter(Path.is_dir, created):
-            path.rmdir()
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
     print(f"corpus: {len(sentences)} sentences, |V|={len(vocab)}, "
@@ -247,9 +262,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"invalid shape: d={cfg.d}, r={cfg.r}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    if out.is_dir() or not out.parent.is_dir():
-        problem = "is a directory" if out.is_dir() else "lies in no directory"
-        print(f"cannot write checkpoint: {args.out} {problem}", file=sys.stderr)
+    in_the_way = [f"{args.out}{s}" for s in ("", ".vocab", ".loss", ".manifest")
+                  if Path(f"{args.out}{s}").is_dir()]
+    if in_the_way or not out.parent.is_dir():
+        problem = f"{in_the_way[0]} is a directory" if in_the_way else f"{args.out} lies in no directory"
+        print(f"cannot write checkpoint: {problem}", file=sys.stderr)
         return 2
     corpus_dir = Path(args.corpus)
     manifest = Manifest(args)
@@ -275,19 +292,20 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 2
     manifest.start_phase("save")
+    loss_lines = "".join(f"{epoch}\t{loss:.6f}\n" for epoch, loss in enumerate(history, 1))
     try:
-        model.save_checkpoint(params, vocab, args.out)
+        with _outputs(out.parent) as stage:
+            model.save_checkpoint(params, vocab, stage / out.name)  # and its .vocab sidecar
+            (stage / f"{out.name}.loss").write_text(loss_lines, encoding="utf-8")
+            manifest.finish_phase()
+            if history:
+                manifest.add("final_loss", f"{history[-1]:.6f}")
+            manifest.digest("checkpoint", stage / out.name)
+            manifest.finalize()
+            (stage / f"{out.name}.manifest").write_text(manifest.text(), encoding="utf-8")
     except OSError as exc:
         print(f"cannot write checkpoint: {exc}", file=sys.stderr)
         return 2
-    loss_lines = "".join(f"{epoch}\t{loss:.6f}\n" for epoch, loss in enumerate(history, 1))
-    Path(f"{args.out}.loss").write_text(loss_lines, encoding="utf-8")
-    manifest.finish_phase()
-    if history:
-        manifest.add("final_loss", f"{history[-1]:.6f}")
-    manifest.digest("checkpoint", args.out)
-    manifest.finalize()
-    manifest.write(f"{args.out}.manifest")
     final = f", final loss {history[-1]:.4f}" if history else ""
     print(f"trained {cfg.epochs} epochs on {len(training.fragments)} fragments{final}")
     return 0

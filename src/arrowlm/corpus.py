@@ -15,7 +15,6 @@ the item count is linear in corpus size.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -70,7 +69,7 @@ class TrainingSet:
 def strip_boilerplate(raw: str) -> str:
     """Keep the body between the standard ``*** START OF``/``*** END OF`` lines.
 
-    Returns the input unchanged (with a warning) when the markers are missing.
+    Returns the input unchanged when either marker is missing.
     """
     lines = raw.splitlines(keepends=True)
     start = end = None
@@ -82,7 +81,6 @@ def strip_boilerplate(raw: str) -> str:
             end = i
             break
     if start is None or end is None:
-        warnings.warn("boilerplate markers not found; keeping full text")
         return raw
     return "".join(lines[start + 1 : end])
 

@@ -29,7 +29,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -406,19 +406,15 @@ def train(
     params: ModelParams,
     fragments: Sequence[Sequence[int]],
     config: TrainConfig,
-    pad_id: Optional[int] = None,
+    pad_id: int,
 ) -> tuple[ModelParams, list[float]]:
     """AdamW training over the fragment set; returns per-epoch mean losses.
 
-    ``params`` is updated in place.  ``pad_id`` defaults to the last
-    vocabulary id, matching the vocab file layout.  Raises
-    :class:`NonFiniteTraining` before applying a step whose loss or
-    gradient norm is not finite.
+    ``params`` is updated in place.  Raises :class:`NonFiniteTraining`
+    before applying a step whose loss or gradient norm is not finite.
     """
     if not fragments:
         raise DegenerateBatch("training set is empty")
-    if pad_id is None:
-        pad_id = params.vocab_size - 1
     rng = np.random.default_rng(config.seed)
     optimizer = AdamW(params, config)
     history: list[float] = []

@@ -7,6 +7,7 @@ import inspect
 import io
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -248,6 +249,9 @@ def test_corpus_without_sentences_leaves_no_out_dir(tmp_path, capsys):
         ["corpus", "build", "--input", "{raw}", "--out", "{tmp}/o"],
         ["train", "--corpus", "{corpus}", "--out", "{tmp}/missing/m"],
         ["train", "--corpus", "{corpus}", "--out", "{tmp}"],
+        ["train", "--corpus", "{corpus}", "--out", "{tmp}/v"],
+        ["train", "--corpus", "{corpus}", "--out", "{tmp}/l"],
+        ["train", "--corpus", "{corpus}", "--out", "{tmp}/n"],
         ["train", "--corpus", "{tmp}/latin1", "--out", "{tmp}/m"],
         ["train", "--corpus", "{tmp}/unknown-word", "--out", "{tmp}/m"],
         ["train", "--corpus", "{tmp}/empty", "--out", "{tmp}/m"],
@@ -255,7 +259,8 @@ def test_corpus_without_sentences_leaves_no_out_dir(tmp_path, capsys):
         ["query", "--corpus", "{tmp}/latin1", "--model", "{model}", "the cat"],
     ],
     ids=["corpus-out-is-a-file", "corpus-input-not-utf8", "corpus-vocab-is-a-dir",
-         "train-out-dir-missing", "train-out-is-a-dir", "train-fragments-not-utf8",
+         "train-out-dir-missing", "train-out-is-a-dir", "train-vocab-is-a-dir",
+         "train-loss-is-a-dir", "train-manifest-is-a-dir", "train-fragments-not-utf8",
          "train-fragments-unknown-word", "train-fragments-empty", "train-fragments-one-word",
          "query-sentences-not-utf8"],
 )
@@ -269,6 +274,8 @@ def test_io_errors_are_usage_errors(built, tmp_path, monkeypatch, capsys, args):
     (tmp_path / "file").write_text("kept\n", encoding="utf-8")
     (tmp_path / "latin1.txt").write_bytes("The caf\u00e9 is open.".encode("latin-1"))
     (tmp_path / "o" / "vocab.txt").mkdir(parents=True)  # the second of three writes fails
+    for name in ("v.vocab", "l.loss", "n.manifest"):  # train writes these beside --out
+        (tmp_path / name).mkdir()
     bad_fragments = {"latin1": "the caf\u00e9\n".encode("latin-1"), "unknown-word": b"the zebra\n",
                      "empty": b"", "one-word": b"the cat\nthe\n"}
     for name, text in bad_fragments.items():
@@ -287,6 +294,56 @@ def test_io_errors_are_usage_errors(built, tmp_path, monkeypatch, capsys, args):
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("cannot "), err
     assert sorted(tmp_path.rglob("*")) == before  # no --out, checkpoint or manifest
     assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
+
+
+def fail_to_write(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
+def files_and_bytes(root):
+    return {path: path.is_file() and path.read_bytes() for path in root.rglob("*")}
+
+
+@pytest.mark.parametrize("out, fault", [("c", "write"), ("c", "manifest-is-a-dir"),
+                                        ("new/c", "write")],
+                         ids=["rebuild-write-fails", "rebuild-manifest-is-a-dir",
+                              "new-out-write-fails"])
+def test_failed_corpus_build_publishes_nothing(built, tmp_path, monkeypatch, capsys, out, fault):
+    # An earlier corpus stays whole, byte for byte, and no stage or new directory is left.
+    corpus_dir, _ = built
+    shutil.copytree(corpus_dir, tmp_path / "c")
+    if fault == "write":
+        monkeypatch.setattr(corpus, "write_fragments", fail_to_write)
+    else:
+        (tmp_path / "c" / "corpus.manifest").unlink()
+        (tmp_path / "c" / "corpus.manifest").mkdir()
+    raw = tmp_path / "other.txt"
+    raw.write_text("A dog runs. A bird sings.", encoding="utf-8")
+    before = files_and_bytes(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["corpus", "build", "--input", str(raw), "--out", str(tmp_path / out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("cannot write output: ")
+    assert files_and_bytes(tmp_path) == before
+
+
+def test_failed_train_write_keeps_the_earlier_model(built, tmp_path, monkeypatch, capsys):
+    corpus_dir, ckpt = built
+    for suffix in ("", ".vocab", ".loss", ".manifest"):
+        (tmp_path / f"m{suffix}").write_bytes(Path(f"{ckpt}{suffix}").read_bytes())
+    before = files_and_bytes(tmp_path)
+
+    def fail_once_staged(manifest):
+        (stage,) = tmp_path.glob(".arrowlm-*")
+        assert sorted(path.name for path in stage.iterdir()) == ["m", "m.loss", "m.vocab"]
+        fail_to_write()
+
+    monkeypatch.setattr(cli.Manifest, "finalize", fail_once_staged)
+    capsys.readouterr()
+    args = ["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "m")]
+    assert cli.main(args + ["--d", "4", "--r", "1", "--epochs", "1"]) == 2
+    assert capsys.readouterr() == ("", "cannot write checkpoint: [Errno 28] No space left on device\n")
+    assert files_and_bytes(tmp_path) == before
 
 
 def test_plain_text_corpus_prints_no_warning(built, tmp_path):

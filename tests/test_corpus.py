@@ -1,6 +1,7 @@
 """Text cleanup, sentence splitting, vocabulary, fragment enumeration."""
 
 import hashlib
+import warnings
 
 import pytest
 
@@ -34,13 +35,13 @@ class TestStripBoilerplate:
         )
         assert strip_boilerplate(raw) == "body line one\nbody line two\n"
 
-    def test_markers_absent_warns(self):
-        with pytest.warns(UserWarning):
-            assert strip_boilerplate("plain text") == "plain text"
-
-    def test_empty_text_warns(self):
-        with pytest.warns(UserWarning):
-            assert strip_boilerplate("") == ""
+    @pytest.mark.parametrize("raw", ["plain text", "", "*** START OF X ***\nno end marker\n"],
+                             ids=["plain", "empty", "no-end-marker"])
+    def test_markers_absent_keep_the_text_without_a_warning(self, raw):
+        # Missing markers are a normal input: cmd_corpus records them from body == raw.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert strip_boilerplate(raw) == raw
 
 
 class TestSplitSentences:
@@ -91,6 +92,10 @@ class TestBuildVocab:
     def test_encode_decode(self):
         vocab = build_vocab([["a", "b"]])
         assert vocab.decode(vocab.encode(["b", "a"])) == ["b", "a"]
+
+    def test_duplicate_words_are_refused(self):
+        with pytest.raises(CorpusError):
+            Vocab(["a", "a"])
 
 
 class TestEnumerateFragments:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from arrowlm import inference
 from arrowlm.corpus import Vocab, build_vocab, split_sentences
 from arrowlm.inference import DecodeConfig, generate_free, retrieval_first, score_continuation
 from arrowlm.model import ModelError, pack_batch, step
@@ -84,6 +85,22 @@ class TestRetrievalFirst:
         _, vocab, db, params = toy
         assert not retrieval_first(params, vocab, db, ["mouse", "sits"])
         assert not retrieval_first(params, vocab, db, ["unicorn"])
+
+    def test_scores_each_distinct_continuation_once(self, monkeypatch):
+        # "a" is followed by "b" in two sentences and by "c" in one: two scorings.
+        sentences = [["x", "a", "b"], ["y", "a", "b"], ["a", "c"]]
+        vocab = build_vocab(sentences)
+        params = random_params(len(vocab), 8, 3, 5)
+        scored = []
+
+        def counting(params, prefix, continuation):
+            scored.append(vocab.decode(continuation))
+            return score_continuation(params, prefix, continuation)
+
+        monkeypatch.setattr(inference, "score_continuation", counting)
+        result = retrieval_first(params, vocab, build_db(sentences), ["a"], k=5)
+        assert sorted(scored) == [["b"], ["c"]]
+        assert sorted(c.continuation for c in result.ranked) == [("b",), ("c",)]
 
 
 def skewed_params(vocab, seed):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from arrowlm.corpus import Vocab
+from arrowlm.corpus import Vocab, write_vocab
 from arrowlm.model import (
     AdamW,
     ChecksumMismatch,
@@ -133,6 +133,12 @@ class TestForwardLoss:
         mask = np.ones((1, 1), dtype=bool)
         with pytest.raises(TokenOutOfRange):
             forward_loss(params, tokens, mask)
+
+    def test_mask_shape_validated(self):
+        params = init_params(6, 8, 2, 0)
+        tokens = np.array([[1, 2, 3]])
+        with pytest.raises(InvalidShape):
+            forward_loss(params, tokens, np.ones((1, 3), dtype=bool))
 
     def test_streaming_equals_materialized(self):
         rng = np.random.default_rng(11)
@@ -376,7 +382,7 @@ class TestTrain:
     def test_empty_training_set(self):
         params = init_params(6, 8, 2, 0)
         with pytest.raises(DegenerateBatch):
-            train(params, [], TrainConfig(d=8, r=2))
+            train(params, [], TrainConfig(d=8, r=2), pad_id=5)
 
     def test_long_fragments_stay_finite_from_init(self):
         # A zero start state puts LayerNorm at its 1/sqrt(eps) floor, which
@@ -474,6 +480,13 @@ class TestCheckpoint:
         blob = b"NOPE" + b"\x00" * 20
         blob += struct.pack("<I", zlib.crc32(blob))
         path.write_bytes(blob)
+        with pytest.raises(FormatVersionMismatch):
+            load_checkpoint(path)
+
+    def test_vocab_sidecar_length_guard(self, tmp_path):
+        path = tmp_path / "model.arrw"
+        save_checkpoint(init_params(11, 16, 4, 21), self.make_vocab(11), path)
+        write_vocab(f"{path}.vocab", self.make_vocab(10))
         with pytest.raises(FormatVersionMismatch):
             load_checkpoint(path)
 

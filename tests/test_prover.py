@@ -266,6 +266,19 @@ class TestTypeCheck:
         p = Atom("p")
         assert type_check(Var("x"), p, {"x": p})
 
+    def test_argument_of_the_wrong_type(self):
+        # \f.\y. f y needs y : p to apply f : p->q, and here y : r.
+        term = Lam("f", Lam("y", App(Var("f"), Var("y"))))
+        assert not type_check(term, parse_formula("(p->q)->r->q"))
+        assert type_check(term, parse_formula("(p->q)->p->q"))
+
+    def test_redex(self):
+        p = Atom("p")
+        assert not type_check(App(Lam("x", Var("x")), Var("y")), p, {"y": p})
+
+    def test_unbound_argument(self):
+        assert not type_check(Lam("f", App(Var("f"), Var("z"))), parse_formula("(p->q)->q"))
+
 
 class TestBetaNormalize:
     def test_simple_redex(self):
