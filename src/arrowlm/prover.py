@@ -21,11 +21,17 @@ Committing is safe because the right premise (the context with ``B`` for
 ``A->B``) is invertible: ``B`` implies ``A->B``, so if the goal follows at
 all, it follows from the right premise.
 
-Deciding and witnessing are one search: when witnessing, the context pairs
-each hypothesis with a witness, so a successful search returns the record
-of its derivation.  ``prove`` keeps only whether it succeeded;
-``prove_with_term`` turns the record into a lambda-calculus term,
-validated here by ``type_check`` and ``beta_normalize``.
+At an atom goal the search first applies the head rule: the goal fails at
+once if it is the *head* (the last consequent; an atom is its own head) of
+no hypothesis.  The rule is sound because only an axiom closes an atom
+goal, and no rule adds a head to the context of its right premise: ``B``
+has the head of ``A->B``, and the auxiliary ``D->B`` that of ``(C->D)->B``.
+
+The search only decides.  ``prove_with_term`` runs it once, then
+``_witness`` replays the decision from the memo: an implication goal
+becomes a lambda, an atom in the context is its hypothesis's witness, and
+any other atom takes the first implication whose left premise the memo
+says holds, then goes on with the right premise.
 """
 
 from __future__ import annotations
@@ -107,7 +113,7 @@ ProofTerm = Union[Var, Lam, App]
 def prove(goal: Formula, context: tuple[Formula, ...] = ()) -> bool:
     """Decide provability of ``goal`` from ``context``, read as a set of hypotheses."""
     hyps = tuple(dict.fromkeys(context))
-    return _search(goal, hyps, frozenset(hyps), None, {}, None) is not None
+    return _search(goal, hyps, frozenset(hyps), {})
 
 
 def prove_with_term(goal: Formula) -> Optional[ProofTerm]:
@@ -119,77 +125,101 @@ def prove_with_term(goal: Formula) -> Optional[ProofTerm]:
     to an argument builds ``s (\\c. arg)`` directly, so every witness is
     beta-normal and simply typed at the goal formula.
     """
-    witness = _search(goal, (), frozenset(), (), {}, itertools.count(1))
-    return None if witness is None else _term(witness)
+    memo: dict = {}
+    found = _search(goal, (), frozenset(), memo)
+    return _term(_witness(goal, (), frozenset(), (), memo, itertools.count(1))) if found else None
 
 
-# A witness inside the search is plain data: a variable name, ("lam", name,
+# A witness inside the walk is plain data: a variable name, ("lam", name,
 # body), ("app", fun, arg) or ("aux", s, d, c) for the auxiliary hypothesis
 # \d. s (\c. d).  Names come from one counter per top-level call, so every
 # binder a step creates is fresh and no step can capture.
 Witness = Union[str, tuple]
 
 
-def _search(goal: Formula, hyps: tuple, known: frozenset, wits: Optional[tuple], memo: dict, names):
-    """The four-rule search over a set context; None if ``goal`` does not follow.
+def _search(goal: Formula, hyps: tuple, known: frozenset, memo: dict) -> bool:
+    """The four-rule search over a set context: whether ``goal`` follows.
 
     ``hyps`` holds the hypotheses without repeats in the order they were
     assumed, which fixes the search order; ``known`` is the same set as a
-    frozenset, which answers membership and keys ``memo``.  Witnessing
-    (``names`` is a counter) pairs ``hyps`` with the witnesses ``wits``;
-    deciding (``names`` is None) returns True on success and builds no
-    witness.  Success depends on the set alone, so ``memo`` records both
-    outcomes when deciding but only failures when witnessing.
+    frozenset, which answers membership and keys ``memo``.  The outcome
+    depends on the set alone, so ``memo`` records both outcomes.
     """
     if goal in known:
-        return True if names is None else wits[hyps.index(goal)]
+        return True
     key = (goal, known)
     if key in memo:
         return memo[key]
-    result = None
+    result = False
     if isinstance(goal, Imp):
         a = goal.antecedent
-        x = None if names is None else f"x{next(names)}"
         if a not in known:
             hyps, known = hyps + (a,), known | {a}
-            wits = None if names is None else wits + (x,)
-        body = _search(goal.consequent, hyps, known, wits, memo, names)
-        result = body if body is None or names is None else ("lam", x, body)
+        result = _search(goal.consequent, hyps, known, memo)
     else:
+        # The head rule, inline: the prove-mix call budget counts every Python call.
+        for f in hyps:
+            while isinstance(f, Imp):
+                f = f.consequent
+            if f is goal:
+                break
+        else:
+            memo[key] = False
+            return False
         for i, f in enumerate(hyps):
-            if not isinstance(f, Imp):
+            if not isinstance(f, Imp) or isinstance(f.antecedent, Atom) and f.antecedent not in known:
                 continue
             a, b = f.antecedent, f.consequent
-            if isinstance(a, Atom) and a not in known:
-                continue
             rest, rest_known = hyps[:i] + hyps[i + 1 :], known - {f}
-            rest_wits = s = None
-            if names is not None:
-                s = wits[i]
-                rest_wits = wits[:i] + wits[i + 1 :]
-            if isinstance(a, Atom):
-                arg = True if names is None else wits[hyps.index(a)]
-            else:
+            if not isinstance(a, Atom):
                 aux = Imp(a.consequent, b)
                 if aux in rest_known:
-                    arg = _search(a, rest, rest_known, rest_wits, memo, names)
-                elif names is None:
-                    arg = _search(a, rest + (aux,), rest_known | {aux}, None, memo, None)
+                    holds = _search(a, rest, rest_known, memo)
                 else:
-                    w = ("aux", s, f"x{next(names)}", f"x{next(names)}")
-                    arg = _search(a, rest + (aux,), rest_known | {aux}, rest_wits + (w,), memo, names)
-                if arg is None:
+                    holds = _search(a, rest + (aux,), rest_known | {aux}, memo)
+                if not holds:
                     continue
             # Commit: the right premise is invertible, so no other choice is tried.
             if b not in rest_known:
                 rest, rest_known = rest + (b,), rest_known | {b}
-                if names is not None:
-                    rest_wits += (_apply(s, arg),)
-            result = _search(goal, rest, rest_known, rest_wits, memo, names)
+            result = _search(goal, rest, rest_known, memo)
             break
-    if result is None or names is None:
-        memo[key] = result
+    memo[key] = result
     return result
+
+
+def _witness(goal: Formula, hyps: tuple, known: frozenset, wits: tuple, memo: dict, names) -> Witness:
+    """Replay the decision of a provable ``goal`` as a witness; ``wits`` pairs with ``hyps``.
+
+    A left premise that the search did not settle in this context, because
+    it reached the context in another order, is decided by ``_search``.
+    """
+    if goal in known:
+        return wits[hyps.index(goal)]
+    if isinstance(goal, Imp):
+        a, x = goal.antecedent, f"x{next(names)}"
+        if a not in known:
+            hyps, known, wits = hyps + (a,), known | {a}, wits + (x,)
+        return ("lam", x, _witness(goal.consequent, hyps, known, wits, memo, names))
+    for i, f in enumerate(hyps):
+        if not isinstance(f, Imp) or isinstance(f.antecedent, Atom) and f.antecedent not in known:
+            continue
+        a, b, s = f.antecedent, f.consequent, wits[i]
+        rest, rest_known, rest_wits = hyps[:i] + hyps[i + 1 :], known - {f}, wits[:i] + wits[i + 1 :]
+        if isinstance(a, Atom):
+            arg = wits[hyps.index(a)]
+        else:
+            aux = Imp(a.consequent, b)
+            new = aux not in rest_known
+            left, left_known = (rest + (aux,), rest_known | {aux}) if new else (rest, rest_known)
+            holds = memo.get((a, left_known))
+            if not (_search(a, left, left_known, memo) if holds is None else holds):
+                continue
+            aux_wit = (("aux", s, f"x{next(names)}", f"x{next(names)}"),) if new else ()
+            arg = _witness(a, left, left_known, rest_wits + aux_wit, memo, names)
+        if b not in rest_known:
+            rest, rest_known, rest_wits = rest + (b,), rest_known | {b}, rest_wits + (_apply(s, arg),)
+        return _witness(goal, rest, rest_known, rest_wits, memo, names)
 
 
 def _apply(fun: Witness, arg: Witness) -> Witness:

@@ -110,20 +110,35 @@ class TestProve:
             ("bbc", "cbb"), ("cca", "acc"), ("ccb", "bcc"),
         }
 
-    def test_memo_bounds_the_search(self, monkeypatch):
-        # Seed 2032 is the hardest of depth-7 seeds 0-3999 for this search; the
+    def test_memo_bounds_the_search(self, count_calls):
+        # Seed 2032 is the hardest of depth-7 seeds 0-3999 for the memo alone; the
         # unmemoized multiset-context search made 1,455,329 calls on it.
         f = random_formula(random.Random(2032), [Atom(w) for w in "pqr"], 7)
-        search, calls = prover._search, 0
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return search(*args)
-
-        monkeypatch.setattr(prover, "_search", counted)
+        search = count_calls(prover, "_search")
         assert not prove(f)
-        assert calls <= 5_000
+        assert search.calls <= 5_000
+
+    def test_memo_bounds_the_search_past_the_head_rule(self, count_calls):
+        # Seed 391 is the second hardest of depth-7 seeds 0-3999 with the head rule;
+        # the same search without its memo makes 626,009 calls on it.
+        f = random_formula(random.Random(391), [Atom(w) for w in "pqr"], 7)
+        search = count_calls(prover, "_search")
+        assert not prove(f)
+        assert search.calls <= 5_000
+
+    def test_head_rule_settles_the_memo_case_at_once(self, count_calls):
+        # Without the head rule, the memoized search makes 4,244 calls here.
+        f = random_formula(random.Random(2032), [Atom(w) for w in "pqr"], 7)
+        search = count_calls(prover, "_search")
+        assert not prove(f)
+        assert search.calls <= 10
+
+    def test_head_rule_refuses_an_atom_no_hypothesis_ends_in(self, count_calls):
+        # Both hypotheses end in r, so q fails before any elimination is tried.
+        p, q, r = Atom("p"), Atom("q"), Atom("r")
+        search = count_calls(prover, "_search")
+        assert not prove(q, (Imp(p, r), Imp(Imp(q, p), r)))
+        assert search.calls == 1
 
 
 _WITNESS_SCRIPT = """
@@ -196,6 +211,15 @@ class TestProveWithTerm:
         first = run("1")
         assert first.count("\\") > 100
         assert run("2") == first
+
+    def test_an_unprovable_goal_costs_only_the_decision(self, count_calls):
+        # A search that memoized only failures made 57,043 calls here against 14,998.
+        f = random_formula(random.Random(2316), [Atom(w) for w in "pqr"], 8)
+        search = count_calls(prover, "_search")
+        assert not prove(f)
+        decided, search.calls = search.calls, 0
+        assert prove_with_term(f) is None
+        assert search.calls == decided
 
     def test_agreement_with_prove(self):
         rng = random.Random(11)
@@ -324,6 +348,14 @@ class TestBetaNormalize:
             assert type_check(normal, f)
 
 
+def formula_of_size(rng, atoms, arrows):
+    """A random formula with exactly ``arrows`` implications."""
+    if arrows == 0:
+        return rng.choice(atoms)
+    left = rng.randrange(arrows)
+    return Imp(formula_of_size(rng, atoms, left), formula_of_size(rng, atoms, arrows - 1 - left))
+
+
 class TestOracleAgreement:
     def test_small_formulas_against_sequent_search(self):
         atoms = [Atom("p"), Atom("q")]
@@ -331,6 +363,18 @@ class TestOracleAgreement:
         assert len(formulas) == 2 + 4 + 16 + 80 + 448
         for f in formulas:
             assert prove(f) == lj_provable(f)
+
+    def test_random_formulas_against_sequent_search(self):
+        # Four atoms and 1-8 arrows, past the exhaustive sizes above; every witness type-checks.
+        rng, atoms, witnessed = random.Random(23), [Atom(w) for w in "pqrs"], 0
+        for _ in range(6000):
+            f = formula_of_size(rng, atoms, rng.randint(1, 8))
+            decided, term = prove(f), prove_with_term(f)
+            assert decided == lj_provable(f) == (term is not None), f
+            if term is not None:
+                witnessed += 1
+                assert type_check(term, f), f
+        assert witnessed > 1000
 
     def test_witnesses_type_check_small(self):
         atoms = [Atom("p"), Atom("q")]
