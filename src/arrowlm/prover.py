@@ -27,11 +27,13 @@ no hypothesis.  The rule is sound because only an axiom closes an atom
 goal, and no rule adds a head to the context of its right premise: ``B``
 has the head of ``A->B``, and the auxiliary ``D->B`` that of ``(C->D)->B``.
 
-The search only decides.  ``prove_with_term`` runs it once, then
-``_witness`` replays the decision from the memo: an implication goal
-becomes a lambda, an atom in the context is its hypothesis's witness, and
-any other atom takes the first implication whose left premise the memo
-says holds, then goes on with the right premise.
+One search serves deciding and witnessing.  The memo records how each
+settled goal follows: False, True for an implication goal, or the
+hypothesis an atom goal eliminated.  ``prove_with_term`` decides once, then
+``_witness`` follows those records and searches nothing.  That is sound:
+an entry is written only after its premises were settled and memoized (an
+axiom needs no entry), and one recorded choice per goal suffices because
+the right premise is invertible.
 """
 
 from __future__ import annotations
@@ -113,37 +115,30 @@ ProofTerm = Union[Var, Lam, App]
 def prove(goal: Formula, context: tuple[Formula, ...] = ()) -> bool:
     """Decide provability of ``goal`` from ``context``, read as a set of hypotheses."""
     hyps = tuple(dict.fromkeys(context))
-    return _search(goal, hyps, frozenset(hyps), {})
+    return _search(goal, hyps, frozenset(hyps), {}) is not False
 
 
 def prove_with_term(goal: Formula) -> Optional[ProofTerm]:
     """Like :func:`prove` but return a lambda witness, or None if unprovable.
 
-    The compound-antecedent elimination proves ``C->D`` under an auxiliary
-    hypothesis ``D->B``; that hypothesis is realized concretely as
-    ``\\d. s (\\c. d)`` from the selected ``s : (C->D)->B``, and applying it
-    to an argument builds ``s (\\c. arg)`` directly, so every witness is
-    beta-normal and simply typed at the goal formula.
+    The goal is decided once and :func:`_witness` reads the proof from that
+    decision's memo.  Every witness is beta-normal and simply typed at the
+    goal formula.
     """
     memo: dict = {}
-    found = _search(goal, (), frozenset(), memo)
-    return _term(_witness(goal, (), frozenset(), (), memo, itertools.count(1))) if found else None
+    if _search(goal, (), frozenset(), memo) is False:
+        return None
+    return _witness(goal, frozenset(), {}, memo, itertools.count(1))
 
 
-# A witness inside the walk is plain data: a variable name, ("lam", name,
-# body), ("app", fun, arg) or ("aux", s, d, c) for the auxiliary hypothesis
-# \d. s (\c. d).  Names come from one counter per top-level call, so every
-# binder a step creates is fresh and no step can capture.
-Witness = Union[str, tuple]
-
-
-def _search(goal: Formula, hyps: tuple, known: frozenset, memo: dict) -> bool:
-    """The four-rule search over a set context: whether ``goal`` follows.
+def _search(goal: Formula, hyps: tuple, known: frozenset, memo: dict) -> Union[bool, Imp]:
+    """The four-rule search over a set context: False, or how ``goal`` follows.
 
     ``hyps`` holds the hypotheses without repeats in the order they were
     assumed, which fixes the search order; ``known`` is the same set as a
     frozenset, which answers membership and keys ``memo``.  The outcome
-    depends on the set alone, so ``memo`` records both outcomes.
+    depends on the set alone, so ``memo`` records it either way: False, True
+    for an implication goal, or the hypothesis an atom goal eliminated.
     """
     if goal in known:
         return True
@@ -155,7 +150,7 @@ def _search(goal: Formula, hyps: tuple, known: frozenset, memo: dict) -> bool:
         a = goal.antecedent
         if a not in known:
             hyps, known = hyps + (a,), known | {a}
-        result = _search(goal.consequent, hyps, known, memo)
+        result = _search(goal.consequent, hyps, known, memo) is not False
     else:
         # The head rule, inline: the prove-mix call budget counts every Python call.
         for f in hyps:
@@ -177,69 +172,62 @@ def _search(goal: Formula, hyps: tuple, known: frozenset, memo: dict) -> bool:
                     holds = _search(a, rest, rest_known, memo)
                 else:
                     holds = _search(a, rest + (aux,), rest_known | {aux}, memo)
-                if not holds:
+                if holds is False:
                     continue
             # Commit: the right premise is invertible, so no other choice is tried.
             if b not in rest_known:
                 rest, rest_known = rest + (b,), rest_known | {b}
-            result = _search(goal, rest, rest_known, memo)
+            if _search(goal, rest, rest_known, memo) is not False:
+                result = f
             break
     memo[key] = result
     return result
 
 
-def _witness(goal: Formula, hyps: tuple, known: frozenset, wits: tuple, memo: dict, names) -> Witness:
-    """Replay the decision of a provable ``goal`` as a witness; ``wits`` pairs with ``hyps``.
+def _witness(goal: Formula, known: frozenset, wits: dict, memo: dict, names) -> ProofTerm:
+    """The witness of a provable ``goal``, built along the proof ``memo`` records.
 
-    A left premise that the search did not settle in this context, because
-    it reached the context in another order, is decided by ``_search``.
+    ``wits`` maps each hypothesis in ``known`` to its witness (an entry
+    outside ``known`` is never read).  Binder names come from ``names``, one
+    counter per top-level call, so every binder is fresh and nothing is
+    captured.  An auxiliary hypothesis ``D->B`` stays the triple
+    ``(s, d, c)`` for ``\\d. s (\\c. d)``: :func:`_apply` contracts it when
+    it is applied, and it is written out only where it closes a goal.
     """
     if goal in known:
-        return wits[hyps.index(goal)]
+        wit = wits[goal]
+        if isinstance(wit, tuple):
+            s, d, c = wit
+            return Lam(d, _apply(s, Lam(c, Var(d))))
+        return wit
     if isinstance(goal, Imp):
         a, x = goal.antecedent, f"x{next(names)}"
         if a not in known:
-            hyps, known, wits = hyps + (a,), known | {a}, wits + (x,)
-        return ("lam", x, _witness(goal.consequent, hyps, known, wits, memo, names))
-    for i, f in enumerate(hyps):
-        if not isinstance(f, Imp) or isinstance(f.antecedent, Atom) and f.antecedent not in known:
-            continue
-        a, b, s = f.antecedent, f.consequent, wits[i]
-        rest, rest_known, rest_wits = hyps[:i] + hyps[i + 1 :], known - {f}, wits[:i] + wits[i + 1 :]
-        if isinstance(a, Atom):
-            arg = wits[hyps.index(a)]
+            known, wits = known | {a}, {**wits, a: Var(x)}
+        return Lam(x, _witness(goal.consequent, known, wits, memo, names))
+    f = memo[goal, known]
+    a, b, s = f.antecedent, f.consequent, wits[f]
+    known = known - {f}
+    if isinstance(a, Atom):
+        arg = wits[a]
+    else:
+        aux = Imp(a.consequent, b)
+        if aux in known:
+            arg = _witness(a, known, wits, memo, names)
         else:
-            aux = Imp(a.consequent, b)
-            new = aux not in rest_known
-            left, left_known = (rest + (aux,), rest_known | {aux}) if new else (rest, rest_known)
-            holds = memo.get((a, left_known))
-            if not (_search(a, left, left_known, memo) if holds is None else holds):
-                continue
-            aux_wit = (("aux", s, f"x{next(names)}", f"x{next(names)}"),) if new else ()
-            arg = _witness(a, left, left_known, rest_wits + aux_wit, memo, names)
-        if b not in rest_known:
-            rest, rest_known, rest_wits = rest + (b,), rest_known | {b}, rest_wits + (_apply(s, arg),)
-        return _witness(goal, rest, rest_known, rest_wits, memo, names)
+            aux_wit = (s, f"x{next(names)}", f"x{next(names)}")
+            arg = _witness(a, known | {aux}, {**wits, aux: aux_wit}, memo, names)
+    if b not in known:
+        known, wits = known | {b}, {**wits, b: _apply(s, arg)}
+    return _witness(goal, known, wits, memo, names)
 
 
-def _apply(fun: Witness, arg: Witness) -> Witness:
+def _apply(fun, arg: ProofTerm) -> ProofTerm:
     """``fun arg``, contracting the redex an auxiliary ``fun`` would form."""
-    while isinstance(fun, tuple) and fun[0] == "aux":
-        _, fun, _, c = fun  # (\d. s (\c. d)) arg  ~>  s (\c. arg)
-        arg = ("lam", c, arg)
-    return ("app", fun, arg)
-
-
-def _term(witness: Witness) -> ProofTerm:
-    if isinstance(witness, str):
-        return Var(witness)
-    tag = witness[0]
-    if tag == "lam":
-        return Lam(witness[1], _term(witness[2]))
-    if tag == "app":
-        return App(_term(witness[1]), _term(witness[2]))
-    _, s, d, c = witness
-    return Lam(d, _term(_apply(s, ("lam", c, d))))
+    while isinstance(fun, tuple):
+        fun, _, c = fun  # (\d. s (\c. d)) arg  ~>  s (\c. arg)
+        arg = Lam(c, arg)
+    return App(fun, arg)
 
 
 def type_check(

@@ -212,13 +212,19 @@ class TestProveWithTerm:
         assert first.count("\\") > 100
         assert run("2") == first
 
-    def test_an_unprovable_goal_costs_only_the_decision(self, count_calls):
+    @pytest.mark.parametrize("f, provable", [
         # A search that memoized only failures made 57,043 calls here against 14,998.
-        f = random_formula(random.Random(2316), [Atom(w) for w in "pqr"], 8)
+        (random_formula(random.Random(2316), [Atom(w) for w in "pqr"], 8), False),
+        # The left premise q->q closes as an axiom, so the memo holds no entry for it;
+        # a witness that searched for what the memo lacks made 5 calls here against 4.
+        (parse_formula("((q->q)->q)->q"), True),
+    ], ids=["unprovable", "provable"])
+    def test_a_witness_costs_only_the_decision(self, count_calls, f, provable):
         search = count_calls(prover, "_search")
-        assert not prove(f)
+        assert prove(f) is provable
         decided, search.calls = search.calls, 0
-        assert prove_with_term(f) is None
+        term = prove_with_term(f)
+        assert (term is not None) is provable
         assert search.calls == decided
 
     def test_agreement_with_prove(self):
@@ -362,7 +368,7 @@ class TestOracleAgreement:
         formulas = enumerate_formulas(atoms, 4)
         assert len(formulas) == 2 + 4 + 16 + 80 + 448
         for f in formulas:
-            assert prove(f) == lj_provable(f)
+            assert prove(f) is lj_provable(f)
 
     def test_random_formulas_against_sequent_search(self):
         # Four atoms and 1-8 arrows, past the exhaustive sizes above; every witness type-checks.
