@@ -26,10 +26,13 @@ fresh ``.arrowlm-*`` stage beside them, then moves each into place with
 ``os.replace``, which is atomic per file (``rename(2)``) but not across
 files; a killed run may leave a stage that no command reads.  ``train``
 refuses an output name that is a directory, or an ``--out`` in no
-directory, before it reads the corpus.  Query runs print the same to
-stderr, plus ``sample`` and ``symbolic``; their digests are
-``sha256_sentences``, ``sha256_vocab`` and, when ``--model`` is read,
-``sha256_checkpoint``.
+directory or not ending in a file name (``m/``), before it reads the
+corpus.  Query runs print the same to stderr, plus ``sample`` and
+``symbolic``; their digests are ``sha256_sentences``, ``sha256_vocab`` and,
+when ``--model`` is read, ``sha256_checkpoint``.  Train runs, and query
+runs that read ``--model``, also record the numpy version and the BLAS
+thread variables (``unset`` when absent), since results are bit-equal only
+for a fixed thread count.
 
 Each command imports only what it runs, since a cold start pays for every
 module loaded: ``prove`` loads no numpy, ``dataclasses`` or ``hashlib``,
@@ -41,6 +44,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import shutil
 import sys
 import tempfile
@@ -59,6 +63,10 @@ _SETTINGS = {
               "clip_norm"),
     "query": ("top_k", "max_new_tokens", "temperature", "seed"),
 }
+
+# The environment variables that set a BLAS library's thread count, and so the order in
+# which its matrix products sum.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # TrainConfig's own name for a setting (bench/workloads.py builds it by that name).
 _TRAIN_FIELDS = {"warmup": "warmup_steps"}
@@ -93,6 +101,14 @@ class Manifest:
 
     def add(self, key: str, value) -> None:
         self.entries.append((key, str(value)))
+
+    def numerics(self) -> None:
+        """Record what the floating-point results depend on besides the settings and inputs."""
+        import numpy
+
+        self.add("numpy", numpy.__version__)
+        for var in _BLAS_THREADS:
+            self.add(var, os.environ.get(var, "unset"))
 
     def digest(self, key: str, path) -> None:
         import hashlib
@@ -261,15 +277,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     if cfg.r > cfg.d:
         print(f"invalid shape: d={cfg.d}, r={cfg.r}", file=sys.stderr)
         return 2
-    out = Path(args.out)
-    in_the_way = [f"{args.out}{s}" for s in ("", ".vocab", ".loss", ".manifest")
-                  if Path(f"{args.out}{s}").is_dir()]
-    if in_the_way or not out.parent.is_dir():
+    out = Path(args.out)  # _outputs publishes the four outputs under these names
+    targets = [out.parent / f"{out.name}{s}" for s in ("", ".vocab", ".loss", ".manifest")]
+    in_the_way = [path for path in targets if path.is_dir()]
+    problem = None
+    if os.path.basename(args.out) != out.name:  # "m/" and "m/." would publish a file "m"
+        problem = f"{args.out} does not end in a file name"
+    elif in_the_way or not out.parent.is_dir():
         problem = f"{in_the_way[0]} is a directory" if in_the_way else f"{args.out} lies in no directory"
+    if problem:
         print(f"cannot write checkpoint: {problem}", file=sys.stderr)
         return 2
     corpus_dir = Path(args.corpus)
     manifest = Manifest(args)
+    manifest.numerics()
     try:
         manifest.start_phase("load")
         vocab = corpus.read_vocab(corpus_dir / "vocab.txt")
@@ -381,6 +402,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             model_errors = (model.ModelError,)
             params, vocab = model.load_checkpoint(args.model)
             manifest.digest("checkpoint", args.model)
+            manifest.numerics()
     except (OSError, UnicodeDecodeError, corpus.CorpusError, *model_errors) as exc:
         print(f"cannot load model/corpus: {exc}", file=sys.stderr)
         return 2

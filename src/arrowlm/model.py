@@ -14,13 +14,20 @@ which it folds into the ``W_out`` and state gradients before discarding
 it, so peak transient memory is bounded by the block, not by the sequence
 length, and the backward pass never rebuilds logits or a softmax.
 
+The parameters, their gradients and Adam's two moments are each a
+:class:`ModelParams`: one flat array in checkpoint order, which is also the
+optimizer's order, with every tensor a view into it.  So AdamW, gradient
+clipping and the checkpoint each walk one array.  Write a tensor through its
+view (``params.u[...] = x``); never rebind one.
+
 Training is AdamW (bias-corrected, decoupled weight decay on the matrix
 parameters) with a linear warmup to a constant learning rate, global
 gradient-norm clipping, and length-bucketed batches.  Everything is
 seeded, so runs are bit-reproducible for a fixed BLAS thread count;
-nothing here pins that count, and matrix products may sum in a different
-order under another one.  A step whose loss or gradient norm is not
-finite stops training with :class:`NonFiniteTraining`.
+nothing here pins that count (the CLI's manifests record it), and matrix
+products may sum in a different order under another one.  A step whose
+loss or gradient norm is not finite stops training with
+:class:`NonFiniteTraining`.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import accumulate, groupby
 from typing import Sequence
 
 import numpy as np
@@ -69,36 +77,45 @@ class ChecksumMismatch(ModelError):
 
 
 # Every trainable tensor in checkpoint order, with its axes over d, r and
-# the vocabulary size v.
+# the vocabulary size v.  This is also the order of ModelParams.flat.
 _TENSORS = (
-    ("h0", "d"),
-    ("emb", "vr"),
-    ("u", "dr"),
-    ("v", "dr"),
-    ("gain", "d"),
-    ("bias", "d"),
-    ("w_out", "vd"),
+    ("h0", "d"),  # initial state
+    ("emb", "vr"),  # gate embeddings
+    ("u", "dr"),  # output basis
+    ("v", "dr"),  # input basis
+    ("gain", "d"),  # LayerNorm gain
+    ("bias", "d"),  # LayerNorm bias
+    ("w_out", "vd"),  # output projection
 )
+_VIEWS = frozenset({"flat", *(name for name, _ in _TENSORS)})
 
 
-class _TensorSet:
+class ModelParams:
+    """The trainable tensors, or their gradients or an optimizer moment.
+
+    The constructor copies its arrays into ``flat``, in :data:`_TENSORS` order
+    (checkpoint order is memory order is optimizer order), and each tensor
+    attribute is a view into ``flat``.  Write through a view; rebinding one
+    would detach it from ``flat``, so it raises.
+    """
+
+    def __init__(self, h0, emb, u, v, gain, bias, w_out, eps: float = 1e-5):
+        arrays = (h0, emb, u, v, gain, bias, w_out)
+        flat = np.concatenate([arr.ravel() for arr in arrays])
+        self.__dict__.update(flat=flat, eps=eps)
+        offset = 0
+        for (name, _), arr in zip(_TENSORS, arrays):
+            self.__dict__[name] = flat[offset : offset + arr.size].reshape(arr.shape)
+            offset += arr.size
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in _VIEWS and value is not self.__dict__[name]:  # x += y rebinds x to itself
+            raise AttributeError(f"{name} is a view into flat: write {name}[...] = value instead")
+        self.__dict__[name] = value
+
     def tensors(self) -> list[tuple[str, np.ndarray]]:
         """``(name, array)`` pairs in checkpoint order."""
-        return [(name, getattr(self, name)) for name, _ in _TENSORS]
-
-
-@dataclass
-class ModelParams(_TensorSet):
-    """All trainable tensors; see the module docstring for roles."""
-
-    h0: np.ndarray  # (d,) initial state
-    emb: np.ndarray  # (vocab, r) gate embeddings
-    u: np.ndarray  # (d, r) output basis
-    v: np.ndarray  # (d, r) input basis
-    gain: np.ndarray  # (d,) LayerNorm gain
-    bias: np.ndarray  # (d,) LayerNorm bias
-    w_out: np.ndarray  # (vocab, d) output projection
-    eps: float = 1e-5
+        return [(name, self.__dict__[name]) for name, _ in _TENSORS]
 
     @property
     def d(self) -> int:
@@ -111,19 +128,6 @@ class ModelParams(_TensorSet):
     @property
     def vocab_size(self) -> int:
         return self.w_out.shape[0]
-
-
-@dataclass
-class Gradients(_TensorSet):
-    """Per-tensor gradients, same shapes as :class:`ModelParams`."""
-
-    h0: np.ndarray
-    emb: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    gain: np.ndarray
-    bias: np.ndarray
-    w_out: np.ndarray
 
 
 @dataclass
@@ -300,7 +304,7 @@ def forward_loss(
     return total / n_pred, tape
 
 
-def backward(params: ModelParams, tape: StepTape) -> Gradients:
+def backward(params: ModelParams, tape: StepTape) -> ModelParams:
     """Exact reverse-mode gradients of the mean loss for every tensor.
 
     The output layer was differentiated during :func:`forward_loss`, so the
@@ -323,7 +327,7 @@ def backward(params: ModelParams, tape: StepTape) -> Gradients:
     emb = np.zeros_like(params.emb)
     d_emb = d_g * tape.z * (1.0 - tape.s**2)
     np.add.at(emb, tape.tokens[:, :-1].T.ravel(), d_emb.reshape(-1, params.r))
-    return Gradients(
+    return ModelParams(
         h0=d_next.sum(axis=0),
         emb=emb,
         u=d_pre.reshape(-1, params.d).T @ tape.g.reshape(-1, params.r),
@@ -334,13 +338,12 @@ def backward(params: ModelParams, tape: StepTape) -> Gradients:
     )
 
 
-def clip_gradients(grads: Gradients, max_norm: float) -> float:
+def clip_gradients(grads: ModelParams, max_norm: float) -> float:
     """Scale all gradients so their global norm is at most ``max_norm``."""
+    # Per-tensor squares summed in checkpoint order; one vdot over flat rounds differently.
     norm = math.sqrt(sum(float(np.vdot(arr, arr)) for _, arr in grads.tensors()))
     if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for _, arr in grads.tensors():
-            arr *= scale
+        grads.flat *= max_norm / norm
     return norm
 
 
@@ -357,8 +360,16 @@ class AdamW:
     def __init__(self, params: ModelParams, config: TrainConfig):
         self.config = config
         self.step_count = 0
-        self.m = {name: np.zeros_like(arr) for name, arr in params.tensors()}
-        self.v = {name: np.zeros_like(arr) for name, arr in params.tensors()}
+        self.m = ModelParams(*(np.zeros_like(arr) for _, arr in params.tensors()))
+        self.v = ModelParams(*(np.zeros_like(arr) for _, arr in params.tensors()))
+        # The runs of adjacent _DECAYED tensors, as slices of flat.
+        self.decayed: list[slice] = []
+        offset = 0
+        for decayed, run in groupby(params.tensors(), key=lambda pair: pair[0] in _DECAYED):
+            size = sum(arr.size for _, arr in run)
+            if decayed:
+                self.decayed.append(slice(offset, offset + size))
+            offset += size
 
     def learning_rate(self) -> float:
         cfg = self.config
@@ -366,27 +377,28 @@ class AdamW:
             return cfg.lr * min(self.step_count, cfg.warmup_steps) / cfg.warmup_steps
         return cfg.lr
 
-    def update(self, params: ModelParams, grads: Gradients) -> None:
+    def update(self, params: ModelParams, grads: ModelParams) -> None:
         cfg = self.config
         self.step_count += 1
         lr = self.learning_rate()
         bc1 = 1.0 - BETA1**self.step_count
         bc2 = 1.0 - BETA2**self.step_count
+        param, grad, m, v = params.flat, grads.flat, self.m.flat, self.v.flat
         # Two temporaries reused in place, in the order of (m/bc1) / (sqrt(v/bc2) + eps) + wd*p.
-        for (name, param), (_, grad) in zip(params.tensors(), grads.tensors()):
-            m, v = self.m[name], self.v[name]
-            tmp = np.multiply(grad, 1.0 - BETA1)
-            m *= BETA1
-            m += tmp
-            np.multiply(grad, 1.0 - BETA2, out=tmp)
-            v *= BETA2
-            v += np.multiply(tmp, grad, out=tmp)
-            update = np.divide(v, bc2)
-            np.add(np.sqrt(update, out=update), ADAM_EPS, out=update)
-            np.divide(np.divide(m, bc1, out=tmp), update, out=update)
-            if name in _DECAYED and cfg.weight_decay > 0:
-                update += np.multiply(param, cfg.weight_decay, out=tmp)
-            param -= np.multiply(update, lr, out=update)
+        tmp = np.multiply(grad, 1.0 - BETA1)
+        m *= BETA1
+        m += tmp
+        np.multiply(grad, 1.0 - BETA2, out=tmp)
+        v *= BETA2
+        v += np.multiply(tmp, grad, out=tmp)
+        update = np.divide(v, bc2)
+        np.add(np.sqrt(update, out=update), ADAM_EPS, out=update)
+        np.divide(np.divide(m, bc1, out=tmp), update, out=update)
+        if cfg.weight_decay > 0:
+            for run in self.decayed:
+                np.add(update[run], np.multiply(param[run], cfg.weight_decay, out=tmp[run]),
+                       out=update[run])
+        param -= np.multiply(update, lr, out=update)
 
 
 def _make_batches(
@@ -462,21 +474,12 @@ def save_checkpoint(params: ModelParams, vocab: Vocab, path) -> None:
         raise InvalidShape(
             f"params cover {params.vocab_size} tokens but vocab has {len(vocab)}"
         )
-    blob = bytearray(
-        _HEADER.pack(
-            CHECKPOINT_MAGIC,
-            CHECKPOINT_VERSION,
-            params.d,
-            params.r,
-            params.vocab_size,
-            params.eps,
-        )
+    header = _HEADER.pack(
+        CHECKPOINT_MAGIC, CHECKPOINT_VERSION, params.d, params.r, params.vocab_size, params.eps
     )
-    for _, arr in params.tensors():
-        blob += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)))
+    blob = header + params.flat.astype("<f4").tobytes()
     with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+        fh.write(blob + struct.pack("<I", zlib.crc32(blob)))
     write_vocab(f"{path}.vocab", vocab)
 
 
@@ -496,20 +499,15 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocab]:
         )
     sizes = {"d": d, "r": r, "v": vocab_size}
     shapes = [tuple(sizes[axis] for axis in axes) for _, axes in _TENSORS]
-    expected = _HEADER.size + 4 * sum(int(np.prod(s)) for s in shapes) + 4
-    if len(data) != expected:
+    ends = list(accumulate(math.prod(shape) for shape in shapes))
+    if len(data) != _HEADER.size + 4 * ends[-1] + 4:
         raise FormatVersionMismatch(
             f"checkpoint size {len(data)} does not match header "
             f"(d={d}, r={r}, vocab={vocab_size})"
         )
-    offset = _HEADER.size
-    arrays = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-        arrays.append(arr.reshape(shape).copy())
-        offset += 4 * count
-    params = ModelParams(*arrays, eps=eps)
+    flat = np.frombuffer(data, dtype="<f4", count=ends[-1], offset=_HEADER.size)
+    arrays = [arr.reshape(shape) for arr, shape in zip(np.split(flat, ends[:-1]), shapes)]
+    params = ModelParams(*arrays, eps=eps)  # copies the read-only buffer into a writable flat
     vocab = read_vocab(f"{path}.vocab")
     if len(vocab) != vocab_size:
         raise FormatVersionMismatch(

@@ -20,7 +20,7 @@ import numpy as np
 
 from arrowlm.corpus import normalize_words
 from arrowlm.formula import Atom, Formula, FormulaError, Imp, list_to_impl, print_formula
-from arrowlm.model import _DECAYED, ADAM_EPS, BETA1, BETA2, Gradients, ModelParams, forward_loss
+from arrowlm.model import _DECAYED, ADAM_EPS, BETA1, BETA2, ModelParams, forward_loss
 from arrowlm.prover import App, Lam, ProofTerm, Var
 from arrowlm.retrieval import EmptyQuery, SentenceDB
 
@@ -238,9 +238,9 @@ def pattern_windows(sentences, parts) -> list[tuple[int, int, dict[str, str]]]:
 
 def finite_difference_grads(
     params: ModelParams, tokens: np.ndarray, mask: np.ndarray, delta: float = 1e-4
-) -> Gradients:
+) -> ModelParams:
     """Central finite differences of the mean loss for every coordinate."""
-    grads = Gradients(*(np.zeros_like(arr) for _, arr in params.tensors()))
+    grads = ModelParams(*(np.zeros_like(arr) for _, arr in params.tensors()))
     for (_, tensor), (_, out) in zip(params.tensors(), grads.tensors()):
         flat = tensor.reshape(-1)
         flat_out = out.reshape(-1)
@@ -279,7 +279,7 @@ def materialized_loss(params: ModelParams, tokens: np.ndarray, mask: np.ndarray)
     return total / int(mask.sum())
 
 
-def adamw_step(params: ModelParams, grads: Gradients, m: dict, v: dict, step_count: int, config) -> None:
+def adamw_step(params: ModelParams, grads: ModelParams, m: dict, v: dict, step_count: int, config) -> None:
     """AdamW step ``step_count`` (from 1) as plain expressions; updates ``params``, ``m``, ``v``."""
     lr = config.lr
     if config.warmup_steps > 0:

@@ -253,6 +253,9 @@ def test_corpus_without_sentences_leaves_no_out_dir(tmp_path, capsys):
         ["train", "--corpus", "{corpus}", "--out", "{tmp}/v"],
         ["train", "--corpus", "{corpus}", "--out", "{tmp}/l"],
         ["train", "--corpus", "{corpus}", "--out", "{tmp}/n"],
+        ["train", "--corpus", "{corpus}", "--out", "{tmp}/m/"],
+        ["train", "--corpus", "{corpus}", "--out", "{tmp}/l/"],
+        ["train", "--corpus", "{corpus}", "--out", "{tmp}/l/."],
         ["train", "--corpus", "{tmp}/latin1", "--out", "{tmp}/m"],
         ["train", "--corpus", "{tmp}/unknown-word", "--out", "{tmp}/m"],
         ["train", "--corpus", "{tmp}/empty", "--out", "{tmp}/m"],
@@ -261,7 +264,9 @@ def test_corpus_without_sentences_leaves_no_out_dir(tmp_path, capsys):
     ],
     ids=["corpus-out-is-a-file", "corpus-input-not-utf8", "corpus-vocab-is-a-dir",
          "train-out-dir-missing", "train-out-is-a-dir", "train-vocab-is-a-dir",
-         "train-loss-is-a-dir", "train-manifest-is-a-dir", "train-fragments-not-utf8",
+         "train-loss-is-a-dir", "train-manifest-is-a-dir", "train-out-ends-in-separator",
+         "train-loss-is-a-dir-out-ends-in-separator", "train-out-ends-in-dot",
+         "train-fragments-not-utf8",
          "train-fragments-unknown-word", "train-fragments-empty", "train-fragments-one-word",
          "query-sentences-not-utf8"],
 )
@@ -454,7 +459,7 @@ def test_library_defaults_read_the_one_table():
     assert train.read == train.keys() and decode.read == decode.keys() - {"mode"}
 
 
-def test_manifests_record_settings_and_digests(built):
+def test_manifests_record_settings_and_digests(built, tmp_path, monkeypatch, capsys):
     corpus_dir, ckpt = built
     assert {
         "version", "command", "input", "sha256_input", "max_len", "max_frag",
@@ -470,6 +475,23 @@ def test_manifests_record_settings_and_digests(built):
     assert not train & {"warmup_steps", "k_frag"}  # only names that --config accepts
     # The corpus manifest records how the fragments were shaped; train reads only them.
     assert not train & {"max_len", "max_frag", "sha256_sentences"}
+    # Train and model queries say which numerics produced them; a symbolic query runs none.
+    numerics = {"numpy": np.__version__, "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "unset",
+                "MKL_NUM_THREADS": "1"}
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    assert cli.main(["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "m"),
+                     "--d", "4", "--r", "1", "--epochs", "1"]) == 0
+    lines = (tmp_path / "m.manifest").read_text(encoding="utf-8").splitlines()
+    entries = dict(line.partition("=")[::2] for line in lines)
+    assert {key: entries.get(key) for key in numerics} == numerics
+    for mode in (["--model", str(ckpt)], ["--symbolic"]):
+        capsys.readouterr()
+        assert cli.main(["query", "--corpus", str(corpus_dir), *mode, "the cat"]) == 0
+        entries = dict(line.partition("=")[::2] for line in capsys.readouterr().err.splitlines())
+        read = numerics if mode[0] == "--model" else dict.fromkeys(numerics)
+        assert {key: entries.get(key) for key in numerics} == read, mode
 
 
 def test_settings_table_drives_every_flag():

@@ -12,13 +12,14 @@ from arrowlm.model import (
     ChecksumMismatch,
     DegenerateBatch,
     FormatVersionMismatch,
-    Gradients,
     InvalidShape,
     ModelParams,
     NonFiniteTraining,
     TokenOutOfRange,
     TrainConfig,
     _OUT_ROWS,
+    _TENSORS,
+    activation_bound,
     backward,
     clip_gradients,
     forward_loss,
@@ -76,6 +77,77 @@ class TestInitParams:
         tokens, mask = random_batch(rng, 11, 8, 6)
         loss, _ = forward_loss(params, tokens, mask)
         assert abs(loss - np.log(11)) / np.log(11) < 0.05
+
+
+class TestModelParams:
+    """One flat buffer in checkpoint order, with every tensor a view into it."""
+
+    def test_tensors_are_views_of_flat_in_checkpoint_order(self):
+        params = random_params(7, 6, 2, 3)
+        assert [name for name, _ in params.tensors()] == [name for name, _ in _TENSORS]
+        assert params.flat.flags.c_contiguous
+        assert np.array_equal(params.flat, np.concatenate([arr.ravel() for _, arr in params.tensors()]))
+        for name, arr in params.tensors():
+            assert arr.base is params.flat, name
+
+    def test_assigning_a_tensor_raises(self):
+        params = random_params(7, 6, 2, 3)
+        before = params.flat.copy()
+        for name, arr in params.tensors():
+            with pytest.raises(AttributeError, match="view"):
+                setattr(params, name, arr.copy())
+        with pytest.raises(AttributeError, match="view"):
+            params.flat = before.copy()
+        assert np.array_equal(params.flat, before)
+        params.gain *= 2.0  # an in-place update rebinds the attribute to the same view
+        params.eps = 1e-3
+        assert params.gain.base is params.flat and params.eps == 1e-3
+
+    def test_writes_through_a_view_reach_flat_and_the_checkpoint(self, tmp_path):
+        params = init_params(6, 8, 2, 1)
+        params.w_out[2, 3] = 7.5
+        params.u[...] = 0.25
+        start = sum(arr.size for _, arr in params.tensors()[:6])  # where w_out begins
+        assert params.flat[start + 2 * params.d + 3] == 7.5
+        path = tmp_path / "m.arrw"
+        save_checkpoint(params, Vocab([f"w{i}" for i in range(4)]), path)
+        data = path.read_bytes()
+        per_tensor = b"".join(arr.astype("<f4").tobytes() for _, arr in params.tensors())
+        assert data[-4 - len(per_tensor) : -4] == per_tensor
+        loaded, _ = load_checkpoint(path)
+        assert loaded.w_out[2, 3] == 7.5 and np.all(loaded.u == 0.25)
+
+    def test_loaded_params_are_writable(self, tmp_path):
+        path = tmp_path / "m.arrw"
+        save_checkpoint(init_params(6, 8, 2, 1), Vocab([f"w{i}" for i in range(4)]), path)
+        loaded, _ = load_checkpoint(path)
+        loaded.flat *= 2.0
+        loaded.emb[0, 0] = 1.0
+        assert loaded.flat[loaded.d] == 1.0
+        assert all(arr.flags.writeable and arr.base is loaded.flat for _, arr in loaded.tensors())
+
+
+class TestActivationBound:
+    def test_bounds_every_forward_magnitude(self):
+        # The float64 forward pass, written out, against the bound on random points and runs.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            d = int(rng.integers(2, 17))
+            params = random_params(int(rng.integers(2, 12)), d, int(rng.integers(1, d + 1)), seed)
+            p = dict(params.tensors())
+            bound = activation_bound(params)
+            h = p["h0"]
+            spreads = [np.ptp(p["w_out"] @ h)]
+            for tok in rng.integers(0, params.vocab_size, int(rng.integers(1, 13))):
+                z = p["v"].T @ h
+                pre = h + p["u"] @ (z * np.tanh(p["emb"][tok]))
+                deviations = ((pre - pre.mean()) ** 2).sum()
+                assert max(np.abs(z).max(), np.abs(pre).max(), deviations) <= bound, seed
+                h = layer_norm(params, pre)
+                spreads.append(np.ptp(p["w_out"] @ h))
+            assert max(spreads) <= bound, seed
+            params.flat *= 1e30
+            assert activation_bound(params) > float(np.finfo(np.float32).max), seed
 
 
 class TestStep:
@@ -265,7 +337,7 @@ class TestNonCommutativity:
         generic = dense_operator(params, 0) @ dense_operator(params, 1)
         assert np.abs(generic - dense_operator(params, 1) @ dense_operator(params, 0)).max() > 1e-3
         basis, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 3)))
-        params.u, params.v = basis.copy(), basis.copy()
+        params.u[...], params.v[...] = basis, basis
         ma, mb = dense_operator(params, 0), dense_operator(params, 1)
         assert np.abs(ma @ mb - mb @ ma).max() <= 1e-15
         h = params.h0
@@ -319,8 +391,7 @@ class TestArchitectureClaim:
 class TestClipGradients:
     @staticmethod
     def grads(dtype):
-        params = random_params(50, 16, 4, 8, dtype=dtype)  # generic gradient-shaped tensors
-        return Gradients(*(arr for _, arr in params.tensors()))
+        return random_params(50, 16, 4, 8, dtype=dtype)  # generic gradient-shaped tensors
 
     @staticmethod
     def reference_norm(grads):
@@ -414,14 +485,15 @@ class TestTrain:
         v = {name: np.zeros_like(arr) for name, arr in reference.tensors()}
         rng = np.random.default_rng(4)
         for k in range(1, 7):  # three warmup steps, then three at the full rate
-            grads = Gradients(
+            grads = ModelParams(
                 *(rng.standard_normal(arr.shape).astype(np.float32) for _, arr in params.tensors())
             )
             opt.update(params, grads)
             adamw_step(reference, grads, m, v, k, cfg)
         for name, arr in params.tensors():
             assert np.array_equal(arr, getattr(reference, name)), name
-            assert np.array_equal(opt.m[name], m[name]) and np.array_equal(opt.v[name], v[name]), name
+            opt_m, opt_v = getattr(opt.m, name), getattr(opt.v, name)
+            assert np.array_equal(opt_m, m[name]) and np.array_equal(opt_v, v[name]), name
 
     def test_warmup_ramp(self):
         params = init_params(6, 8, 2, 0)
