@@ -349,7 +349,9 @@ def _answer_query(raw: str, args, params, vocab, db) -> int:
     if args.symbolic:
         items = db.parse_pattern(raw)
         results = retrieval.query_pattern(db, items) if items else []
-        named = [it.name for it in (items or []) if isinstance(it, retrieval.Wildcard) and it.name]
+        # Each name once, in order of first appearance: ``?x ?x`` binds one word.
+        named = dict.fromkeys(it.name for it in (items or [])
+                              if isinstance(it, retrieval.Wildcard) and it.name)
         for bindings, sid, _ in results:
             text = " ".join(db.sentences[sid])
             if named:

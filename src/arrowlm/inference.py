@@ -11,8 +11,10 @@ Matches at a sentence end have nothing left to score: they are exact hits.
 Free generation is repeated modus ponens on the left-nested chain: each
 step takes the next token from one next-token distribution, greedily (its
 argmax) or by sampling at a temperature.  PAD is never chosen, and a
-generated EOS ends the text (and is not emitted).  The logits keep the
-parameters' dtype (float32 in a checkpoint); only sampling promotes them.
+generated EOS ends the text (and is not emitted).  As in scoring, no step
+follows the last token, since no distribution would read its state.  The
+logits keep the parameters' dtype (float32 in a checkpoint); only sampling
+promotes them.
 
 A model whose scores overflow to inf or NaN (finite parameters can still
 overflow float32 logits) raises :class:`~arrowlm.model.ModelError` instead
@@ -88,7 +90,7 @@ def score_continuation(
     h = _run_prefix(params, prefix)
     logits = np.empty((len(targets), params.vocab_size), dtype=params.w_out.dtype)
     for i, tok in enumerate(continuation):
-        logits[i] = params.w_out @ h
+        np.matmul(params.w_out, h, out=logits[i])
         if i + 1 < len(targets):  # no step after the last scored token
             h = step(params, h, int(tok))
     per_token = _softmax(logits, targets)[0].tolist()
@@ -160,7 +162,7 @@ def generate_free(
     for _ in range(config.max_new_tokens):
         logits = params.w_out @ h
         logits[vocab.pad_id] = -np.inf
-        tok = int(np.argmax(logits))  # the first NaN, if there is one
+        tok = int(logits.argmax())  # the first NaN, if there is one
         top = float(logits[tok])
         if not math.isfinite(top):
             raise ModelError(f"next-token logit is {top}")
@@ -173,5 +175,6 @@ def generate_free(
         if tok == vocab.eos_id:
             break
         out.append(tok)
-        h = step(params, h, tok)
+        if len(out) < config.max_new_tokens:  # no step after the last token
+            h = step(params, h, tok)
     return out

@@ -95,18 +95,27 @@ class ModelParams:
 
     The constructor copies its arrays into ``flat``, in :data:`_TENSORS` order
     (checkpoint order is memory order is optimizer order), and each tensor
-    attribute is a view into ``flat``.  Write through a view; rebinding one
+    attribute is a view into ``flat``; :meth:`like` lays the same views over
+    a given ``flat`` without copying.  Write through a view; rebinding one
     would detach it from ``flat``, so it raises.
     """
 
     def __init__(self, h0, emb, u, v, gain, bias, w_out, eps: float = 1e-5):
         arrays = (h0, emb, u, v, gain, bias, w_out)
-        flat = np.concatenate([arr.ravel() for arr in arrays])
+        self._view(np.concatenate([arr.ravel() for arr in arrays]), arrays, eps)
+
+    def _view(self, flat: np.ndarray, arrays, eps: float) -> None:
         self.__dict__.update(flat=flat, eps=eps)
         offset = 0
         for (name, _), arr in zip(_TENSORS, arrays):
             self.__dict__[name] = flat[offset : offset + arr.size].reshape(arr.shape)
             offset += arr.size
+
+    def like(self, flat: np.ndarray) -> "ModelParams":
+        """Tensors of this one's shapes as views into ``flat``, e.g. ``np.empty_like(p.flat)``."""
+        params = object.__new__(ModelParams)
+        params._view(flat, [arr for _, arr in self.tensors()], self.eps)
+        return params
 
     def __setattr__(self, name: str, value) -> None:
         if name in _VIEWS and value is not self.__dict__[name]:  # x += y rebinds x to itself
@@ -152,7 +161,7 @@ class StepTape:
 
     tokens: np.ndarray  # (B, T) the padded batch
     n_pred: int
-    d_w_out: np.ndarray  # (vocab, d) the whole W_out gradient
+    grads: ModelParams  # w_out holds the whole W_out gradient; backward writes the rest
     h: np.ndarray  # (T, B, d) the states before each step, then the last one
     z: np.ndarray  # (T-1, B, r) V^T h
     s: np.ndarray  # (T-1, B, r) gates
@@ -194,9 +203,16 @@ def init_params(
 
 
 def _layer_norm(params: ModelParams, pre: np.ndarray):
-    # sum / d is bit-identical to mean and costs a fraction of its call overhead.
-    centered = pre - pre.sum(axis=-1, keepdims=True) / params.d
-    var = (centered * centered).sum(axis=-1, keepdims=True) / params.d
+    """LayerNorm of (B, d) states, or of one (d,) state, with the statistics along the last axis.
+
+    A batch keeps (B, 1) statistics; one state's are numpy scalars of its
+    dtype, which round as one-element arrays do but skip a ufunc call each.
+    ``sum / d`` is bit-identical to ``mean`` and costs a fraction of its
+    call overhead.
+    """
+    d, keep = pre.shape[-1], pre.ndim > 1
+    centered = pre - pre.sum(axis=-1, keepdims=keep) / d
+    var = (centered * centered).sum(axis=-1, keepdims=keep) / d
     inv_std = 1.0 / np.sqrt(var + params.eps)
     xhat = centered * inv_std
     return params.gain * xhat + params.bias, xhat, inv_std
@@ -288,6 +304,7 @@ def forward_loss(
     weight = (live / n_pred).astype(params.w_out.dtype)
     d_h = np.empty_like(states)
     logits = np.empty((min(len(states), _OUT_ROWS), params.vocab_size), params.w_out.dtype)
+    grads = params.like(np.empty_like(params.flat))  # every tensor is written before it is read
     total = 0.0
     for lo in range(0, len(states), _OUT_ROWS):
         rows = slice(lo, lo + _OUT_ROWS)
@@ -297,10 +314,12 @@ def forward_loss(
         total -= float(np.sum(logp, where=live[rows], initial=0.0))
         d_logits *= weight[rows, None] / sums
         d_logits[np.arange(len(d_logits)), targets[rows]] -= weight[rows]
-        block = d_logits.T @ h_rows
-        d_w_out = block if lo == 0 else np.add(d_w_out, block, out=d_w_out)
+        if lo == 0:
+            np.matmul(d_logits.T, h_rows, out=grads.w_out)
+        else:
+            grads.w_out += d_logits.T @ h_rows
         np.matmul(d_logits, params.w_out, out=d_h[rows])
-    tape = StepTape(tokens, n_pred, d_w_out, h, z, s, g, xhat, inv_std, d_h.reshape(xhat.shape))
+    tape = StepTape(tokens, n_pred, grads, h, z, s, g, xhat, inv_std, d_h.reshape(xhat.shape))
     return total / n_pred, tape
 
 
@@ -309,7 +328,8 @@ def backward(params: ModelParams, tape: StepTape) -> ModelParams:
 
     The output layer was differentiated during :func:`forward_loss`, so the
     time loop walks only the recurrence, starting each step from the tape's
-    ``d_h``; each parameter gradient is then taken once over all steps.
+    ``d_h``; each parameter gradient is then taken once over all steps and
+    written through its view of the tape's ``grads``, which it returns.
     LayerNorm uses the standard three-term rule for population statistics.
     """
     d_out, d_pre, d_g = np.empty_like(tape.d_h), np.empty_like(tape.d_h), np.empty_like(tape.g)
@@ -324,18 +344,16 @@ def backward(params: ModelParams, tape: StepTape) -> ModelParams:
         )
         np.matmul(d_pre[t], params.u, out=d_g[t])
         d_next = d_pre[t] + (d_g[t] * tape.s[t]) @ params.v.T
-    emb = np.zeros_like(params.emb)
+    grads = tape.grads
+    d_next.sum(axis=0, out=grads.h0)
+    grads.emb.fill(0)
     d_emb = d_g * tape.z * (1.0 - tape.s**2)
-    np.add.at(emb, tape.tokens[:, :-1].T.ravel(), d_emb.reshape(-1, params.r))
-    return ModelParams(
-        h0=d_next.sum(axis=0),
-        emb=emb,
-        u=d_pre.reshape(-1, params.d).T @ tape.g.reshape(-1, params.r),
-        v=tape.h[:-1].reshape(-1, params.d).T @ (d_g * tape.s).reshape(-1, params.r),
-        gain=(d_out * tape.xhat).sum(axis=(0, 1)),
-        bias=d_out.sum(axis=(0, 1)),
-        w_out=tape.d_w_out,
-    )
+    np.add.at(grads.emb, tape.tokens[:, :-1].T.ravel(), d_emb.reshape(-1, params.r))
+    np.matmul(d_pre.reshape(-1, params.d).T, tape.g.reshape(-1, params.r), out=grads.u)
+    np.matmul(tape.h[:-1].reshape(-1, params.d).T, (d_g * tape.s).reshape(-1, params.r), out=grads.v)
+    (d_out * tape.xhat).sum(axis=(0, 1), out=grads.gain)
+    d_out.sum(axis=(0, 1), out=grads.bias)
+    return grads
 
 
 def clip_gradients(grads: ModelParams, max_norm: float) -> float:
@@ -360,8 +378,8 @@ class AdamW:
     def __init__(self, params: ModelParams, config: TrainConfig):
         self.config = config
         self.step_count = 0
-        self.m = ModelParams(*(np.zeros_like(arr) for _, arr in params.tensors()))
-        self.v = ModelParams(*(np.zeros_like(arr) for _, arr in params.tensors()))
+        self.m = params.like(np.zeros_like(params.flat))
+        self.v = params.like(np.zeros_like(params.flat))
         # The runs of adjacent _DECAYED tensors, as slices of flat.
         self.decayed: list[slice] = []
         offset = 0

@@ -21,6 +21,14 @@ Committing is safe because the right premise (the context with ``B`` for
 ``A->B``) is invertible: ``B`` implies ``A->B``, so if the goal follows at
 all, it follows from the right premise.
 
+The same fact lets the search skip every ``A->B`` whose ``B`` is already in
+the context.  Eliminating it could only lead to the context less ``A->B``;
+if the atom goal (not in the context) follows from that, it follows by
+eliminating some other hypothesis, whose premises still hold with ``A->B``
+added back, because weakening is admissible.  So skipping loses no proof,
+and never searches the left premise ``A``.  The check reads the current
+context: once ``B`` itself is eliminated, ``A->B`` is tried again.
+
 At an atom goal the search first applies the head rule: the goal fails at
 once if it is the *head* (the last consequent; an atom is its own head) of
 no hypothesis.  The rule is sound because only an axiom closes an atom
@@ -162,7 +170,8 @@ def _search(goal: Formula, hyps: tuple, known: frozenset, memo: dict) -> Union[b
             memo[key] = False
             return False
         for i, f in enumerate(hyps):
-            if not isinstance(f, Imp) or isinstance(f.antecedent, Atom) and f.antecedent not in known:
+            if (not isinstance(f, Imp) or f.consequent in known
+                    or isinstance(f.antecedent, Atom) and f.antecedent not in known):
                 continue
             a, b = f.antecedent, f.consequent
             rest, rest_known = hyps[:i] + hyps[i + 1 :], known - {f}

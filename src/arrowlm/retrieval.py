@@ -7,7 +7,9 @@ sentence.  Sentences are therefore kept as deduplicated tuples of plain
 word strings, with no formula, plus one positional index, word -> every
 (sentence id, offset) where it occurs; a query of any length, with or
 without wildcards, is anchored on the positions of its least frequent
-concrete word.
+concrete word.  A pattern is split once into the offsets of its other
+concrete words and of its named wildcards, so each window is checked by
+indexing the sentence at those offsets.
 """
 
 from __future__ import annotations
@@ -70,30 +72,38 @@ class SentenceDB:
 
         Windows come in (sentence id, offset) order: an anchor word's
         positions are, and shifting each back by the anchor's index ``j``
-        keeps them so.  A pattern of wildcards only tries every window.
+        keeps them so.  The anchor matches at its positions by construction,
+        so only the other concrete words are compared.  A pattern of
+        wildcards only tries every window.
         """
         m = len(items)
         concrete = [(j, it) for j, it in enumerate(items) if isinstance(it, str)]
+        named = [(j, it.name) for j, it in enumerate(items)
+                 if isinstance(it, Wildcard) and it.name is not None]
         if concrete:
+            # starts reads j and word lazily, so the window loop must not rebind them.
             j, word = min(concrete, key=lambda c: len(self.positions.get(c[1], ())))
+            concrete.remove((j, word))
             starts = ((sid, off - j) for sid, off in self.positions.get(word, ()) if off >= j)
         else:
             starts = ((sid, off) for sid, toks in enumerate(self.sentences)
                       for off in range(len(toks) - m + 1))
+        sentences = self.sentences
         for sid, off in starts:
-            window = self.sentences[sid][off : off + m]
-            if len(window) < m:
+            toks = sentences[sid]
+            if off + m > len(toks):
                 continue
-            bindings: dict[str, str] = {}
-            for item, word in zip(items, window):
-                if isinstance(item, str):
-                    if item != word:
-                        break
-                elif item.name is not None:
-                    if bindings.setdefault(item.name, word) != word:
-                        break
+            for k, it in concrete:
+                if toks[off + k] != it:
+                    break
             else:
-                yield sid, off, bindings
+                bindings: dict[str, str] = {}
+                for k, name in named:
+                    bound = toks[off + k]
+                    if bindings.setdefault(name, bound) != bound:
+                        break
+                else:
+                    yield sid, off, bindings
 
     def parse_pattern(self, raw: str) -> Optional[list[QueryItem]]:
         """Parse ``?name`` / ``_`` wildcard syntax into query items.

@@ -63,4 +63,26 @@ MUTANTS = (
         "key=lambda pair: True)",
         ("tests/test_model.py::TestTrain::test_adamw_matches_the_plain_expressions_bit_for_bit[0.01]",),
     ),
+    Mutant(
+        "layer-norm-statistics-as-python-floats",
+        "src/arrowlm/model.py",
+        "    inv_std = 1.0 / np.sqrt(var + params.eps)\n",
+        "    inv_std = 1.0 / np.sqrt(var + params.eps) if keep else 1.0 / math.sqrt(float(var) + params.eps)\n",
+        ("tests/test_model.py::TestStep::test_one_state_layer_norm_matches_the_oracle_bit_for_bit[float32]",),
+    ),
+    Mutant(
+        "match-checks-only-the-anchor-word",
+        "src/arrowlm/retrieval.py",
+        "            concrete.remove((j, word))\n",
+        "            concrete.clear()\n",
+        ("tests/test_retrieval.py::TestIndexScanAgreement::test_random_corpora",
+         "tests/test_retrieval.py::TestIndexScanAgreement::test_patterns_random_corpora"),
+    ),
+    Mutant(
+        "generate-free-stops-one-token-early",
+        "src/arrowlm/inference.py",
+        "    for _ in range(config.max_new_tokens):\n",
+        "    for _ in range(config.max_new_tokens - 1):\n",
+        ("tests/test_inference.py::test_greedy_equals_argmax_loop",),
+    ),
 )

@@ -279,6 +279,16 @@ def materialized_loss(params: ModelParams, tokens: np.ndarray, mask: np.ndarray)
     return total / int(mask.sum())
 
 
+def layer_norm(params: ModelParams, pre: np.ndarray):
+    """LayerNorm of a (d,) state with (1,)-shaped statistics: the expression ``model._layer_norm``
+    used for one state before its statistics became numpy scalars.  Returns (out, xhat, inv_std)."""
+    centered = pre - pre.sum(axis=-1, keepdims=True) / params.d
+    var = (centered * centered).sum(axis=-1, keepdims=True) / params.d
+    inv_std = 1.0 / np.sqrt(var + params.eps)
+    xhat = centered * inv_std
+    return params.gain * xhat + params.bias, xhat, inv_std
+
+
 def adamw_step(params: ModelParams, grads: ModelParams, m: dict, v: dict, step_count: int, config) -> None:
     """AdamW step ``step_count`` (from 1) as plain expressions; updates ``params``, ``m``, ``v``."""
     lr = config.lr

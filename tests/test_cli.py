@@ -114,6 +114,18 @@ class TestQuery:
         assert capsys.readouterr().out == plain
         assert "x=sits" in plain
 
+    def test_repeated_wildcard_is_printed_once(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        raw.write_text("The cat sat on the mat. The dog sat on the log. A cat cat ran.", encoding="utf-8")
+        corpus_dir = tmp_path / "corpus"
+        assert cli.main(["corpus", "build", "--input", str(raw), "--out", str(corpus_dir)]) == 0
+        capsys.readouterr()
+        symbolic = ["query", "--corpus", str(corpus_dir), "--symbolic"]
+        assert cli.main(symbolic + ["?x ?x"]) == 0
+        assert capsys.readouterr().out == "x=cat: a cat cat ran\n\n"
+        assert cli.main(symbolic + ["?y ?x ?x"]) == 0  # names in order of first appearance
+        assert capsys.readouterr().out == "y=a, x=cat: a cat cat ran\n\n"
+
     def test_long_query_on_a_short_fragment_corpus(self, built, tmp_path, capsys):
         corpus_dir, ckpt = built
         short = tmp_path / "short"

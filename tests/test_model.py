@@ -19,6 +19,7 @@ from arrowlm.model import (
     TrainConfig,
     _OUT_ROWS,
     _TENSORS,
+    _layer_norm,
     activation_bound,
     backward,
     clip_gradients,
@@ -31,6 +32,7 @@ from arrowlm.model import (
     train,
 )
 
+import oracles
 from oracles import (
     adamw_step,
     dense_operator,
@@ -173,6 +175,22 @@ class TestStep:
         for a, b in zip(states, states[1:]):
             assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_one_state_layer_norm_matches_the_oracle_bit_for_bit(self, dtype):
+        # One state's statistics are numpy scalars; they must round as the oracle's
+        # (1,)-shaped arrays do, and each row of a batch as one state does.
+        rng = np.random.default_rng(21)
+        params = random_params(5, 16, 2, 21, dtype=dtype)
+        for scale in (1e-3, 3e-3, 1e-2, 1.0, 1e2, 3e2, 1e3):
+            pre = (rng.standard_normal((200, 16)) * scale).astype(dtype)
+            batch = _layer_norm(params, pre)
+            for i, state in enumerate(pre):
+                got, want = _layer_norm(params, state), oracles.layer_norm(params, state)
+                for g, w, rows in zip(got, want, batch):
+                    g = np.asarray(g)
+                    assert g.dtype == w.dtype == rows.dtype, (scale, i)
+                    assert g.reshape(w.shape).tobytes() == w.tobytes() == rows[i].tobytes(), (scale, i)
+
 
 class TestForwardLoss:
     def test_zero_projection_gives_log_vocab(self):
@@ -222,6 +240,16 @@ class TestForwardLoss:
 
 
 class TestBackward:
+    def test_writes_every_gradient_into_the_tape(self):
+        params = random_params(9, 6, 2, 4)
+        tokens, mask = random_batch(np.random.default_rng(4), 9, 3, 5)
+        expected = backward(params, forward_loss(params, tokens, mask)[1]).flat.copy()
+        _, tape = forward_loss(params, tokens, mask)
+        tape.grads.flat[: -params.w_out.size] = np.nan  # all but w_out, which forward_loss wrote
+        grads = backward(params, tape)
+        assert np.shares_memory(grads.w_out, tape.grads.w_out)  # no copy
+        assert grads.flat.tobytes() == expected.tobytes()
+
     def test_gradients_match_finite_differences(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)

@@ -140,6 +140,15 @@ class TestProve:
         assert not prove(q, (Imp(p, r), Imp(Imp(q, p), r)))
         assert search.calls == 1
 
+    def test_an_implication_to_a_known_formula_is_never_eliminated(self):
+        # b gives (c->d)->b for free, so the search never tries its left premise c->d.
+        b, c, d, g = (Atom(w) for w in "bcdg")
+        hyps = (Imp(Imp(c, d), b), b, Imp(b, g))
+        memo: dict = {}
+        assert prover._search(g, hyps, frozenset(hyps), memo) is not False
+        assert Imp(c, d) not in {goal for goal, _ in memo}
+        assert prove(g, hyps)
+
 
 _WITNESS_SCRIPT = """
 import random
