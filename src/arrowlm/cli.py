@@ -7,13 +7,12 @@ dashes, typed like its default; a ``--config`` file sets it as
 
 Exit codes: 0 success (provable / results found), 1 valid but negative
 (not provable / no retrieval results; in ``--repl``, any query without
-results), 2 usage or I/O errors (including an input that is not UTF-8,
+results), 2 a :class:`_Refusal` (usage or I/O error: an input not UTF-8,
 an ``--out`` that cannot be written, a setting outside its range or a
-config key that names no setting, training that diverges, and a model
-whose query scores are not finite), 3 internal error (an
-unexpected exception, reported as one line on stderr).  ``query`` needs
-exactly one of ``--model`` and ``--symbolic`` and exactly one of QUERY
-and ``--repl``, or exits 2 before reading anything.
+config key that names no setting, diverging training, non-finite query
+scores), 3 internal error; :func:`main` prints either as one stderr line.
+``query`` needs exactly one of ``--model`` and ``--symbolic`` and exactly
+one of QUERY and ``--repl``, or exits 2 before reading anything.
 
 Corpus and train runs write a ``key=value`` manifest: version, command,
 every setting of the command under its ``--config`` key (so those lines,
@@ -21,18 +20,18 @@ as a config file, re-run it), input digests, per-phase timings and peak
 RSS; a corpus manifest also says whether the input had boilerplate
 markers.  ``corpus build`` writes ``sentences.txt`` (``query`` reads it),
 ``vocab.txt`` (``train``, ``query``) and ``fragments.txt`` (``train``'s
-training set).  Outputs are all or none: a command writes them into a
-fresh ``.arrowlm-*`` stage beside them, then moves each into place with
-``os.replace``, which is atomic per file (``rename(2)``) but not across
-files; a killed run may leave a stage that no command reads.  ``train``
-refuses an output name that is a directory, or an ``--out`` in no
-directory or not ending in a file name (``m/``), before it reads the
-corpus.  Query runs print the same to stderr, plus ``sample`` and
-``symbolic``; their digests are ``sha256_sentences``, ``sha256_vocab`` and,
-when ``--model`` is read, ``sha256_checkpoint``.  Train runs, and query
-runs that read ``--model``, also record the numpy version and the BLAS
-thread variables (``unset`` when absent), since results are bit-equal only
-for a fixed thread count.
+training set).  Outputs are checked before any work and are all or none:
+a command refuses an output name that is a directory (``train`` also an
+``--out`` in no directory or not ending in a file name, ``m/``), writes
+into a fresh ``.arrowlm-*`` stage beside them, then moves each
+into place with ``os.replace`` (atomic per file, not across files).  The
+stage lives for the whole command, training included, so a killed run
+may leave one; no command reads it.  Query runs print the same to
+stderr, plus ``sample`` and ``symbolic``; their digests are
+``sha256_sentences``, ``sha256_vocab`` and, when ``--model`` is read,
+``sha256_checkpoint``.  Train runs, and query runs that read ``--model``,
+also record the numpy version and the BLAS thread variables (``unset``
+when absent), since results are bit-equal only for a fixed thread count.
 
 Each command imports only what it runs, since a cold start pays for every
 module loaded: ``prove`` loads no numpy, ``dataclasses`` or ``hashlib``,
@@ -137,25 +136,37 @@ class Manifest:
         return "".join(f"{k}={v}\n" for k, v in self.entries)
 
 
-@contextlib.contextmanager
-def _outputs(out_dir: Path):
-    """Yield a stage directory, then publish its files into ``out_dir``: all or none.
+class _Refusal(Exception):
+    """A usage or I/O error: :func:`main` prints its message as one line and exits 2."""
 
-    The body writes each output into the stage under its final name.  Unless a
-    target is a directory, each then moves into place with ``os.replace``.  An
-    exception removes the stage and any directory made for ``out_dir``.
+
+@contextlib.contextmanager
+def _refuse(prefix: str, *errors: type[Exception]):
+    """Re-raise any of ``errors`` as a :class:`_Refusal` reading ``prefix: error``."""
+    try:
+        yield
+    except errors as exc:
+        raise _Refusal(f"{prefix}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _outputs(out_dir: Path, names: Sequence[str]):
+    """Refuse a directory in the way, yield a stage, then publish ``names``: all or none.
+
+    The body writes each of ``names`` into the stage; each then moves into
+    ``out_dir`` with ``os.replace``.  An exception removes the stage and any
+    directory made for ``out_dir``.
     """
+    in_the_way = [out_dir / name for name in names if (out_dir / name).is_dir()]
+    if in_the_way:
+        raise IsADirectoryError(f"{in_the_way[0]} is a directory")
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(prefix=".arrowlm-", dir=out_dir) as stage:
             yield Path(stage)
-            staged = {path: out_dir / path.name for path in sorted(Path(stage).iterdir())}
-            in_the_way = [target for target in staged.values() if target.is_dir()]
-            if in_the_way:
-                raise IsADirectoryError(f"{in_the_way[0]} is a directory")
-            for path, target in staged.items():
-                path.replace(target)
+            for name in names:
+                (Path(stage) / name).replace(out_dir / name)
     except BaseException:
         if created:
             shutil.rmtree(created[-1], ignore_errors=True)
@@ -204,11 +215,8 @@ def _resolve(args: argparse.Namespace, file_config: dict[str, str]) -> None:
 
 
 def cmd_prove(args: argparse.Namespace) -> int:
-    try:
+    with _refuse("syntax error", FormulaSyntaxError):
         goal = parse_formula(args.formula)
-    except FormulaSyntaxError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return 2
     if args.term:
         term = prove_with_term(goal)
         provable = term is not None
@@ -224,43 +232,36 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     from . import corpus
 
     manifest = Manifest(args)
-    try:
+    with _refuse("cannot read input", OSError, UnicodeDecodeError):
         raw = Path(args.input).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
-        return 2
     manifest.add("input", args.input)
     manifest.digest("input", args.input)
-    manifest.start_phase("split")
-    body = corpus.strip_boilerplate(raw)  # a body between markers lacks the start line
-    manifest.add("boilerplate_markers", "absent" if body == raw else "present")
-    sentences = corpus.split_sentences(body, max_len=args.max_len)
-    if not sentences:
-        print("no sentences found in input", file=sys.stderr)
-        return 2
-    manifest.start_phase("vocab")
-    vocab = corpus.build_vocab(sentences)
-    manifest.start_phase("fragments")
-    training = corpus.enumerate_fragments(sentences, vocab, k_frag=args.max_frag,
-                                          max_len=args.max_len)
-    manifest.start_phase("write")
     out_dir = Path(args.out)
-    try:
-        with _outputs(out_dir) as stage:
-            corpus.write_sentences(stage / "sentences.txt", sentences)
-            corpus.write_vocab(stage / "vocab.txt", vocab)
-            corpus.write_fragments(stage / "fragments.txt", training, vocab)
-            manifest.finish_phase()
-            manifest.add("sentences", len(sentences))
-            manifest.add("vocab_size", len(vocab))
-            manifest.add("fragments", len(training.fragments))
-            for name in ("sentences.txt", "vocab.txt", "fragments.txt"):
-                manifest.digest(name, stage / name)
-            manifest.finalize()
-            (stage / "corpus.manifest").write_text(manifest.text(), encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return 2
+    names = ("sentences.txt", "vocab.txt", "fragments.txt", "corpus.manifest")
+    with _refuse("cannot write output", OSError), _outputs(out_dir, names) as stage:
+        manifest.start_phase("split")
+        body = corpus.strip_boilerplate(raw)  # a body between markers lacks the start line
+        manifest.add("boilerplate_markers", "absent" if body == raw else "present")
+        sentences = corpus.split_sentences(body, max_len=args.max_len)
+        if not sentences:
+            raise _Refusal("no sentences found in input")
+        manifest.start_phase("vocab")
+        vocab = corpus.build_vocab(sentences)
+        manifest.start_phase("fragments")
+        training = corpus.enumerate_fragments(sentences, vocab, k_frag=args.max_frag,
+                                              max_len=args.max_len)
+        manifest.start_phase("write")
+        corpus.write_sentences(stage / "sentences.txt", sentences)
+        corpus.write_vocab(stage / "vocab.txt", vocab)
+        corpus.write_fragments(stage / "fragments.txt", training, vocab)
+        manifest.finish_phase()
+        manifest.add("sentences", len(sentences))
+        manifest.add("vocab_size", len(vocab))
+        manifest.add("fragments", len(training.fragments))
+        for name in names[:3]:
+            manifest.digest(name, stage / name)
+        manifest.finalize()
+        (stage / "corpus.manifest").write_text(manifest.text(), encoding="utf-8")
     print(f"corpus: {len(sentences)} sentences, |V|={len(vocab)}, "
           f"{len(training.fragments)} training fragments -> {out_dir}")
     return 0
@@ -275,58 +276,42 @@ def cmd_train(args: argparse.Namespace) -> int:
         **{_TRAIN_FIELDS.get(key, key): getattr(args, key) for key in _SETTINGS["train"]}
     )
     if cfg.r > cfg.d:
-        print(f"invalid shape: d={cfg.d}, r={cfg.r}", file=sys.stderr)
-        return 2
-    out = Path(args.out)  # _outputs publishes the four outputs under these names
-    targets = [out.parent / f"{out.name}{s}" for s in ("", ".vocab", ".loss", ".manifest")]
-    in_the_way = [path for path in targets if path.is_dir()]
-    problem = None
+        raise _Refusal(f"invalid shape: d={cfg.d}, r={cfg.r}")
+    out = Path(args.out)
     if os.path.basename(args.out) != out.name:  # "m/" and "m/." would publish a file "m"
-        problem = f"{args.out} does not end in a file name"
-    elif in_the_way or not out.parent.is_dir():
-        problem = f"{in_the_way[0]} is a directory" if in_the_way else f"{args.out} lies in no directory"
-    if problem:
-        print(f"cannot write checkpoint: {problem}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"cannot write checkpoint: {args.out} does not end in a file name")
+    if not out.parent.is_dir():
+        raise _Refusal(f"cannot write checkpoint: {args.out} lies in no directory")
     corpus_dir = Path(args.corpus)
     manifest = Manifest(args)
     manifest.numerics()
-    try:
+    names = [f"{out.name}{suffix}" for suffix in ("", ".vocab", ".loss", ".manifest")]
+    with _refuse("cannot write checkpoint", OSError), _outputs(out.parent, names) as stage:
         manifest.start_phase("load")
-        vocab = corpus.read_vocab(corpus_dir / "vocab.txt")
-        training = corpus.read_fragments(corpus_dir / "fragments.txt", vocab)
-    except (OSError, UnicodeDecodeError, corpus.CorpusError) as exc:
-        print(f"cannot load corpus: {exc}", file=sys.stderr)
-        return 2
-    for name in ("fragments", "vocab"):
-        manifest.digest(name, corpus_dir / f"{name}.txt")
-    manifest.add("fragments", len(training.fragments))
-    manifest.start_phase("train")
-    params = model.init_params(len(vocab), cfg.d, cfg.r, cfg.seed, dtype=np.float32)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # train checks finiteness itself
-            params, history = model.train(params, training.fragments, cfg, pad_id=vocab.pad_id)
-        bound = model.activation_bound(params)
-        if not bound <= float(np.finfo(np.float32).max):  # NaN fails too
-            raise model.NonFiniteTraining(f"activations can reach {bound:.3g}, beyond float32")
-    except model.NonFiniteTraining as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 2
-    manifest.start_phase("save")
-    loss_lines = "".join(f"{epoch}\t{loss:.6f}\n" for epoch, loss in enumerate(history, 1))
-    try:
-        with _outputs(out.parent) as stage:
-            model.save_checkpoint(params, vocab, stage / out.name)  # and its .vocab sidecar
-            (stage / f"{out.name}.loss").write_text(loss_lines, encoding="utf-8")
-            manifest.finish_phase()
-            if history:
-                manifest.add("final_loss", f"{history[-1]:.6f}")
-            manifest.digest("checkpoint", stage / out.name)
-            manifest.finalize()
-            (stage / f"{out.name}.manifest").write_text(manifest.text(), encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot write checkpoint: {exc}", file=sys.stderr)
-        return 2
+        with _refuse("cannot load corpus", OSError, UnicodeDecodeError, corpus.CorpusError):
+            vocab = corpus.read_vocab(corpus_dir / "vocab.txt")
+            training = corpus.read_fragments(corpus_dir / "fragments.txt", vocab)
+            for name in ("fragments", "vocab"):
+                manifest.digest(name, corpus_dir / f"{name}.txt")
+        manifest.add("fragments", len(training.fragments))
+        manifest.start_phase("train")
+        params = model.init_params(len(vocab), cfg.d, cfg.r, cfg.seed, dtype=np.float32)
+        with _refuse("training diverged", model.NonFiniteTraining):
+            with np.errstate(over="ignore", invalid="ignore"):  # train checks finiteness itself
+                params, history = model.train(params, training.fragments, cfg, pad_id=vocab.pad_id)
+            bound = model.activation_bound(params)
+            if not bound <= float(np.finfo(np.float32).max):  # NaN fails too
+                raise model.NonFiniteTraining(f"activations can reach {bound:.3g}, beyond float32")
+        manifest.start_phase("save")
+        model.save_checkpoint(params, vocab, stage / out.name)  # and its .vocab sidecar
+        loss_lines = "".join(f"{epoch}\t{loss:.6f}\n" for epoch, loss in enumerate(history, 1))
+        (stage / f"{out.name}.loss").write_text(loss_lines, encoding="utf-8")
+        manifest.finish_phase()
+        if history:
+            manifest.add("final_loss", f"{history[-1]:.6f}")
+        manifest.digest("checkpoint", stage / out.name)
+        manifest.finalize()
+        (stage / f"{out.name}.manifest").write_text(manifest.text(), encoding="utf-8")
     final = f", final loss {history[-1]:.4f}" if history else ""
     print(f"trained {cfg.epochs} epochs on {len(training.fragments)} fragments{final}")
     return 0
@@ -390,42 +375,38 @@ def cmd_query(args: argparse.Namespace) -> int:
     manifest = Manifest(args)
     manifest.add("sample", args.sample)
     manifest.add("symbolic", args.symbolic)
+    manifest.start_phase("load")
     model_errors: tuple = ()  # a symbolic query runs no model, so loads none (nor numpy)
-    try:
-        manifest.start_phase("load")
+    if not args.symbolic:
+        from . import model
+
+        model_errors = (model.ModelError,)
+    with _refuse("cannot load model/corpus", OSError, UnicodeDecodeError, corpus.CorpusError,
+                 *model_errors):
         sentences = corpus.read_sentences(corpus_dir / "sentences.txt")
         corpus_vocab = corpus.read_vocab(corpus_dir / "vocab.txt")
         manifest.digest("sentences", corpus_dir / "sentences.txt")
         manifest.digest("vocab", corpus_dir / "vocab.txt")
         params, vocab = (None, corpus_vocab)
         if not args.symbolic:
-            from . import model
-
-            model_errors = (model.ModelError,)
             params, vocab = model.load_checkpoint(args.model)
             manifest.digest("checkpoint", args.model)
             manifest.numerics()
-    except (OSError, UnicodeDecodeError, corpus.CorpusError, *model_errors) as exc:
-        print(f"cannot load model/corpus: {exc}", file=sys.stderr)
-        return 2
     if vocab.words != corpus_vocab.words:
-        print("vocab mismatch between checkpoint and corpus", file=sys.stderr)
-        return 2
+        raise _Refusal("vocab mismatch between checkpoint and corpus")
     manifest.start_phase("build_db")
     db = retrieval.build_db(sentences)
     manifest.start_phase("queries")
-    try:
+    with _refuse("cannot use model", *model_errors):  # e.g. scores that overflow to inf or NaN
         if args.repl:
             status = 0
-            for line in sys.stdin:
-                line = line.strip()
-                if line:
-                    status = max(status, _answer_query(line, args, params, vocab, db))
+            with _refuse("cannot read query", UnicodeDecodeError):
+                for line in sys.stdin:
+                    line = line.strip()
+                    if line:
+                        status = max(status, _answer_query(line, args, params, vocab, db))
         else:
             status = _answer_query(args.query, args, params, vocab, db)
-    except model_errors as exc:  # e.g. scores that overflow to inf or NaN
-        print(f"cannot use model: {exc}", file=sys.stderr)
-        return 2
     manifest.finalize()
     print(manifest.text(), file=sys.stderr, end="")
     return status
@@ -472,28 +453,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "query" and (args.model is not None) == args.symbolic:
-        print("query needs exactly one of --model and --symbolic", file=sys.stderr)
-        return 2
-    if args.command == "query" and (args.query is not None) == args.repl:
-        print("query needs exactly one of QUERY and --repl", file=sys.stderr)
-        return 2
-    file_config: dict[str, str] = {}
-    if args.config:
-        try:
-            file_config = _load_config_file(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"bad config file: {exc}", file=sys.stderr)
-            return 2
+    args = build_parser().parse_args(argv)
     try:
-        _resolve(args, file_config)
-    except ValueError as exc:
-        print(f"bad setting: {exc}", file=sys.stderr)
-        return 2
-    try:
+        if args.command == "query" and (args.model is not None) == args.symbolic:
+            raise _Refusal("query needs exactly one of --model and --symbolic")
+        if args.command == "query" and (args.query is not None) == args.repl:
+            raise _Refusal("query needs exactly one of QUERY and --repl")
+        with _refuse("bad config file", OSError, ValueError):
+            file_config = _load_config_file(args.config) if args.config else {}
+        with _refuse("bad setting", ValueError):
+            _resolve(args, file_config)
         return args.func(args)
+    except _Refusal as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except Exception as exc:  # the CLI boundary: a crash must not read as exit 1
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

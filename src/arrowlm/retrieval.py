@@ -108,8 +108,8 @@ class SentenceDB:
     def parse_pattern(self, raw: str) -> Optional[list[QueryItem]]:
         """Parse ``?name`` / ``_`` wildcard syntax into query items.
 
-        Every other whitespace-separated part goes through the corpus
-        normalizer, so ``"Cat, ?x"`` asks what ``"cat ?x"`` asks.  Returns
+        Names and other whitespace-separated parts go through the corpus
+        normalizer, so ``"Cat, ?X."`` asks what ``"cat ?x"`` asks.  Returns
         None when a concrete word is absent from the store (such a pattern
         can never match).
         """
@@ -118,7 +118,7 @@ class SentenceDB:
             if part == "_":
                 items.append(Wildcard())
             elif part.startswith("?"):
-                items.append(Wildcard(part[1:] or None))
+                items.append(Wildcard("".join(normalize_words(part[1:])) or None))
             else:
                 for word in normalize_words(part):
                     if word not in self.positions:

@@ -85,4 +85,14 @@ MUTANTS = (
         "    for _ in range(config.max_new_tokens - 1):\n",
         ("tests/test_inference.py::test_greedy_equals_argmax_loop",),
     ),
+    Mutant(
+        "outputs-skip-the-directory-check",
+        "src/arrowlm/cli.py",
+        "    in_the_way = [out_dir / name for name in names if (out_dir / name).is_dir()]\n"
+        "    if in_the_way:\n"
+        "        raise IsADirectoryError(f\"{in_the_way[0]} is a directory\")\n",
+        "",
+        ("tests/test_cli.py::test_io_errors_are_usage_errors[train-vocab-is-a-dir]",
+         "tests/test_cli.py::test_io_errors_are_usage_errors[corpus-vocab-is-a-dir]"),
+    ),
 )

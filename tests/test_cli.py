@@ -110,8 +110,9 @@ class TestQuery:
         capsys.readouterr()
         assert query(built, "--symbolic", "cat ?x") == 0
         plain = capsys.readouterr().out
-        assert query(built, "--symbolic", "Cat, ?x") == 0
-        assert capsys.readouterr().out == plain
+        for text in ("Cat, ?x", "Cat, ?X."):  # a wildcard's name is normalized too
+            assert query(built, "--symbolic", text) == 0
+            assert capsys.readouterr().out == plain, text
         assert "x=sits" in plain
 
     def test_repeated_wildcard_is_printed_once(self, tmp_path, capsys):
@@ -286,9 +287,10 @@ def test_io_errors_are_usage_errors(built, tmp_path, monkeypatch, capsys, args):
     corpus_dir, ckpt = built
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("a train run that fails reached model.train")
+        raise AssertionError("a run that fails reached the work of corpus build or train")
 
     monkeypatch.setattr(model, "train", unreachable)
+    monkeypatch.setattr(corpus, "split_sentences", unreachable)
     (tmp_path / "file").write_text("kept\n", encoding="utf-8")
     (tmp_path / "latin1.txt").write_bytes("The caf\u00e9 is open.".encode("latin-1"))
     (tmp_path / "o" / "vocab.txt").mkdir(parents=True)  # the second of three writes fails
@@ -320,6 +322,41 @@ def fail_to_write(*args, **kwargs):
 
 def files_and_bytes(root):
     return {path: path.is_file() and path.read_bytes() for path in root.rglob("*")}
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["prove", "p->"], "syntax error: expected atom or '(' (byte 3)"),
+        (["train", "--corpus", "{corpus}", "--out", "{tmp}/m", "--d", "2", "--r", "4"],
+         "invalid shape: d=2, r=4"),
+        (["query", "--corpus", "{tmp}/c", "--model", "{model}", "the cat"],
+         "vocab mismatch between checkpoint and corpus"),
+        (["--config", "{tmp}/missing.cfg", "prove", "p->p"],
+         "bad config file: [Errno 2] No such file or directory: "),
+        (["--config", "{tmp}/no-equals.cfg", "prove", "p->p"],
+         "bad config file: bad config line (expected key=value): 'epochs 3'"),
+        (["query", "--corpus", "{corpus}", "--symbolic", "--repl"],
+         "cannot read query: 'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["syntax-error", "invalid-shape", "vocab-mismatch", "config-missing",
+         "config-line-without-equals", "stdin-not-utf8"],
+)
+def test_refusal_is_one_line_and_writes_nothing(built, tmp_path, monkeypatch, capsys, args,
+                                                message):
+    corpus_dir, ckpt = built
+    shutil.copytree(corpus_dir, tmp_path / "c")
+    vocab = tmp_path / "c" / "vocab.txt"
+    vocab.write_text("zebra\n" + vocab.read_text(encoding="utf-8"), encoding="utf-8")  # not in the model
+    (tmp_path / "no-equals.cfg").write_text("epochs 3\n", encoding="utf-8")
+    stdin = io.TextIOWrapper(io.BytesIO(b"the \xff cat\n"), encoding="utf-8")  # strict decoding
+    monkeypatch.setattr("sys.stdin", stdin)
+    before = files_and_bytes(tmp_path)
+    capsys.readouterr()
+    assert cli.main([arg.format(corpus=corpus_dir, model=ckpt, tmp=tmp_path) for arg in args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith(message), err
+    assert files_and_bytes(tmp_path) == before
 
 
 @pytest.mark.parametrize("out, fault", [("c", "write"), ("c", "manifest-is-a-dir"),
