@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import shutil
 import sys
@@ -209,7 +208,9 @@ def _resolve(args: argparse.Namespace, file_config: dict[str, str]) -> None:
         if value is None:
             value = default
         low, inclusive = _LOWEST[key]
-        if not (math.isfinite(value) and (value >= low if inclusive else value > low)):
+        if not abs(value) <= sys.float_info.max:  # nan, inf, or an int too large for a float
+            raise ValueError(f"{key} must be finite and fit a float, got {value}")
+        if not (value >= low if inclusive else value > low):
             raise ValueError(f"{key} must be {'>=' if inclusive else '>'} {low}, got {value}")
         setattr(args, key, value)
 

@@ -40,8 +40,11 @@ class FormulaSyntaxError(FormulaError):
 # spelling (a str), an implication's (antecedent, consequent) pair -- to a
 # weak reference that remembers that key; when the node dies, _forget drops
 # the entry, so the table holds only live formulas.  Keys hold the children,
-# which a live parent keeps alive anyway.
+# which a live parent keeps alive anyway.  A lookup is C alone
+# (``_NODES.get(key, _NONE)()``); a new node costs one Python frame, _build,
+# and a dead one one callback, _forget.
 _NODES: dict = {}
+_NONE = type(None)  # called, it returns None: a table miss, without a Python frame
 
 
 class _Entry(weakref.ref):
@@ -60,20 +63,24 @@ def _forget(entry: _Entry) -> None:
     _remove_dead_weakref(_NODES, entry.key)
 
 
-def _enter(key: Union[str, tuple], node):
-    """The node for ``key``: ``node`` itself, or an equal one entered first.
+def _build(cls: type, key: Union[str, tuple]):
+    """The node of class ``cls`` for ``key``: a new one, or an equal one entered first.
 
-    Lock-free: ``setdefault`` enters ``node`` atomically unless an entry is
-    there, and a dead entry is removed (atomically, only if still dead)
+    Lock-free: ``setdefault`` enters the new node atomically unless an entry
+    is there, and a dead entry is removed (atomically, only if still dead)
     before trying again, so two threads never enter twin nodes.
     """
+    node = object.__new__(cls)
+    if cls is Imp:
+        _SET_ANTECEDENT(node, key[0])
+        _SET_CONSEQUENT(node, key[1])
+    else:
+        _SET_SURFACE(node, key)
     mine = _Entry(node, _forget)
     mine.key = key
-    while True:
-        found = _NODES.setdefault(key, mine)()
-        if found is not None:
-            return found
+    while (found := _NODES.setdefault(key, mine)()) is None:
         _remove_dead_weakref(_NODES, key)
+    return found
 
 
 class _Node:
@@ -106,13 +113,7 @@ class Atom(_Node):
     __slots__ = ("surface", "__weakref__")
 
     def __new__(cls, surface: str) -> "Atom":
-        entry = _NODES.get(surface)
-        atom = entry and entry()
-        if atom is None:
-            atom = object.__new__(cls)
-            _SET_SURFACE(atom, surface)
-            atom = _enter(surface, atom)
-        return atom
+        return _NODES.get(surface, _NONE)() or _build(Atom, surface)
 
     def __reduce__(self):
         return Atom, (self.surface,)
@@ -132,14 +133,7 @@ class Imp(_Node):
 
     def __new__(cls, antecedent: "Formula", consequent: "Formula") -> "Imp":
         key = (antecedent, consequent)
-        entry = _NODES.get(key)
-        imp = entry and entry()
-        if imp is None:
-            imp = object.__new__(cls)
-            _SET_ANTECEDENT(imp, antecedent)
-            _SET_CONSEQUENT(imp, consequent)
-            imp = _enter(key, imp)
-        return imp
+        return _NODES.get(key, _NONE)() or _build(Imp, key)
 
     def __reduce__(self):
         return Imp, (self.antecedent, self.consequent)
@@ -171,8 +165,9 @@ def list_to_impl(tokens: Sequence[Atom]) -> Formula:
     return acc
 
 
-# One pass over the text: a word, an arrow, or any other single character
-# (a parenthesis, or a stray character the parser rejects), after spaces.
+# A well-formed text holds only these bytes, ``-`` and ``>`` only as ``->``;
+# _LEXEME_RE locates errors: a word, an arrow or any other character.
+_LEXICON = b"abcdefghijklmnopqrstuvwxyz0123456789_'()-> \t\r\n"
 _LEXEME_RE = re.compile(r"[ \t\r\n]*([a-z0-9_']+|->|[^ \t\r\n])")
 _WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_'")
 
@@ -181,74 +176,73 @@ def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
 
-def _syntax_error(text: str, index: int, message: str) -> FormulaSyntaxError:
-    """The error for the ``index``-th lexeme (or the end), at its byte offset.
+def _lex(text: str) -> list[str]:
+    """The words, arrows and parentheses of ``text``, then the sentinel ``""``.
 
-    A stray character anywhere is reported first, as if lexing preceded parsing.
+    A text of :data:`_LEXICON` holds no stray character, so spacing out its
+    arrows and parentheses and splitting it lexes it as :data:`_LEXEME_RE`
+    would, in C.  Any other text holds one, and the first is the error.
     """
-    starts = []
-    for m in _LEXEME_RE.finditer(text):
-        lexeme = m.group(1)
-        if lexeme[-1] not in _WORD_CHARS and lexeme not in ("->", "(", ")"):
-            return FormulaSyntaxError(f"unexpected character {lexeme!r}", _byte_offset(text, m.start(1)))
-        starts.append(m.start(1))
-    off = starts[index] if index < len(starts) else len(text)
-    return FormulaSyntaxError(message, _byte_offset(text, off))
+    if (text.isascii() and not text.encode().translate(None, _LEXICON)
+            and text.count("-") == text.count("->") == text.count(">")):
+        lexemes = text.replace("->", " -> ").replace("(", " ( ").replace(")", " ) ").split()
+        lexemes.append("")
+        return lexemes
+    stray = next(m for m in _LEXEME_RE.finditer(text)
+                 if m.group(1)[-1] not in _WORD_CHARS and m.group(1) not in ("->", "(", ")"))
+    raise FormulaSyntaxError(f"unexpected character {stray.group(1)!r}", _byte_offset(text, stray.start(1)))
 
 
-def _fold(operands: list[Formula]) -> Formula:
-    """``a1->a2->...->an``, right-associated."""
-    acc = operands[-1]
-    for f in reversed(operands[:-1]):
-        acc = Imp(f, acc)
-    return acc
+def _syntax_error(text: str, index: int, message: str) -> FormulaSyntaxError:
+    """The error for the ``index``-th lexeme (or the end), at its byte offset."""
+    starts = [m.start(1) for m in _LEXEME_RE.finditer(text)]
+    return FormulaSyntaxError(message, _byte_offset(text, starts[index] if index < len(starts) else len(text)))
 
 
 def _group(text: str, lexemes: list[str], index: int, nested: bool) -> tuple[Formula, int]:
-    """Parse operands joined by ``->`` from ``lexemes[index]``: (formula, next index).
+    """Parse operands joined by ``->`` from ``lexemes[index]``: (formula, index past its end).
 
     ``nested`` means a ``(`` opened this group, so it must close with ``)``.
-    Each parenthesis level is one recursive call.  A word already in the
-    node table costs one dict lookup, not an ``Atom`` call.
+    Each parenthesis level is one recursive call; words and arrows are a
+    loop, and the operands fold right-associated in place.
     """
-    nodes = _NODES
-    operands: list[Formula] = []
-    n = len(lexemes)
+    nodes, operands = _NODES, []
     while True:
-        lexeme = lexemes[index] if index < n else ""
+        lexeme = lexemes[index]
         if lexeme == "(":
             group, index = _group(text, lexemes, index + 1, True)
             operands.append(group)
         elif lexeme and lexeme[-1] in _WORD_CHARS:
-            entry = nodes.get(lexeme)
-            operands.append(entry and entry() or Atom(lexeme))
+            operands.append(nodes.get(lexeme, _NONE)() or _build(Atom, lexeme))
             index += 1
         else:
             raise _syntax_error(text, index, "expected atom or '('")
-        if index < n and lexemes[index] == "->":
-            index += 1
-        else:
+        if lexemes[index] != "->":
             break
-    if not nested:
-        if index < n:
-            raise _syntax_error(text, index, "unexpected trailing input")
-    elif index < n and lexemes[index] == ")":
         index += 1
-    else:
+    if nested and lexemes[index] != ")":
         raise _syntax_error(text, index, "expected ')'")
-    return _fold(operands), index
+    if not nested and lexemes[index]:
+        raise _syntax_error(text, index, "unexpected trailing input")
+    acc = operands.pop()
+    while operands:
+        key = (operands.pop(), acc)
+        acc = nodes.get(key, _NONE)() or _build(Imp, key)
+    return acc, index + 1
 
 
 def parse_formula(text: str) -> Formula:
     """Parse ``->`` notation (right-associative; parentheses group).
 
     A word parses to its :class:`Atom`, so separate parses of the same
-    words share their atoms and compare equal.  An arrow chain is a loop,
-    but each parenthesis level is one Python frame, so nesting near the
-    recursion limit (a left-nested chain of about 1,000 atoms) raises
-    ``RecursionError`` here, as it would in the prover.
+    words share their atoms and compare equal.  A new node costs one Python
+    frame and, once dropped, one callback.  An arrow chain is a loop, so a
+    right-nested chain parses at any length, but each parenthesis level is
+    one frame: a left-nested chain of about 1,000 atoms raises
+    ``RecursionError`` here.  The benchmark counts that as the parser's
+    failure, so an explicit stack waits on ROADMAP item 1a.
     """
-    return _group(text, _LEXEME_RE.findall(text), 0, False)[0]
+    return _group(text, _lex(text), 0, False)[0]
 
 
 def print_formula(f: Formula) -> str:

@@ -12,14 +12,15 @@ inputs.
 
 Contexts are sets.  Contraction is admissible, so a repeated hypothesis
 adds nothing and is kept once; whether a goal follows then depends only on
-the goal and the set of hypotheses, and one memo per top-level call maps
-each (goal, context) pair it has settled to its outcome.  Elimination
-tries the context's implications in the order they were assumed: when the
-left premise of one fails, the next is tried; once a left premise
-succeeds, the search commits to the right premise and tries nothing else.
-Committing is safe because the right premise (the context with ``B`` for
-``A->B``) is invertible: ``B`` implies ``A->B``, so if the goal follows at
-all, it follows from the right premise.
+the goal and the set of hypotheses.  An implication goal is a loop that
+assumes its antecedents and goes on to its head, growing the context once,
+and one memo per top-level call maps each (atom goal, context) pair it has
+settled to its outcome.  Elimination tries the context's implications in
+the order they were assumed: when the left premise of one fails, the next
+is tried; once a left premise succeeds, the search commits to the right
+premise and tries nothing else.  Committing is safe because the right
+premise (the context with ``B`` for ``A->B``) is invertible: ``B`` implies
+``A->B``, so if the goal follows at all, it follows from the right premise.
 
 The same fact lets the search skip every ``A->B`` whose ``B`` is already in
 the context.  Eliminating it could only lead to the context less ``A->B``;
@@ -35,9 +36,9 @@ no hypothesis.  The rule is sound because only an axiom closes an atom
 goal, and no rule adds a head to the context of its right premise: ``B``
 has the head of ``A->B``, and the auxiliary ``D->B`` that of ``(C->D)->B``.
 
-One search serves deciding and witnessing.  The memo records how each
-settled goal follows: False, True for an implication goal, or the
-hypothesis an atom goal eliminated.  ``prove_with_term`` decides once, then
+One search serves deciding and witnessing.  The memo holds atom goals
+only, each with False or the hypothesis it eliminated, and those are the
+only entries a witness reads.  ``prove_with_term`` decides once, then
 ``_witness`` follows those records and searches nothing.  That is sound:
 an entry is written only after its premises were settled and memoized (an
 axiom needs no entry), and one recorded choice per goal suffices because
@@ -49,7 +50,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Union
 
-from .formula import Atom, Formula, Imp, _Node
+from .formula import _NODES, _NONE, Atom, Formula, Imp, _build, _Node
 
 
 class StepLimitExceeded(Exception):
@@ -144,51 +145,56 @@ def _search(goal: Formula, hyps: tuple, known: frozenset, memo: dict) -> Union[b
 
     ``hyps`` holds the hypotheses without repeats in the order they were
     assumed, which fixes the search order; ``known`` is the same set as a
-    frozenset, which answers membership and keys ``memo``.  The outcome
-    depends on the set alone, so ``memo`` records it either way: False, True
-    for an implication goal, or the hypothesis an atom goal eliminated.
+    frozenset, which answers membership and keys ``memo``.  An implication
+    goal extends both once; an atom goal's outcome depends on the set alone,
+    so ``memo`` records it either way: False, or the hypothesis it eliminated.
     """
     if goal in known:
         return True
+    if isinstance(goal, Imp):
+        assumed: dict = {}  # the new antecedents, in order
+        while isinstance(goal, Imp):
+            if goal.antecedent not in known:
+                assumed[goal.antecedent] = None
+            goal = goal.consequent
+            if goal in known or goal in assumed:
+                return True
+        if assumed:
+            hyps, known = hyps + tuple(assumed), known.union(assumed)
     key = (goal, known)
     if key in memo:
         return memo[key]
-    result = False
-    if isinstance(goal, Imp):
-        a = goal.antecedent
-        if a not in known:
-            hyps, known = hyps + (a,), known | {a}
-        result = _search(goal.consequent, hyps, known, memo) is not False
-    else:
-        # The head rule, inline: the prove-mix call budget counts every Python call.
-        for f in hyps:
-            while isinstance(f, Imp):
-                f = f.consequent
-            if f is goal:
-                break
-        else:
-            memo[key] = False
-            return False
-        for i, f in enumerate(hyps):
-            if (not isinstance(f, Imp) or f.consequent in known
-                    or isinstance(f.antecedent, Atom) and f.antecedent not in known):
-                continue
-            a, b = f.antecedent, f.consequent
-            rest, rest_known = hyps[:i] + hyps[i + 1 :], known - {f}
-            if not isinstance(a, Atom):
-                aux = Imp(a.consequent, b)
-                if aux in rest_known:
-                    holds = _search(a, rest, rest_known, memo)
-                else:
-                    holds = _search(a, rest + (aux,), rest_known | {aux}, memo)
-                if holds is False:
-                    continue
-            # Commit: the right premise is invertible, so no other choice is tried.
-            if b not in rest_known:
-                rest, rest_known = rest + (b,), rest_known | {b}
-            if _search(goal, rest, rest_known, memo) is not False:
-                result = f
+    # The head rule, inline: the prove-mix call budget counts every Python call.
+    for f in hyps:
+        while isinstance(f, Imp):
+            f = f.consequent
+        if f is goal:
             break
+    else:
+        memo[key] = False
+        return False
+    result = False
+    for i, f in enumerate(hyps):
+        if (not isinstance(f, Imp) or f.consequent in known
+                or isinstance(f.antecedent, Atom) and f.antecedent not in known):
+            continue
+        a, b = f.antecedent, f.consequent
+        rest, rest_known = hyps[:i] + hyps[i + 1 :], known - {f}
+        if not isinstance(a, Atom):
+            pair = (a.consequent, b)
+            aux = _NODES.get(pair, _NONE)() or _build(Imp, pair)
+            if aux in rest_known:
+                holds = _search(a, rest, rest_known, memo)
+            else:
+                holds = _search(a, rest + (aux,), rest_known | {aux}, memo)
+            if holds is False:
+                continue
+        # Commit: the right premise is invertible, so no other choice is tried.
+        if b not in rest_known:
+            rest, rest_known = rest + (b,), rest_known | {b}
+        if _search(goal, rest, rest_known, memo) is not False:
+            result = f
+        break
     memo[key] = result
     return result
 

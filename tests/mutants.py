@@ -95,4 +95,35 @@ MUTANTS = (
         ("tests/test_cli.py::test_io_errors_are_usage_errors[train-vocab-is-a-dir]",
          "tests/test_cli.py::test_io_errors_are_usage_errors[corpus-vocab-is-a-dir]"),
     ),
+    Mutant(
+        "node-builder-keeps-a-dead-entry",
+        "src/arrowlm/formula.py",
+        "    while (found := _NODES.setdefault(key, mine)()) is None:\n"
+        "        _remove_dead_weakref(_NODES, key)\n",
+        "    found = _NODES.setdefault(key, mine)()\n",
+        ("tests/test_formula.py::TestHashConsing::test_rebuilt_while_the_collector_runs_callbacks",),
+    ),
+    Mutant(
+        "atom-goal-memoized-under-the-arrival-context",
+        "src/arrowlm/prover.py",
+        "        if assumed:\n"
+        "            hyps, known = hyps + tuple(assumed), known.union(assumed)\n"
+        "    key = (goal, known)\n",
+        "        key = (goal, known)\n"
+        "        if assumed:\n"
+        "            hyps, known = hyps + tuple(assumed), known.union(assumed)\n"
+        "    else:\n"
+        "        key = (goal, known)\n",
+        ("tests/test_prover.py::TestOracleAgreement::test_random_formulas_against_sequent_search",
+         "tests/test_prover.py::TestOracleAgreement::test_witnesses_type_check_small",
+         "tests/test_prover.py::TestProveWithTerm::test_agreement_with_prove"),
+    ),
+    Mutant(
+        "setting-past-the-float-range-accepted",
+        "src/arrowlm/cli.py",
+        "        if not abs(value) <= sys.float_info.max:",
+        "        if not abs(value) < float(\"inf\"):",
+        ("tests/test_cli.py::test_out_of_range_setting_is_a_usage_error[query-top-k-past-float]",
+         "tests/test_cli.py::test_out_of_range_setting_is_a_usage_error[config-top-k-past-float]"),
+    ),
 )

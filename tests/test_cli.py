@@ -78,6 +78,11 @@ class TestProve:
                 assert out == ["provable", f"term: {format_term(term)}"], text
         assert witnessed > 30
 
+    def test_right_nested_chain_of_any_length(self, capsys):
+        # An implication goal is a loop in the prover and an arrow chain one in the parser.
+        assert cli.main(["prove", "->".join(f"a{i}" for i in range(2_000)) + "->a0"]) == 0
+        assert capsys.readouterr() == ("provable\n", "")
+
     def test_crash_is_exit_3(self, monkeypatch, capsys):
         def crash(goal):
             raise RecursionError("maximum recursion depth exceeded")
@@ -426,12 +431,17 @@ def test_plain_text_corpus_prints_no_warning(built, tmp_path):
         ["--config", "{tmp}/bad.cfg", "train", "--corpus", "{corpus}", "--out", "{tmp}/m"],
         ["query", "--corpus", "{corpus}", "--model", "{model}", "--top-k", "0", "the cat"],
         ["query", "--corpus", "{corpus}", "--model", "{model}", "--temperature", "0", "the"],
+        # An int past the float range, from the command line and from a config file.
+        ["query", "--symbolic", "--corpus", "{corpus}", "--top-k", "1" + "0" * 400, "cat"],
+        ["--config", "{tmp}/huge.cfg", "query", "--symbolic", "--corpus", "{corpus}", "cat"],
     ],
-    ids=["corpus-max-frag", "train-batch-size", "config-d", "query-top-k", "query-temperature"],
+    ids=["corpus-max-frag", "train-batch-size", "config-d", "query-top-k", "query-temperature",
+         "query-top-k-past-float", "config-top-k-past-float"],
 )
 def test_out_of_range_setting_is_a_usage_error(built, tmp_path, capsys, args):
     corpus_dir, ckpt = built
     (tmp_path / "bad.cfg").write_text("d=abc\n", encoding="utf-8")
+    (tmp_path / "huge.cfg").write_text("top_k=1" + "0" * 400 + "\n", encoding="utf-8")
     paths = dict(raw=corpus_dir.parent / "raw.txt", corpus=corpus_dir, model=ckpt, tmp=tmp_path)
     capsys.readouterr()
     assert cli.main([arg.format(**paths) for arg in args]) == 2

@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from arrowlm import formula
+from arrowlm import formula, prover
 from arrowlm.formula import (
     Atom,
     EmptyTokenList,
@@ -94,6 +94,46 @@ class TestParse:
         assert isinstance(f, Imp)
         assert f.antecedent.surface == "don't"
         assert f.consequent.surface == "x_1"
+
+
+def scan(text):
+    """The lexemes of ``text``, one character at a time; or the index of its first stray character."""
+    word = set("abcdefghijklmnopqrstuvwxyz0123456789_'")
+    out, i = [], 0
+    while i < len(text):
+        if text[i] in " \t\r\n":
+            i += 1
+        elif text[i] in "()" or text.startswith("->", i):
+            out.append("->" if text[i] == "-" else text[i])
+            i += len(out[-1])
+        elif text[i] in word:
+            j = i
+            while j < len(text) and text[j] in word:
+                j += 1
+            out.append(text[i:j])
+            i = j
+        else:
+            return i
+    return out
+
+
+class TestLex:
+    def test_against_a_character_scanner(self):
+        # The lexer validates the bytes and splits in C; the scanner reads one character at a time.
+        rng = random.Random(31)
+        good = ["p", "q", "ab", "_", "'", "0", "(", ")", "->", " ", "\t", "\r\n"]
+        stray = ["-", ">", "\f", "\v", "\xa0", "\u00e9", "A", "&", "-->", "->>", "<-"]
+        for _ in range(20_000):
+            rate = rng.choice((0.0, 0.05, 0.3))
+            text = "".join(rng.choice(stray if rng.random() < rate else good) for _ in range(rng.randint(0, 16)))
+            expected = scan(text)
+            if isinstance(expected, list):
+                assert formula._lex(text) == expected + [""], repr(text)
+                continue
+            with pytest.raises(FormulaSyntaxError) as err:
+                formula._lex(text)
+            offset = len(text[:expected].encode("utf-8"))
+            assert str(err.value) == f"unexpected character {text[expected]!r} (byte {offset})", repr(text)
 
 
 class TestPrint:
@@ -207,6 +247,29 @@ class TestHashConsing:
         gc.collect()
         assert watch() is None and len(rebuilt) == 1
         assert Imp(p, q) is rebuilt[0]
+
+    def test_every_way_of_building_gives_one_object(self, monkeypatch):
+        # Constructors, the parser, the chain encoding, pickle and the prover's
+        # auxiliary D->B all build through one table; once all are dropped, it is as before.
+        before = len(formula._NODES)
+        a, b, c = atoms("hc_a hc_b hc_c")
+        built = Imp(Imp(a, b), a)
+        assert parse_formula("(hc_a->hc_b)->hc_a") is built
+        assert list_to_impl([Atom("hc_a"), parse_formula("hc_b"), a]) is built
+        assert pickle.loads(pickle.dumps(built)) is built
+        contexts, search = [], prover._search
+
+        def recording(goal, hyps, known, memo):
+            contexts.append(known)
+            return search(goal, hyps, known, memo)
+
+        # Eliminating (c->b)->a proves c->b under the auxiliary b->a.
+        monkeypatch.setattr(prover, "_search", recording)
+        assert not prove(a, (Imp(Imp(c, b), a),))
+        (aux,) = contexts[1]
+        assert aux is Imp(b, a) is parse_formula("hc_b->hc_a") is pickle.loads(pickle.dumps(aux))
+        del a, b, c, built, contexts, aux
+        assert len(formula._NODES) == before
 
     def test_pickle_and_copy_keep_identity(self):
         f = parse_formula("(p->q)->p")
