@@ -165,9 +165,8 @@ def list_to_impl(tokens: Sequence[Atom]) -> Formula:
     return acc
 
 
-# A well-formed text holds only these bytes, ``-`` and ``>`` only as ``->``;
-# _LEXEME_RE locates errors: a word, an arrow or any other character.
-_LEXICON = b"abcdefghijklmnopqrstuvwxyz0123456789_'()-> \t\r\n"
+# One pass over the text: a word, an arrow, or any other single character
+# (a parenthesis, or a stray character the parser rejects), after spaces.
 _LEXEME_RE = re.compile(r"[ \t\r\n]*([a-z0-9_']+|->|[^ \t\r\n])")
 _WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_'")
 
@@ -176,27 +175,19 @@ def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
 
-def _lex(text: str) -> list[str]:
-    """The words, arrows and parentheses of ``text``, then the sentinel ``""``.
-
-    A text of :data:`_LEXICON` holds no stray character, so spacing out its
-    arrows and parentheses and splitting it lexes it as :data:`_LEXEME_RE`
-    would, in C.  Any other text holds one, and the first is the error.
-    """
-    if (text.isascii() and not text.encode().translate(None, _LEXICON)
-            and text.count("-") == text.count("->") == text.count(">")):
-        lexemes = text.replace("->", " -> ").replace("(", " ( ").replace(")", " ) ").split()
-        lexemes.append("")
-        return lexemes
-    stray = next(m for m in _LEXEME_RE.finditer(text)
-                 if m.group(1)[-1] not in _WORD_CHARS and m.group(1) not in ("->", "(", ")"))
-    raise FormulaSyntaxError(f"unexpected character {stray.group(1)!r}", _byte_offset(text, stray.start(1)))
-
-
 def _syntax_error(text: str, index: int, message: str) -> FormulaSyntaxError:
-    """The error for the ``index``-th lexeme (or the end), at its byte offset."""
-    starts = [m.start(1) for m in _LEXEME_RE.finditer(text)]
-    return FormulaSyntaxError(message, _byte_offset(text, starts[index] if index < len(starts) else len(text)))
+    """The error for the ``index``-th lexeme (or the end), at its byte offset.
+
+    A stray character anywhere is reported first, as if lexing preceded parsing.
+    """
+    starts = []
+    for m in _LEXEME_RE.finditer(text):
+        lexeme = m.group(1)
+        if lexeme[-1] not in _WORD_CHARS and lexeme not in ("->", "(", ")"):
+            return FormulaSyntaxError(f"unexpected character {lexeme!r}", _byte_offset(text, m.start(1)))
+        starts.append(m.start(1))
+    off = starts[index] if index < len(starts) else len(text)
+    return FormulaSyntaxError(message, _byte_offset(text, off))
 
 
 def _group(text: str, lexemes: list[str], index: int, nested: bool) -> tuple[Formula, int]:
@@ -206,7 +197,8 @@ def _group(text: str, lexemes: list[str], index: int, nested: bool) -> tuple[For
     Each parenthesis level is one recursive call; words and arrows are a
     loop, and the operands fold right-associated in place.
     """
-    nodes, operands = _NODES, []
+    nodes = _NODES
+    operands: list[Formula] = []
     while True:
         lexeme = lexemes[index]
         if lexeme == "(":
@@ -242,7 +234,7 @@ def parse_formula(text: str) -> Formula:
     ``RecursionError`` here.  The benchmark counts that as the parser's
     failure, so an explicit stack waits on ROADMAP item 1a.
     """
-    return _group(text, _lex(text), 0, False)[0]
+    return _group(text, _LEXEME_RE.findall(text) + [""], 0, False)[0]
 
 
 def print_formula(f: Formula) -> str:

@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Union
 
-from .formula import _NODES, _NONE, Atom, Formula, Imp, _build, _Node
+from .formula import Atom, Formula, Imp, _Node
 
 
 class StepLimitExceeded(Exception):
@@ -181,8 +181,7 @@ def _search(goal: Formula, hyps: tuple, known: frozenset, memo: dict) -> Union[b
         a, b = f.antecedent, f.consequent
         rest, rest_known = hyps[:i] + hyps[i + 1 :], known - {f}
         if not isinstance(a, Atom):
-            pair = (a.consequent, b)
-            aux = _NODES.get(pair, _NONE)() or _build(Imp, pair)
+            aux = Imp(a.consequent, b)
             if aux in rest_known:
                 holds = _search(a, rest, rest_known, memo)
             else:

@@ -119,6 +119,13 @@ MUTANTS = (
          "tests/test_prover.py::TestProveWithTerm::test_agreement_with_prove"),
     ),
     Mutant(
+        "elimination-tries-an-implication-to-a-known-formula",
+        "src/arrowlm/prover.py",
+        "        if (not isinstance(f, Imp) or f.consequent in known\n",
+        "        if (not isinstance(f, Imp)\n",
+        ("tests/test_prover.py::TestProve::test_an_implication_to_a_known_formula_is_never_eliminated",),
+    ),
+    Mutant(
         "setting-past-the-float-range-accepted",
         "src/arrowlm/cli.py",
         "        if not abs(value) <= sys.float_info.max:",

@@ -96,46 +96,6 @@ class TestParse:
         assert f.consequent.surface == "x_1"
 
 
-def scan(text):
-    """The lexemes of ``text``, one character at a time; or the index of its first stray character."""
-    word = set("abcdefghijklmnopqrstuvwxyz0123456789_'")
-    out, i = [], 0
-    while i < len(text):
-        if text[i] in " \t\r\n":
-            i += 1
-        elif text[i] in "()" or text.startswith("->", i):
-            out.append("->" if text[i] == "-" else text[i])
-            i += len(out[-1])
-        elif text[i] in word:
-            j = i
-            while j < len(text) and text[j] in word:
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            return i
-    return out
-
-
-class TestLex:
-    def test_against_a_character_scanner(self):
-        # The lexer validates the bytes and splits in C; the scanner reads one character at a time.
-        rng = random.Random(31)
-        good = ["p", "q", "ab", "_", "'", "0", "(", ")", "->", " ", "\t", "\r\n"]
-        stray = ["-", ">", "\f", "\v", "\xa0", "\u00e9", "A", "&", "-->", "->>", "<-"]
-        for _ in range(20_000):
-            rate = rng.choice((0.0, 0.05, 0.3))
-            text = "".join(rng.choice(stray if rng.random() < rate else good) for _ in range(rng.randint(0, 16)))
-            expected = scan(text)
-            if isinstance(expected, list):
-                assert formula._lex(text) == expected + [""], repr(text)
-                continue
-            with pytest.raises(FormulaSyntaxError) as err:
-                formula._lex(text)
-            offset = len(text[:expected].encode("utf-8"))
-            assert str(err.value) == f"unexpected character {text[expected]!r} (byte {offset})", repr(text)
-
-
 class TestPrint:
     def test_antecedent_parenthesized(self):
         p, q, r = atoms("p q r")

@@ -162,13 +162,16 @@ class TestProve:
         assert not prove(_right_nested(atoms + [Atom("b")]))
         assert search.calls == 1
 
-    def test_an_implication_to_a_known_formula_is_never_eliminated(self):
-        # b gives (c->d)->b for free, so the search never tries its left premise c->d.
+    def test_an_implication_to_a_known_formula_is_never_eliminated(self, count_calls):
+        # b gives (c->d)->b for free, so the search never tries its left premise c->d,
+        # whose head d would be memoized, but eliminates b->g and closes g: two calls.
         b, c, d, g = (Atom(w) for w in "bcdg")
         hyps = (Imp(Imp(c, d), b), b, Imp(b, g))
         memo: dict = {}
+        search = count_calls(prover, "_search")
         assert prover._search(g, hyps, frozenset(hyps), memo) is not False
-        assert Imp(c, d) not in {goal for goal, _ in memo}
+        assert search.calls == 2
+        assert d not in {goal for goal, _ in memo}
         assert prove(g, hyps)
 
 
