@@ -35,7 +35,7 @@ when absent), since results are bit-equal only for a fixed thread count.
 
 Each command imports only what it runs, since a cold start pays for every
 module loaded: ``prove`` loads no numpy, ``dataclasses`` or ``hashlib``,
-and ``query --symbolic`` loads no numpy.
+``query --symbolic`` loads no numpy, and neither loads ``tempfile``.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
-import shutil
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Optional, Sequence
@@ -156,6 +154,9 @@ def _outputs(out_dir: Path, names: Sequence[str]):
     ``out_dir`` with ``os.replace``.  An exception removes the stage and any
     directory made for ``out_dir``.
     """
+    import shutil
+    import tempfile
+
     in_the_way = [out_dir / name for name in names if (out_dir / name).is_dir()]
     if in_the_way:
         raise IsADirectoryError(f"{in_the_way[0]} is a directory")

@@ -10,12 +10,15 @@ the item count is linear in corpus size.
 
 ``corpus build`` writes ``sentences.txt`` (``query`` reads it),
 ``vocab.txt`` (``train`` and ``query``) and ``fragments.txt`` (``train``).
+Each ``fragments.txt`` line is cut from its sentence's words, joined
+once: a window's text is one slice of that line.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from . import DEFAULTS
@@ -61,9 +64,13 @@ class Vocab:
 
 @dataclass
 class TrainingSet:
-    """The deduplicated fragments, in first-seen order."""
+    """The deduplicated fragments, in first-seen order, and ``text``, one line per fragment.
 
-    fragments: list[tuple[int, ...]] = field(default_factory=list)
+    ``text`` is the exact content of ``fragments.txt``.
+    """
+
+    fragments: list[tuple[int, ...]]
+    text: str
 
 
 def strip_boilerplate(raw: str) -> str:
@@ -130,22 +137,31 @@ def enumerate_fragments(
     """
     if k_frag < 2:
         raise ValueError("k_frag must be >= 2")
-    ts = TrainingSet()
+    fragments: list[tuple[int, ...]] = []
+    chunks: list[str] = []  # per sentence, the lines of its new fragments
     seen: set[tuple[int, ...]] = set()
     for sent in sentences:
-        ids = vocab.encode(sent[:max_len])
-        n = len(ids)
+        words = sent[:max_len]
+        ids = tuple(vocab.encode(words))
+        line = " ".join(words)
+        ends = list(accumulate(len(word) + 1 for word in words))  # where each next word starts
+        n, start, lines = len(ids), 0, []
         for i in range(n):
             for j in range(i + 2, min(i + k_frag, n) + 1):
-                frag = tuple(ids[i:j])
+                frag = ids[i:j]
                 if frag not in seen:
                     seen.add(frag)
-                    ts.fragments.append(frag)
-        full = tuple(ids) + (vocab.eos_id,)
+                    fragments.append(frag)
+                    lines.append(line[start : ends[j - 1] - 1])
+            start = ends[i]
+        full = ids + (vocab.eos_id,)
         if full not in seen:
             seen.add(full)
-            ts.fragments.append(full)
-    return ts
+            fragments.append(full)
+            lines.append(" ".join((*words, EOS_WORD)))
+        if lines:
+            chunks.append("\n".join(lines) + "\n")
+    return TrainingSet(fragments, "".join(chunks))
 
 
 def write_sentences(path, sentences: Iterable[Sequence[str]]) -> None:
@@ -174,22 +190,32 @@ def read_vocab(path) -> Vocab:
 
 
 def write_fragments(path, training_set: TrainingSet, vocab: Vocab) -> None:
+    """Write ``training_set.text`` in one call.
+
+    ``vocab`` is no longer read; the signature stays because ``bench/`` calls it so.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        for frag in training_set.fragments:
-            fh.write(" ".join(vocab.words[i] for i in frag) + "\n")
+        fh.write(training_set.text)
 
 
 def read_fragments(path, vocab: Vocab) -> TrainingSet:
-    """Inverse of :func:`write_fragments`: one fragment of 2+ vocab words per line."""
-    ts = TrainingSet()
+    """Inverse of :func:`write_fragments`: one fragment of 2+ vocab words per line.
+
+    The set keeps the text it read, so writing it back gives the same lines.
+    """
     with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            words = line.split()
-            unknown = [word for word in words if word not in vocab]
-            if unknown or len(words) < 2:
-                problem = f"unknown word {unknown[0]!r}" if unknown else "fewer than 2 words"
-                raise CorpusError(f"{path}:{n}: {problem}")
-            ts.fragments.append(tuple(vocab.encode(words)))
-    if not ts.fragments:
+        text = fh.read()
+    lines = text.split("\n")
+    if not lines[-1]:
+        del lines[-1]  # the empty string after the last newline is no line
+    fragments = []
+    for n, line in enumerate(lines, 1):
+        words = line.split()
+        unknown = [word for word in words if word not in vocab]
+        if unknown or len(words) < 2:
+            problem = f"unknown word {unknown[0]!r}" if unknown else "fewer than 2 words"
+            raise CorpusError(f"{path}:{n}: {problem}")
+        fragments.append(tuple(vocab.encode(words)))
+    if not fragments:
         raise CorpusError(f"{path}: no fragments")
-    return ts
+    return TrainingSet(fragments, text)

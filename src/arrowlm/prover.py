@@ -207,33 +207,40 @@ def _witness(goal: Formula, known: frozenset, wits: dict, memo: dict, names) -> 
     captured.  An auxiliary hypothesis ``D->B`` stays the triple
     ``(s, d, c)`` for ``\\d. s (\\c. d)``: :func:`_apply` contracts it when
     it is applied, and it is written out only where it closes a goal.
+
+    A loop takes an implication goal's binders and an atom goal's
+    eliminations; only a compound left premise recurses.
     """
-    if goal in known:
-        wit = wits[goal]
-        if isinstance(wit, tuple):
-            s, d, c = wit
-            return Lam(d, _apply(s, Lam(c, Var(d))))
-        return wit
-    if isinstance(goal, Imp):
-        a, x = goal.antecedent, f"x{next(names)}"
-        if a not in known:
-            known, wits = known | {a}, {**wits, a: Var(x)}
-        return Lam(x, _witness(goal.consequent, known, wits, memo, names))
-    f = memo[goal, known]
-    a, b, s = f.antecedent, f.consequent, wits[f]
-    known = known - {f}
-    if isinstance(a, Atom):
-        arg = wits[a]
-    else:
-        aux = Imp(a.consequent, b)
-        if aux in known:
-            arg = _witness(a, known, wits, memo, names)
+    binders = []
+    while goal not in known:
+        if isinstance(goal, Imp):
+            a, x = goal.antecedent, f"x{next(names)}"
+            binders.append(x)
+            if a not in known:
+                known, wits = known | {a}, {**wits, a: Var(x)}
+            goal = goal.consequent
+            continue
+        f = memo[goal, known]
+        a, b, s = f.antecedent, f.consequent, wits[f]
+        known = known - {f}
+        if isinstance(a, Atom):
+            arg = wits[a]
         else:
-            aux_wit = (s, f"x{next(names)}", f"x{next(names)}")
-            arg = _witness(a, known | {aux}, {**wits, aux: aux_wit}, memo, names)
-    if b not in known:
-        known, wits = known | {b}, {**wits, b: _apply(s, arg)}
-    return _witness(goal, known, wits, memo, names)
+            aux = Imp(a.consequent, b)
+            if aux in known:
+                arg = _witness(a, known, wits, memo, names)
+            else:
+                aux_wit = (s, f"x{next(names)}", f"x{next(names)}")
+                arg = _witness(a, known | {aux}, {**wits, aux: aux_wit}, memo, names)
+        if b not in known:
+            known, wits = known | {b}, {**wits, b: _apply(s, arg)}
+    term = wits[goal]
+    if isinstance(term, tuple):
+        s, d, c = term
+        term = Lam(d, _apply(s, Lam(c, Var(d))))
+    for x in reversed(binders):
+        term = Lam(x, term)
+    return term
 
 
 def _apply(fun, arg: ProofTerm) -> ProofTerm:
@@ -349,11 +356,18 @@ def beta_normalize(term: ProofTerm, max_steps: int = 1_000_000) -> ProofTerm:
 
 
 def format_term(term: ProofTerm) -> str:
-    """Render a term with minimal parentheses, e.g. ``\\x1.\\x2.(x2 x1)``."""
+    """Render a term with minimal parentheses, e.g. ``\\x1.\\x2.(x2 x1)``.
+
+    A run of lambdas prints in a loop, so a long binder spine needs no stack.
+    """
     if isinstance(term, Var):
         return term.name
     if isinstance(term, Lam):
-        return f"\\{term.bound}.{format_term(term.body)}"
+        binders = []
+        while isinstance(term, Lam):
+            binders.append(f"\\{term.bound}.")
+            term = term.body
+        return "".join(binders) + format_term(term)
     fun = format_term(term.fun)
     if isinstance(term.fun, Lam):
         fun = f"({fun})"

@@ -133,4 +133,12 @@ MUTANTS = (
         ("tests/test_cli.py::test_out_of_range_setting_is_a_usage_error[query-top-k-past-float]",
          "tests/test_cli.py::test_out_of_range_setting_is_a_usage_error[config-top-k-past-float]"),
     ),
+    Mutant(
+        "fragment-text-keeps-the-trailing-space",
+        "src/arrowlm/corpus.py",
+        "lines.append(line[start : ends[j - 1] - 1])",
+        "lines.append(line[start : ends[j - 1]])",
+        ("tests/test_corpus.py::TestFragmentText::test_written_text_matches_the_word_by_word_reference[k2-len3]",
+         "tests/test_corpus.py::TestFragmentText::test_written_text_matches_the_word_by_word_reference[k5-len256]"),
+    ),
 )

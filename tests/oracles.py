@@ -5,10 +5,12 @@ code under test: a history-checked exhaustive sequent search instead of
 the committed four-rule prover, an environment-based normalizer instead
 of the step rewriter, brute-force subsequence enumeration, central finite
 differences instead of the hand-written backward pass, an
-all-logits-at-once loss instead of the streaming one, and AdamW written
-as plain expressions instead of in-place temporaries.  It also holds the
-helpers only tests need: the chain -> token-list inverse, fragment
-enumeration, alpha-equivalence and a text-in, text-out exact query.
+all-logits-at-once loss instead of the streaming one, AdamW written as
+plain expressions instead of in-place temporaries, and ``fragments.txt``
+rendered word by word from each fragment's ids instead of sliced from its
+sentence.  It also holds the helpers only tests need: the chain ->
+token-list inverse, fragment enumeration, alpha-equivalence and a
+text-in, text-out exact query.
 """
 
 from __future__ import annotations
@@ -229,6 +231,23 @@ def pattern_windows(sentences, parts) -> list[tuple[int, int, dict[str, str]]]:
             if words_agree and all(len(ws) == 1 for ws in seen.values()):
                 out.append((sid, off, {name: min(ws) for name, ws in seen.items()}))
     return out
+
+
+def fragments_file(sentences, vocab, k_frag: int, max_len: int) -> tuple[list[tuple[int, ...]], str]:
+    """The fragments ``enumerate_fragments`` keeps, and ``fragments.txt`` for them.
+
+    Windows of 2..k_frag words, then the sentence with EOS, first-seen order
+    with repeats dropped; each line is rendered from its ids, one word at a time.
+    """
+    fragments: dict[tuple[int, ...], None] = {}
+    for sent in sentences:
+        ids = vocab.encode(sent[:max_len])
+        for i in range(len(ids)):
+            for j in range(i + 2, min(i + k_frag, len(ids)) + 1):
+                fragments.setdefault(tuple(ids[i:j]))
+        fragments.setdefault((*ids, vocab.eos_id))
+    text = "".join(" ".join(vocab.words[i] for i in frag) + "\n" for frag in fragments)
+    return list(fragments), text
 
 
 # ---------------------------------------------------------------------------

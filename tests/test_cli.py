@@ -79,9 +79,17 @@ class TestProve:
         assert witnessed > 30
 
     def test_right_nested_chain_of_any_length(self, capsys):
-        # An implication goal is a loop in the prover and an arrow chain one in the parser.
-        assert cli.main(["prove", "->".join(f"a{i}" for i in range(2_000)) + "->a0"]) == 0
+        # An implication goal is a loop in the prover, the witness and the printer, and an
+        # arrow chain one in the parser.
+        chain = "->".join(f"a{i}" for i in range(2_000)) + "->a0"
+        assert cli.main(["prove", chain]) == 0
         assert capsys.readouterr() == ("provable\n", "")
+        assert cli.main(["prove", "--term", chain]) == 0
+        spine = "".join(f"\\x{i}." for i in range(1, 2_001))
+        assert capsys.readouterr() == (f"provable\nterm: {spine}x1\n", "")
+        assert cli.main(["prove", "--term", "->".join(["a"] * 2_000)]) == 0
+        spine = "".join(f"\\x{i}." for i in range(1, 2_000))
+        assert capsys.readouterr() == (f"provable\nterm: {spine}x1\n", "")
 
     def test_crash_is_exit_3(self, monkeypatch, capsys):
         def crash(goal):
@@ -462,9 +470,9 @@ def test_import_leaves_numpy_unloaded(built):
     # A cold start pays for every module it loads, so a command loads only what it runs.
     env = dict(os.environ, PYTHONPATH=str(Path(arrowlm.__file__).parents[1]))
 
-    def loaded_after(runs, modules):
+    def loaded_after(runs, modules, *flags):
         script = _LOADED_AFTER.format(runs=runs, modules=modules)
-        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+        out = subprocess.run([sys.executable, *flags, "-c", script], env=env, check=True,
                              capture_output=True, text=True, timeout=60)
         return out.stdout.splitlines()[-1]
 
@@ -473,6 +481,9 @@ def test_import_leaves_numpy_unloaded(built):
     corpus_dir, _ = built
     query_runs = [["query", "--symbolic", "--corpus", str(corpus_dir), "cat ?x"]]
     assert loaded_after(query_runs, ["numpy"]) == "[]"
+    # Without site, whose .pth hooks may load tempfile first.  (argparse itself loads
+    # shutil: its help formatter asks it for the terminal width on every add_argument.)
+    assert loaded_after(prove_runs + query_runs, ["tempfile"], "-S") == "[]"
 
 
 class Fields(dict):

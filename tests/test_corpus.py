@@ -1,7 +1,9 @@
 """Text cleanup, sentence splitting, vocabulary, fragment enumeration."""
 
 import hashlib
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,18 @@ from arrowlm.corpus import (
 )
 
 from conftest import TOY_RAW
+from oracles import fragments_file
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from fixtures import zipf_text  # noqa: E402
+
+# A sentence with no words, one word, one repeated, and one longer than every max_len below.
+EDGE_SENTENCES = [[], ["solo"], ["a", "b", "a", "b"], ["a", "b", "a", "b"], [f"w{i}" for i in range(300)]]
+
+
+@pytest.fixture(scope="module")
+def zipf_corpora():
+    return [split_sentences(strip_boilerplate(zipf_text(seed, 40))) for seed in (1, 2, 3)]
 
 
 class TestStripBoilerplate:
@@ -157,6 +171,22 @@ class TestEnumerateFragments:
             assert vocab.eos_id not in frag[:-1]
 
 
+class TestFragmentText:
+    @pytest.mark.parametrize("max_len", [1, 3, 7, 256], ids=lambda n: f"len{n}")
+    @pytest.mark.parametrize("k_frag", [2, 3, 5, 8], ids=lambda k: f"k{k}")
+    def test_written_text_matches_the_word_by_word_reference(self, tmp_path, zipf_corpora, k_frag,
+                                                             max_len):
+        path = tmp_path / "fragments.txt"
+        for sents in zipf_corpora:
+            sents = EDGE_SENTENCES + sents + EDGE_SENTENCES
+            vocab = build_vocab(sents)
+            fragments, text = fragments_file(sents, vocab, k_frag, max_len)
+            ts = enumerate_fragments(sents, vocab, k_frag=k_frag, max_len=max_len)
+            assert ts.fragments == fragments
+            write_fragments(path, ts, vocab)
+            assert path.read_bytes() == text.encode("utf-8")
+
+
 class TestFileFormats:
     def test_round_trips_and_determinism(self, tmp_path):
         sents = split_sentences(TOY_RAW)
@@ -178,12 +208,19 @@ class TestFileFormats:
         assert digests[0] == digests[1]
         assert read_sentences(tmp_path / "one" / "sentences.txt") == sents
         assert read_vocab(tmp_path / "one" / "vocab.txt").words == vocab.words
-        assert read_fragments(tmp_path / "one" / "fragments.txt", vocab).fragments == ts.fragments
+        read = read_fragments(tmp_path / "one" / "fragments.txt", vocab)
+        assert read.fragments == ts.fragments
+        write_fragments(tmp_path / "again.txt", read, vocab)
+        assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "one" / "fragments.txt").read_bytes()
 
     @pytest.mark.parametrize(
         "text, message",
         [("the cat\nthe zebra\n", "2: unknown word 'zebra'"), ("", "no fragments"),
-         ("the cat\nthe\n", "2: fewer than 2 words")],
+         ("the cat\nthe\n", "2: fewer than 2 words"), ("the cat\n\nthe cat\n", "2: fewer than 2 words"),
+         ("the cat\n  ", "2: fewer than 2 words"), ("the cat\nthe zebra", "2: unknown word 'zebra'"),
+         ("the cat\r\nthe zebra\r\n", "2: unknown word 'zebra'"),
+         ("the cat\rthe zebra", "2: unknown word 'zebra'"),
+         ("the\x0bcat\x1cthe cat\nthe zebra\n", "2: unknown word 'zebra'")],
     )
     def test_bad_fragments_are_corpus_errors(self, tmp_path, text, message):
         path = tmp_path / "fragments.txt"

@@ -1,8 +1,9 @@
 """The checks check: every mutant in ``mutants.py`` fails each test listed to kill it.
 
-Each run happens in a fresh interpreter inside a copy of ``src/``, ``tests/``
-and ``pyproject.toml``, because ``pyproject.toml`` puts ``src`` on the import
-path and would otherwise import the real, unmutated package.
+Each run happens in a fresh interpreter inside a copy of ``src/``, ``tests/``,
+``bench/`` (whose seeded text some tests read) and ``pyproject.toml``, because
+``pyproject.toml`` puts ``src`` on the import path and would otherwise import
+the real, unmutated package.
 """
 
 import os
@@ -22,7 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.fixture(scope="module")
 def tree(tmp_path_factory):
     root = tmp_path_factory.mktemp("mutants")
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "bench"):
         shutil.copytree(ROOT / name, root / name, ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copyfile(ROOT / "pyproject.toml", root / "pyproject.toml")
     return root
