@@ -292,15 +292,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         manifest.start_phase("load")
         with _refuse("cannot load corpus", OSError, UnicodeDecodeError, corpus.CorpusError):
             vocab = corpus.read_vocab(corpus_dir / "vocab.txt")
-            training = corpus.read_fragments(corpus_dir / "fragments.txt", vocab)
+            fragments = corpus.read_fragments(corpus_dir / "fragments.txt", vocab).fragments
             for name in ("fragments", "vocab"):
                 manifest.digest(name, corpus_dir / f"{name}.txt")
-        manifest.add("fragments", len(training.fragments))
+        manifest.add("fragments", len(fragments))
         manifest.start_phase("train")
         params = model.init_params(len(vocab), cfg.d, cfg.r, cfg.seed, dtype=np.float32)
         with _refuse("training diverged", model.NonFiniteTraining):
             with np.errstate(over="ignore", invalid="ignore"):  # train checks finiteness itself
-                params, history = model.train(params, training.fragments, cfg, pad_id=vocab.pad_id)
+                params, history = model.train(params, fragments, cfg, pad_id=vocab.pad_id)
             bound = model.activation_bound(params)
             if not bound <= float(np.finfo(np.float32).max):  # NaN fails too
                 raise model.NonFiniteTraining(f"activations can reach {bound:.3g}, beyond float32")
@@ -315,7 +315,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         manifest.finalize()
         (stage / f"{out.name}.manifest").write_text(manifest.text(), encoding="utf-8")
     final = f", final loss {history[-1]:.4f}" if history else ""
-    print(f"trained {cfg.epochs} epochs on {len(training.fragments)} fragments{final}")
+    print(f"trained {cfg.epochs} epochs on {len(fragments)} fragments{final}")
     return 0
 
 

@@ -16,9 +16,12 @@ length, and the backward pass never rebuilds logits or a softmax.
 
 The parameters, their gradients and Adam's two moments are each a
 :class:`ModelParams`: one flat array in checkpoint order, which is also the
-optimizer's order, with every tensor a view into it.  So AdamW, gradient
-clipping and the checkpoint each walk one array.  Write a tensor through its
-view (``params.u[...] = x``); never rebind one.
+optimizer's order, with every tensor a view into it.  One layout per shape,
+``_layout(d, r, vocab_size)``, says where each tensor lies; the constructor,
+:func:`init_params`, :func:`load_checkpoint` and AdamW's decayed slices all
+read it.  So AdamW, gradient clipping and the checkpoint each walk one
+array.  Write a tensor through its view (``params.u[...] = x``); never
+rebind one.
 
 Training is AdamW (bias-corrected, decoupled weight decay on the matrix
 parameters) with a linear warmup to a constant learning rate, global
@@ -36,7 +39,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -87,56 +90,52 @@ _TENSORS = (
     ("bias", "d"),  # LayerNorm bias
     ("w_out", "vd"),  # output projection
 )
-_VIEWS = frozenset({"flat", *(name for name, _ in _TENSORS)})
+# Set once by the constructor: the views, and the sizes that fix their layout.
+_FIXED = frozenset({"flat", "d", "r", "vocab_size", *(name for name, _ in _TENSORS)})
+
+
+@lru_cache
+def _layout(d: int, r: int, vocab_size: int) -> tuple[tuple, int]:
+    """Each tensor's ``(name, slice of flat, shape)`` in checkpoint order, and the size of flat."""
+    sizes, layout, end = {"d": d, "r": r, "v": vocab_size}, [], 0
+    for name, axes in _TENSORS:
+        shape = tuple(sizes[axis] for axis in axes)
+        start, end = end, end + math.prod(shape)
+        layout.append((name, slice(start, end), shape))
+    return tuple(layout), end
 
 
 class ModelParams:
     """The trainable tensors, or their gradients or an optimizer moment.
 
-    The constructor copies its arrays into ``flat``, in :data:`_TENSORS` order
-    (checkpoint order is memory order is optimizer order), and each tensor
-    attribute is a view into ``flat``; :meth:`like` lays the same views over
-    a given ``flat`` without copying.  Write through a view; rebinding one
-    would detach it from ``flat``, so it raises.
+    ``flat`` holds them all, in :data:`_TENSORS` order (checkpoint order is
+    memory order is optimizer order), and each tensor attribute is a view
+    into it, laid out by :func:`_layout`; the constructor copies nothing.
+    Write through a view; rebinding one would detach it from ``flat``, so it
+    raises, as does rebinding a size.
     """
 
-    def __init__(self, h0, emb, u, v, gain, bias, w_out, eps: float = 1e-5):
-        arrays = (h0, emb, u, v, gain, bias, w_out)
-        self._view(np.concatenate([arr.ravel() for arr in arrays]), arrays, eps)
-
-    def _view(self, flat: np.ndarray, arrays, eps: float) -> None:
-        self.__dict__.update(flat=flat, eps=eps)
-        offset = 0
-        for (name, _), arr in zip(_TENSORS, arrays):
-            self.__dict__[name] = flat[offset : offset + arr.size].reshape(arr.shape)
-            offset += arr.size
+    def __init__(self, flat: np.ndarray, d: int, r: int, vocab_size: int, eps: float = 1e-5):
+        layout, size = _layout(d, r, vocab_size)
+        if flat.shape != (size,):
+            raise InvalidShape(f"flat has shape {flat.shape}, the layout needs ({size},)")
+        self.__dict__.update(
+            {name: flat[where].reshape(shape) for name, where, shape in layout},
+            flat=flat, d=d, r=r, vocab_size=vocab_size, eps=eps,
+        )
 
     def like(self, flat: np.ndarray) -> "ModelParams":
         """Tensors of this one's shapes as views into ``flat``, e.g. ``np.empty_like(p.flat)``."""
-        params = object.__new__(ModelParams)
-        params._view(flat, [arr for _, arr in self.tensors()], self.eps)
-        return params
+        return ModelParams(flat, self.d, self.r, self.vocab_size, self.eps)
 
     def __setattr__(self, name: str, value) -> None:
-        if name in _VIEWS and value is not self.__dict__[name]:  # x += y rebinds x to itself
-            raise AttributeError(f"{name} is a view into flat: write {name}[...] = value instead")
+        if name in _FIXED and value is not self.__dict__[name]:  # x += y rebinds x to itself
+            raise AttributeError(f"cannot rebind {name}: write the tensors through their views")
         self.__dict__[name] = value
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
         """``(name, array)`` pairs in checkpoint order."""
         return [(name, self.__dict__[name]) for name, _ in _TENSORS]
-
-    @property
-    def d(self) -> int:
-        return self.h0.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.u.shape[1]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.w_out.shape[0]
 
 
 @dataclass
@@ -184,22 +183,13 @@ def init_params(
         raise InvalidShape(f"need d >= r >= 1, got d={d}, r={r}")
     if vocab_size < 1:
         raise InvalidShape("vocab_size must be >= 1")
+    params = ModelParams(np.zeros(_layout(d, r, vocab_size)[1], dtype), d, r, vocab_size)
     rng = np.random.default_rng(seed)
-
-    def draw(*shape):
-        return (rng.standard_normal(shape) * 0.02).astype(dtype)
-
-    emb, u, v, w_out = draw(vocab_size, r), draw(d, r), draw(d, r), draw(vocab_size, d)
-    return ModelParams(
-        h0=rng.standard_normal(d).astype(dtype),
-        emb=emb,
-        u=u,
-        v=v,
-        gain=np.ones(d, dtype=dtype),
-        bias=np.zeros(d, dtype=dtype),
-        w_out=w_out,
-        eps=1e-5,
-    )
+    for arr in (params.emb, params.u, params.v, params.w_out):
+        arr[...] = rng.standard_normal(arr.shape) * 0.02
+    params.h0[...] = rng.standard_normal(d)
+    params.gain.fill(1.0)
+    return params
 
 
 def _layer_norm(params: ModelParams, pre: np.ndarray):
@@ -380,14 +370,8 @@ class AdamW:
         self.step_count = 0
         self.m = params.like(np.zeros_like(params.flat))
         self.v = params.like(np.zeros_like(params.flat))
-        # The runs of adjacent _DECAYED tensors, as slices of flat.
-        self.decayed: list[slice] = []
-        offset = 0
-        for decayed, run in groupby(params.tensors(), key=lambda pair: pair[0] in _DECAYED):
-            size = sum(arr.size for _, arr in run)
-            if decayed:
-                self.decayed.append(slice(offset, offset + size))
-            offset += size
+        layout, _ = _layout(params.d, params.r, params.vocab_size)
+        self.decayed = [where for name, where, _ in layout if name in _DECAYED]
 
     def learning_rate(self) -> float:
         cfg = self.config
@@ -515,17 +499,14 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocab]:
         raise FormatVersionMismatch(
             f"unsupported checkpoint magic/version {magic!r}/{version}"
         )
-    sizes = {"d": d, "r": r, "v": vocab_size}
-    shapes = [tuple(sizes[axis] for axis in axes) for _, axes in _TENSORS]
-    ends = list(accumulate(math.prod(shape) for shape in shapes))
-    if len(data) != _HEADER.size + 4 * ends[-1] + 4:
+    _, size = _layout(d, r, vocab_size)
+    if len(data) != _HEADER.size + 4 * size + 4:
         raise FormatVersionMismatch(
             f"checkpoint size {len(data)} does not match header "
             f"(d={d}, r={r}, vocab={vocab_size})"
         )
-    flat = np.frombuffer(data, dtype="<f4", count=ends[-1], offset=_HEADER.size)
-    arrays = [arr.reshape(shape) for arr, shape in zip(np.split(flat, ends[:-1]), shapes)]
-    params = ModelParams(*arrays, eps=eps)  # copies the read-only buffer into a writable flat
+    flat = np.frombuffer(data, dtype="<f4", count=size, offset=_HEADER.size)
+    params = ModelParams(flat.copy(), d, r, vocab_size, eps)  # the read buffer is read-only
     vocab = read_vocab(f"{path}.vocab")
     if len(vocab) != vocab_size:
         raise FormatVersionMismatch(

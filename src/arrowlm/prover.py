@@ -254,34 +254,39 @@ def _apply(fun, arg: ProofTerm) -> ProofTerm:
 def type_check(
     term: ProofTerm, formula: Formula, env: Optional[dict[str, Formula]] = None
 ) -> bool:
-    """Bidirectional simply-typed check of ``term`` against ``formula``.
+    """Bidirectional simply-typed check of ``term`` against ``formula``, in one loop.
 
-    Variables and applications synthesize; abstractions check against
-    implications.  Returns False on anything ill-typed (including
-    unannotated beta-redexes, whose head cannot synthesize).
+    A lambda spine checks against an implication, binding into one copy of
+    the environment per checked subterm; the application spine beneath it
+    must synthesize from its head variable, each argument going onto a stack
+    with the antecedent it must check against, and the head's remaining type
+    must be the target.  Returns False on anything ill-typed (including
+    unannotated beta-redexes, whose head cannot synthesize).  No depth of
+    term overflows the Python stack.
     """
-
-    def synth(t: ProofTerm, env: dict[str, Formula]) -> Optional[Formula]:
-        if isinstance(t, Var):
-            return env.get(t.name)
-        if isinstance(t, App):
-            fun_ty = synth(t.fun, env)
-            if not isinstance(fun_ty, Imp):
-                return None
-            if not check(t.arg, fun_ty.antecedent, env):
-                return None
-            return fun_ty.consequent
-        return None
-
-    def check(t: ProofTerm, ty: Formula, env: dict[str, Formula]) -> bool:
-        if isinstance(t, Lam):
-            if not isinstance(ty, Imp):
+    todo = [(term, formula, env or {})]  # no env is mutated once pushed
+    while todo:
+        term, ty, env = todo.pop()
+        if isinstance(term, Lam):
+            env = dict(env)
+            while isinstance(term, Lam):
+                if not isinstance(ty, Imp):
+                    return False
+                env[term.bound] = ty.antecedent
+                term, ty = term.body, ty.consequent
+        args = []
+        while isinstance(term, App):
+            args.append(term.arg)
+            term = term.fun
+        head = env.get(term.name) if isinstance(term, Var) else None
+        for arg in reversed(args):
+            if not isinstance(head, Imp):
                 return False
-            return check(t.body, ty.consequent, {**env, t.bound: ty.antecedent})
-        got = synth(t, env)
-        return got is not None and got == ty
-
-    return check(term, formula, dict(env or {}))
+            todo.append((arg, head.antecedent, env))
+            head = head.consequent
+        if head is not ty:  # formulas are hash-consed
+            return False
+    return True
 
 
 def free_vars(term: ProofTerm) -> frozenset[str]:

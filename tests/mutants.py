@@ -23,7 +23,7 @@ MUTANTS = (
     Mutant(
         "M1-type-check-skips-the-argument",
         "src/arrowlm/prover.py",
-        "            if not check(t.arg, fun_ty.antecedent, env):\n                return None\n",
+        "            todo.append((arg, head.antecedent, env))\n",
         "",
         ("tests/test_prover.py::TestTypeCheck::test_argument_of_the_wrong_type",
          "tests/test_prover.py::TestTypeCheck::test_unbound_argument"),
@@ -59,9 +59,28 @@ MUTANTS = (
     Mutant(
         "adamw-decays-every-tensor",
         "src/arrowlm/model.py",
-        "key=lambda pair: pair[0] in _DECAYED)",
-        "key=lambda pair: True)",
+        "for name, where, _ in layout if name in _DECAYED]",
+        "for name, where, _ in layout]",
         ("tests/test_model.py::TestTrain::test_adamw_matches_the_plain_expressions_bit_for_bit[0.01]",),
+    ),
+    Mutant(
+        "init-draws-h0-first",
+        "src/arrowlm/model.py",
+        "    for arr in (params.emb, params.u, params.v, params.w_out):\n"
+        "        arr[...] = rng.standard_normal(arr.shape) * 0.02\n"
+        "    params.h0[...] = rng.standard_normal(d)\n",
+        "    params.h0[...] = rng.standard_normal(d)\n"
+        "    for arr in (params.emb, params.u, params.v, params.w_out):\n"
+        "        arr[...] = rng.standard_normal(arr.shape) * 0.02\n",
+        ("tests/test_model.py::TestInitParams::test_matches_the_draw_then_concatenate_reference[13-64-8-0-float32]",
+         "tests/test_model.py::TestInitParams::test_matches_the_draw_then_concatenate_reference[1-4-2-42-float64]"),
+    ),
+    Mutant(
+        "load-keeps-the-read-only-buffer",
+        "src/arrowlm/model.py",
+        "ModelParams(flat.copy(), d, r, vocab_size, eps)",
+        "ModelParams(flat, d, r, vocab_size, eps)",
+        ("tests/test_model.py::TestModelParams::test_loaded_params_are_writable",),
     ),
     Mutant(
         "layer-norm-statistics-as-python-floats",

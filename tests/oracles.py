@@ -6,11 +6,12 @@ the committed four-rule prover, an environment-based normalizer instead
 of the step rewriter, brute-force subsequence enumeration, central finite
 differences instead of the hand-written backward pass, an
 all-logits-at-once loss instead of the streaming one, AdamW written as
-plain expressions instead of in-place temporaries, and ``fragments.txt``
-rendered word by word from each fragment's ids instead of sliced from its
-sentence.  It also holds the helpers only tests need: the chain ->
-token-list inverse, fragment enumeration, alpha-equivalence and a
-text-in, text-out exact query.
+plain expressions instead of in-place temporaries, the initial parameters
+drawn tensor by tensor and concatenated instead of drawn into views of one
+buffer, and ``fragments.txt`` rendered word by word from each fragment's ids
+instead of sliced from its sentence.  It also holds the helpers only tests
+need: the chain -> token-list inverse, fragment enumeration,
+alpha-equivalence and a text-in, text-out exact query.
 """
 
 from __future__ import annotations
@@ -259,18 +260,16 @@ def finite_difference_grads(
     params: ModelParams, tokens: np.ndarray, mask: np.ndarray, delta: float = 1e-4
 ) -> ModelParams:
     """Central finite differences of the mean loss for every coordinate."""
-    grads = ModelParams(*(np.zeros_like(arr) for _, arr in params.tensors()))
-    for (_, tensor), (_, out) in zip(params.tensors(), grads.tensors()):
-        flat = tensor.reshape(-1)
-        flat_out = out.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + delta
-            up, _ = forward_loss(params, tokens, mask)
-            flat[i] = original - delta
-            down, _ = forward_loss(params, tokens, mask)
-            flat[i] = original
-            flat_out[i] = (up - down) / (2 * delta)
+    grads = params.like(np.zeros_like(params.flat))
+    flat = params.flat  # every tensor is a view into it
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + delta
+        up, _ = forward_loss(params, tokens, mask)
+        flat[i] = original - delta
+        down, _ = forward_loss(params, tokens, mask)
+        flat[i] = original
+        grads.flat[i] = (up - down) / (2 * delta)
     return grads
 
 
@@ -342,12 +341,25 @@ def random_params(
     commutators) need a generic point instead.
     """
     rng = np.random.default_rng(seed)
-    return ModelParams(
-        h0=rng.normal(0, 1.0, d).astype(dtype),
-        emb=rng.normal(0, 0.5, (vocab_size, r)).astype(dtype),
-        u=rng.normal(0, 0.3, (d, r)).astype(dtype),
-        v=rng.normal(0, 0.3, (d, r)).astype(dtype),
-        gain=(1.0 + rng.normal(0, 0.1, d)).astype(dtype),
-        bias=rng.normal(0, 0.1, d).astype(dtype),
-        w_out=rng.normal(0, 0.3, (vocab_size, d)).astype(dtype),
+    tensors = (
+        rng.normal(0, 1.0, d),  # h0
+        rng.normal(0, 0.5, (vocab_size, r)),  # emb
+        rng.normal(0, 0.3, (d, r)),  # u
+        rng.normal(0, 0.3, (d, r)),  # v
+        1.0 + rng.normal(0, 0.1, d),  # gain
+        rng.normal(0, 0.1, d),  # bias
+        rng.normal(0, 0.3, (vocab_size, d)),  # w_out
     )
+    return ModelParams(np.concatenate([arr.ravel() for arr in tensors]).astype(dtype), d, r, vocab_size)
+
+
+def init_params_reference(vocab_size: int, d: int, r: int, seed: int, dtype=np.float32) -> np.ndarray:
+    """``model.init_params``' flat buffer, drawn tensor by tensor and concatenated in checkpoint order."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return (rng.standard_normal(shape) * 0.02).astype(dtype)
+
+    emb, u, v, w_out = draw(vocab_size, r), draw(d, r), draw(d, r), draw(vocab_size, d)
+    h0, gain, bias = rng.standard_normal(d).astype(dtype), np.ones(d, dtype), np.zeros(d, dtype)
+    return np.concatenate([arr.ravel() for arr in (h0, emb, u, v, gain, bias, w_out)])

@@ -67,6 +67,14 @@ class TestInitParams:
         for (_, x), (_, y) in zip(a.tensors(), b.tensors()):
             assert np.array_equal(x, y)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    @pytest.mark.parametrize("vocab_size, d, r", [(13, 64, 8), (943, 64, 8), (7, 5, 5), (1, 4, 2), (1, 1, 1)])
+    def test_matches_the_draw_then_concatenate_reference(self, vocab_size, d, r, seed, dtype):
+        flat = init_params(vocab_size, d, r, seed, dtype=dtype).flat
+        reference = oracles.init_params_reference(vocab_size, d, r, seed, dtype=dtype)
+        assert flat.dtype == reference.dtype and np.array_equal(flat, reference)
+
     def test_invalid_shape(self):
         with pytest.raises(InvalidShape):
             init_params(13, 4, 8, 1)
@@ -100,10 +108,20 @@ class TestModelParams:
                 setattr(params, name, arr.copy())
         with pytest.raises(AttributeError, match="view"):
             params.flat = before.copy()
+        for name in ("d", "r", "vocab_size"):  # they fix the layout of the views
+            with pytest.raises(AttributeError, match="view"):
+                setattr(params, name, getattr(params, name) + 1)
         assert np.array_equal(params.flat, before)
         params.gain *= 2.0  # an in-place update rebinds the attribute to the same view
         params.eps = 1e-3
         assert params.gain.base is params.flat and params.eps == 1e-3
+
+    def test_flat_must_fit_the_layout(self):
+        size = random_params(7, 6, 2, 3).flat.size
+        assert ModelParams(np.zeros(size), 6, 2, 7).d == 6
+        for flat in (np.zeros(size - 1), np.zeros(size + 1), np.zeros((1, size))):
+            with pytest.raises(InvalidShape):
+                ModelParams(flat, 6, 2, 7)
 
     def test_writes_through_a_view_reach_flat_and_the_checkpoint(self, tmp_path):
         params = init_params(6, 8, 2, 1)
@@ -513,9 +531,7 @@ class TestTrain:
         v = {name: np.zeros_like(arr) for name, arr in reference.tensors()}
         rng = np.random.default_rng(4)
         for k in range(1, 7):  # three warmup steps, then three at the full rate
-            grads = ModelParams(
-                *(rng.standard_normal(arr.shape).astype(np.float32) for _, arr in params.tensors())
-            )
+            grads = params.like(rng.standard_normal(params.flat.size).astype(np.float32))
             opt.update(params, grads)
             adamw_step(reference, grads, m, v, k, cfg)
         for name, arr in params.tensors():

@@ -343,6 +343,19 @@ class TestTypeCheck:
     def test_unbound_argument(self):
         assert not type_check(Lam("f", App(Var("f"), Var("z"))), parse_formula("(p->q)->q"))
 
+    def test_terms_of_any_depth(self):
+        # A 10,000-binder witness and a 10,000-deep argument spine: one loop, no frame per node.
+        a = Atom("a")
+        chain = _right_nested([a] * 10_000)
+        term = prove_with_term(chain)
+        assert type_check(term, chain)
+        assert not type_check(term, _right_nested([a] * 9_999 + [Atom("b")]))
+        body = Var("x")
+        for _ in range(10_000):
+            body = App(Var("f"), body)
+        assert type_check(Lam("f", Lam("x", body)), parse_formula("(a->a)->a->a"))
+        assert not type_check(Lam("f", Lam("x", body)), parse_formula("(a->b)->a->b"))
+
 
 class TestBetaNormalize:
     def test_simple_redex(self):
