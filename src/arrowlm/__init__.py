@@ -1,4 +1,9 @@
-"""Left-nested implication toolkit: prover, fragment retrieval, Arrow model."""
+"""Left-nested implication toolkit: prover, fragment retrieval, Arrow model.
+
+What the numpy-free commands need lives here, since importing this module
+loads nothing else: the settings' defaults, and :class:`ModelError`, which
+:mod:`arrowlm.model` re-exports and the command line maps to exit 2.
+"""
 
 __version__ = "0.1.0"
 
@@ -20,3 +25,7 @@ DEFAULTS = {
     "max_new_tokens": 32,
     "temperature": 1.0,
 }
+
+
+class ModelError(Exception):
+    """Base class for model errors: shapes, tokens, checkpoints, training and scores."""

@@ -14,6 +14,14 @@ scores), 3 internal error; :func:`main` prints either as one stderr line.
 ``query`` needs exactly one of ``--model`` and ``--symbolic`` and exactly
 one of QUERY and ``--repl``, or exits 2 before reading anything.
 
+``query`` prints each answer's lines, then a blank line.  A text query
+(none if empty after normalization) prints ``i. words  (mean M, total T)``
+per ranked continuation and ``exact: sentence ID`` per exact hit that
+:func:`~arrowlm.inference.retrieval_first` returns; with neither, ``[free]``
+and the generated words, if any.  ``--symbolic`` prints each sentence that
+:func:`~arrowlm.retrieval.query_pattern` returns, after its bindings
+(``name=word, ...: ``) when the pattern names a wildcard.
+
 Corpus and train runs write a ``key=value`` manifest: version, command,
 every setting of the command under its ``--config`` key (so those lines,
 as a config file, re-run it), input digests, per-phase timings and peak
@@ -35,7 +43,8 @@ when absent), since results are bit-equal only for a fixed thread count.
 
 Each command imports only what it runs, since a cold start pays for every
 module loaded: ``prove`` loads no numpy, ``dataclasses`` or ``hashlib``,
-``query --symbolic`` loads no numpy, and neither loads ``tempfile``.
+``query --symbolic`` loads no numpy, and neither loads ``tempfile``.  So
+:class:`~arrowlm.ModelError` comes from the package root, not from ``model``.
 """
 
 from __future__ import annotations
@@ -122,14 +131,13 @@ class Manifest:
             self.add(f"seconds_{name}", f"{time.perf_counter() - t0:.3f}")
             self._phase_start = None
 
-    def finalize(self) -> None:
+    def finalize(self) -> str:
+        """Close the open phase and return the ``key=value`` text, which ends in peak RSS."""
         import resource
 
         self.finish_phase()
         rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         self.add("peak_rss_bytes", rss_kb * 1024)
-
-    def text(self) -> str:
         return "".join(f"{k}={v}\n" for k, v in self.entries)
 
 
@@ -262,16 +270,13 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         manifest.add("fragments", len(training.fragments))
         for name in names[:3]:
             manifest.digest(name, stage / name)
-        manifest.finalize()
-        (stage / "corpus.manifest").write_text(manifest.text(), encoding="utf-8")
+        (stage / "corpus.manifest").write_text(manifest.finalize(), encoding="utf-8")
     print(f"corpus: {len(sentences)} sentences, |V|={len(vocab)}, "
           f"{len(training.fragments)} training fragments -> {out_dir}")
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from . import corpus, model
 
     cfg = model.TrainConfig(
@@ -297,13 +302,9 @@ def cmd_train(args: argparse.Namespace) -> int:
                 manifest.digest(name, corpus_dir / f"{name}.txt")
         manifest.add("fragments", len(fragments))
         manifest.start_phase("train")
-        params = model.init_params(len(vocab), cfg.d, cfg.r, cfg.seed, dtype=np.float32)
+        params = model.init_params(len(vocab), cfg.d, cfg.r, cfg.seed)  # float32, as train checks
         with _refuse("training diverged", model.NonFiniteTraining):
-            with np.errstate(over="ignore", invalid="ignore"):  # train checks finiteness itself
-                params, history = model.train(params, fragments, cfg, pad_id=vocab.pad_id)
-            bound = model.activation_bound(params)
-            if not bound <= float(np.finfo(np.float32).max):  # NaN fails too
-                raise model.NonFiniteTraining(f"activations can reach {bound:.3g}, beyond float32")
+            params, history = model.train(params, fragments, cfg, pad_id=vocab.pad_id)
         manifest.start_phase("save")
         model.save_checkpoint(params, vocab, stage / out.name)  # and its .vocab sidecar
         loss_lines = "".join(f"{epoch}\t{loss:.6f}\n" for epoch, loss in enumerate(history, 1))
@@ -312,22 +313,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         if history:
             manifest.add("final_loss", f"{history[-1]:.6f}")
         manifest.digest("checkpoint", stage / out.name)
-        manifest.finalize()
-        (stage / f"{out.name}.manifest").write_text(manifest.text(), encoding="utf-8")
+        (stage / f"{out.name}.manifest").write_text(manifest.finalize(), encoding="utf-8")
     final = f", final loss {history[-1]:.4f}" if history else ""
     print(f"trained {cfg.epochs} epochs on {len(fragments)} fragments{final}")
     return 0
-
-
-def _print_query_block(result, generated: Optional[list[str]]) -> None:
-    for i, cand in enumerate(result.ranked, 1):
-        text = " ".join(cand.continuation)
-        print(f"{i}. {text}  (mean {cand.mean_logprob:.4f}, total {cand.total_logprob:.4f})")
-    for cand in result.exact_matches:
-        print(f"exact: sentence {cand.sentence_id}")
-    if generated is not None:
-        print(f"[free] {' '.join(generated)}".rstrip())
-    print()
 
 
 def _answer_query(raw: str, args, params, vocab, db) -> int:
@@ -336,16 +325,9 @@ def _answer_query(raw: str, args, params, vocab, db) -> int:
     if args.symbolic:
         items = db.parse_pattern(raw)
         results = retrieval.query_pattern(db, items) if items else []
-        # Each name once, in order of first appearance: ``?x ?x`` binds one word.
-        named = dict.fromkeys(it.name for it in (items or [])
-                              if isinstance(it, retrieval.Wildcard) and it.name)
-        for bindings, sid, _ in results:
-            text = " ".join(db.sentences[sid])
-            if named:
-                bound = ", ".join(f"{n}={bindings[n]}" for n in named)
-                print(f"{bound}: {text}")
-            else:
-                print(text)
+        for bindings, _, sentence in results:  # each name once: ``?x ?x`` binds one word
+            bound = ", ".join(f"{name}={word}" for name, word in bindings.items())
+            print(f"{bound}: {' '.join(sentence)}" if bound else " ".join(sentence))
         print()
         return 0 if results else 1
     from . import inference
@@ -355,7 +337,11 @@ def _answer_query(raw: str, args, params, vocab, db) -> int:
         print()
         return 1
     result = inference.retrieval_first(params, vocab, db, words, k=args.top_k)
-    generated = None
+    for i, cand in enumerate(result.ranked, 1):
+        text = " ".join(cand.continuation)
+        print(f"{i}. {text}  (mean {cand.mean_logprob:.4f}, total {cand.total_logprob:.4f})")
+    for cand in result.exact_matches:
+        print(f"exact: sentence {cand.sentence_id}")
     if not result:
         prompt = [vocab.index[w] for w in words if w in vocab.index]
         decode = inference.DecodeConfig(
@@ -365,32 +351,29 @@ def _answer_query(raw: str, args, params, vocab, db) -> int:
             seed=args.seed,
         )
         ids = inference.generate_free(params, vocab, prompt, decode) if prompt else []
-        generated = vocab.decode(ids)
-    _print_query_block(result, generated)
+        print(" ".join(["[free]", *vocab.decode(ids)]))
+    print()
     return 0 if result else 1
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    from . import corpus, retrieval
+    from . import ModelError, corpus, retrieval
 
     corpus_dir = Path(args.corpus)
     manifest = Manifest(args)
     manifest.add("sample", args.sample)
     manifest.add("symbolic", args.symbolic)
     manifest.start_phase("load")
-    model_errors: tuple = ()  # a symbolic query runs no model, so loads none (nor numpy)
-    if not args.symbolic:
-        from . import model
-
-        model_errors = (model.ModelError,)
     with _refuse("cannot load model/corpus", OSError, UnicodeDecodeError, corpus.CorpusError,
-                 *model_errors):
+                 ModelError):
         sentences = corpus.read_sentences(corpus_dir / "sentences.txt")
         corpus_vocab = corpus.read_vocab(corpus_dir / "vocab.txt")
         manifest.digest("sentences", corpus_dir / "sentences.txt")
         manifest.digest("vocab", corpus_dir / "vocab.txt")
         params, vocab = (None, corpus_vocab)
-        if not args.symbolic:
+        if not args.symbolic:  # a symbolic query runs no model, so loads none (nor numpy)
+            from . import model
+
             params, vocab = model.load_checkpoint(args.model)
             manifest.digest("checkpoint", args.model)
             manifest.numerics()
@@ -399,7 +382,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     manifest.start_phase("build_db")
     db = retrieval.build_db(sentences)
     manifest.start_phase("queries")
-    with _refuse("cannot use model", *model_errors):  # e.g. scores that overflow to inf or NaN
+    with _refuse("cannot use model", ModelError):  # e.g. scores that overflow to inf or NaN
         if args.repl:
             status = 0
             with _refuse("cannot read query", UnicodeDecodeError):
@@ -409,8 +392,7 @@ def cmd_query(args: argparse.Namespace) -> int:
                         status = max(status, _answer_query(line, args, params, vocab, db))
         else:
             status = _answer_query(args.query, args, params, vocab, db)
-    manifest.finalize()
-    print(manifest.text(), file=sys.stderr, end="")
+    print(manifest.finalize(), file=sys.stderr, end="")
     return status
 
 

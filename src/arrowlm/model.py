@@ -28,9 +28,13 @@ parameters) with a linear warmup to a constant learning rate, global
 gradient-norm clipping, and length-bucketed batches.  Everything is
 seeded, so runs are bit-reproducible for a fixed BLAS thread count;
 nothing here pins that count (the CLI's manifests record it), and matrix
-products may sum in a different order under another one.  A step whose
-loss or gradient norm is not finite stops training with
-:class:`NonFiniteTraining`.
+products may sum in a different order under another one.  Training fails
+in two ways, both :class:`NonFiniteTraining`: a step whose loss or gradient
+norm is not finite stops it before its update, and parameters whose
+:func:`activation_bound` exceeds their dtype's range are refused after the
+last step.  So :func:`train` silences numpy's overflow and invalid warnings
+itself, as inference does around its scores, and no caller needs an
+``np.errstate``.
 """
 
 from __future__ import annotations
@@ -44,15 +48,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import DEFAULTS
+from . import DEFAULTS, ModelError
 from .corpus import Vocab, read_vocab, write_vocab
 
 CHECKPOINT_MAGIC = b"ARRW"
 CHECKPOINT_VERSION = 1
-
-
-class ModelError(Exception):
-    """Base class for model errors."""
 
 
 class InvalidShape(ModelError):
@@ -68,7 +68,7 @@ class DegenerateBatch(ModelError):
 
 
 class NonFiniteTraining(ModelError):
-    """A training step produced a non-finite loss or gradient norm."""
+    """A step's loss or gradient norm is not finite, or trained activations can overflow."""
 
 
 class FormatVersionMismatch(ModelError):
@@ -416,6 +416,7 @@ def _make_batches(
     return [chunks[i] for i in rng.permutation(len(chunks))]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # both failures below raise NonFiniteTraining
 def train(
     params: ModelParams,
     fragments: Sequence[Sequence[int]],
@@ -425,7 +426,9 @@ def train(
     """AdamW training over the fragment set; returns per-epoch mean losses.
 
     ``params`` is updated in place.  Raises :class:`NonFiniteTraining`
-    before applying a step whose loss or gradient norm is not finite.
+    before applying a step whose loss or gradient norm is not finite, and
+    after the last step, every step applied to ``params``, when
+    :func:`activation_bound` exceeds the largest value of their dtype.
     """
     if not fragments:
         raise DegenerateBatch("training set is empty")
@@ -448,6 +451,9 @@ def train(
             epoch_nll += loss * tape.n_pred
             epoch_pred += tape.n_pred
         history.append(epoch_nll / epoch_pred)
+    bound, dtype = activation_bound(params), params.flat.dtype
+    if not bound <= float(np.finfo(dtype).max):  # NaN fails too
+        raise NonFiniteTraining(f"activations can reach {bound:.3g}, beyond {dtype}")
     return params, history
 
 

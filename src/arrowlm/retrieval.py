@@ -156,7 +156,8 @@ def query_pattern(
     """Match a word/wildcard pattern against all sentence windows.
 
     Returns (bindings, sentence id, sentence) triples, deduplicated on
-    (bindings, id); bindings cover named wildcards only.
+    (bindings, id); bindings cover named wildcards only, each name once, in
+    order of first appearance.
     """
     if not items:
         raise EmptyQuery("pattern must contain at least one item")

@@ -50,6 +50,14 @@ MUTANTS = (
         ("tests/test_corpus.py::TestBuildVocab::test_duplicate_words_are_refused",),
     ),
     Mutant(
+        "train-skips-the-activation-bound",
+        "src/arrowlm/model.py",
+        "    if not bound <= float(np.finfo(dtype).max):  # NaN fails too\n",
+        "    if False:\n",
+        ("tests/test_model.py::TestTrain::test_activations_past_the_dtype_range_raise",
+         "tests/test_cli.py::test_diverging_training_is_a_usage_error[overflowing-parameters]"),
+    ),
+    Mutant(
         "M6-forward-loss-skips-the-shape-check",
         "src/arrowlm/model.py",
         "    if tokens.ndim != 2 or mask.shape != (tokens.shape[0], tokens.shape[1] - 1):\n",

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import arrowlm
-from arrowlm import cli, corpus, inference, model
+from arrowlm import cli, corpus, inference, model, retrieval
 from arrowlm.formula import Atom, parse_formula, print_formula
 from arrowlm.model import TrainConfig
 from arrowlm.prover import format_term, prove_with_term
@@ -139,6 +139,51 @@ class TestQuery:
         assert capsys.readouterr().out == "x=cat: a cat cat ran\n\n"
         assert cli.main(symbolic + ["?y ?x ?x"]) == 0  # names in order of first appearance
         assert capsys.readouterr().out == "y=a, x=cat: a cat cat ran\n\n"
+
+    def test_repl_prints_the_library_results(self, tmp_path, monkeypatch, capsys):
+        # One --repl session in each mode, against every block written out from the
+        # library's own results in the format the module docstring gives.
+        raw = tmp_path / "raw.txt"
+        raw.write_text(TOY_RAW + " A cat cat ran.", encoding="utf-8")
+        corpus_dir, ckpt = tmp_path / "corpus", tmp_path / "m"
+        assert cli.main(["corpus", "build", "--input", str(raw), "--out", str(corpus_dir)]) == 0
+        assert cli.main(["train", "--corpus", str(corpus_dir), "--out", str(ckpt), "--d", "8",
+                         "--r", "2", "--epochs", "2", "--seed", "3"]) == 0
+        session = ["the cat", "the cat sits on the mat", "mat cat", "zebra", "...", "?y ?x ?x",
+                   "_ cat"]
+        params, vocab = model.load_checkpoint(ckpt)
+        db = retrieval.build_db(corpus.read_sentences(corpus_dir / "sentences.txt"))
+        texts, patterns = [], []  # each query's lines, in each mode
+        for line in session:
+            words = corpus.normalize_words(line)
+            result = inference.retrieval_first(params, vocab, db, words) if words else None
+            block = [f"{i}. {' '.join(cand.continuation)}  (mean {cand.mean_logprob:.4f}, "
+                     f"total {cand.total_logprob:.4f})"
+                     for i, cand in enumerate(result.ranked if result else (), 1)]
+            block += [f"exact: sentence {cand.sentence_id}"
+                      for cand in (result.exact_matches if result else ())]
+            if words and not result:
+                prompt = [vocab.index[w] for w in words if w in vocab.index]
+                ids = inference.generate_free(params, vocab, prompt) if prompt else []
+                block.append(" ".join(["[free]", *vocab.decode(ids)]))
+            texts.append(block)
+            items = db.parse_pattern(line)
+            block = []
+            for bindings, _, sentence in retrieval.query_pattern(db, items) if items else ():
+                bound = ", ".join(f"{name}={word}" for name, word in bindings.items())
+                block.append(f"{bound}: {' '.join(sentence)}" if bound else " ".join(sentence))
+            patterns.append(block)
+        # The session covers each kind of block.
+        assert texts[0][0].startswith("1. ") and texts[1] == ["exact: sentence 0"]
+        assert texts[2][0].startswith("[free] ") and texts[6][0].startswith("[free] ")
+        assert texts[3:6] == [["[free]"], [], ["[free]"]]
+        assert patterns[5] == ["y=a, x=cat: a cat cat ran"] and "a cat cat ran" in patterns[6]
+        for mode, blocks in ((["--model", str(ckpt)], texts), (["--symbolic"], patterns)):
+            monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(session) + "\n"))
+            capsys.readouterr()
+            assert cli.main(["query", "--corpus", str(corpus_dir), *mode, "--repl"]) == 1
+            expected = "".join(f"{line}\n" for block in blocks for line in [*block, ""])
+            assert capsys.readouterr().out == expected, mode
 
     def test_long_query_on_a_short_fragment_corpus(self, built, tmp_path, capsys):
         corpus_dir, ckpt = built

@@ -521,6 +521,27 @@ class TestTrain:
         for (_, arr), old in zip(params.tensors(), before):
             assert np.array_equal(arr, old, equal_nan=True)
 
+    def overflowing_run(self, dtype):
+        # One epoch at lr=1e30 leaves finite parameters whose activations can reach
+        # 1.18e185 (measured in float32 and in float64): past float32's range, inside float64's.
+        params = init_params(5, 8, 2, 0, dtype=dtype)
+        cfg = TrainConfig(d=8, r=2, lr=1e30, warmup_steps=0, epochs=1, batch_size=256)
+        return params, lambda: train(params, [(0, 1, 2), (1, 2, 3), (2, 3, 0)], cfg, pad_id=4)
+
+    def test_activations_past_the_dtype_range_raise(self):
+        params, run = self.overflowing_run(np.float32)
+        with pytest.raises(NonFiniteTraining, match="activations can reach 1.18e[+]185, beyond float32"):
+            run()
+        # The refused parameters are finite and already hold the trained step.
+        assert np.isfinite(params.flat).all()
+        assert not np.array_equal(params.flat, init_params(5, 8, 2, 0).flat)
+
+    def test_the_range_checked_is_the_params_dtype(self):
+        params, run = self.overflowing_run(np.float64)
+        _, history = run()
+        assert np.isfinite(history).all()
+        assert float(np.finfo(np.float32).max) < activation_bound(params) <= np.finfo(np.float64).max
+
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_adamw_matches_the_plain_expressions_bit_for_bit(self, weight_decay):
         params = random_params(6, 8, 2, 9, dtype=np.float32)
