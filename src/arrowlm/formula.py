@@ -150,7 +150,7 @@ Formula = Union[Atom, Imp]
 
 
 # The benchmark's fixtures still build atoms as ``Interner().atom(word)``;
-# ROADMAP item 1 moves them to ``Atom(word)`` and deletes this alias.
+# ROADMAP item 1a moves them to ``Atom(word)`` and deletes this alias.
 class Interner:
     atom = staticmethod(Atom)
 

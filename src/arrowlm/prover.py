@@ -53,10 +53,6 @@ from typing import Optional, Union
 from .formula import Atom, Formula, Imp, _Node
 
 
-class StepLimitExceeded(Exception):
-    """beta_normalize exceeded its reduction budget (ill-typed input guard)."""
-
-
 class _Term(_Node):
     """An immutable lambda term, equal to and hashed as its class and fields.
 
@@ -289,81 +285,13 @@ def type_check(
     return True
 
 
-def free_vars(term: ProofTerm) -> frozenset[str]:
-    if isinstance(term, Var):
-        return frozenset((term.name,))
-    if isinstance(term, Lam):
-        return free_vars(term.body) - {term.bound}
-    return free_vars(term.fun) | free_vars(term.arg)
-
-
-def _all_names(term: ProofTerm) -> set[str]:
-    if isinstance(term, Var):
-        return {term.name}
-    if isinstance(term, Lam):
-        return {term.bound} | _all_names(term.body)
-    return _all_names(term.fun) | _all_names(term.arg)
-
-
-def beta_normalize(term: ProofTerm, max_steps: int = 1_000_000) -> ProofTerm:
-    """Normal-order beta-normal form with capture-avoiding substitution.
-
-    The step bound only guards ill-typed inputs (typed terms are strongly
-    normalizing); exceeding it raises :class:`StepLimitExceeded`.
-    """
-    used = _all_names(term)
-    counter = itertools.count(1)
-
-    def fresh() -> str:
-        while True:
-            name = f"v{next(counter)}"
-            if name not in used:
-                used.add(name)
-                return name
-
-    def subst(t: ProofTerm, x: str, repl: ProofTerm, repl_free: frozenset[str]) -> ProofTerm:
-        if isinstance(t, Var):
-            return repl if t.name == x else t
-        if isinstance(t, App):
-            return App(subst(t.fun, x, repl, repl_free), subst(t.arg, x, repl, repl_free))
-        if t.bound == x:
-            return t
-        if t.bound in repl_free and x in free_vars(t.body):
-            renamed = fresh()
-            body = subst(t.body, t.bound, Var(renamed), frozenset((renamed,)))
-            return Lam(renamed, subst(body, x, repl, repl_free))
-        return Lam(t.bound, subst(t.body, x, repl, repl_free))
-
-    def reduce_once(t: ProofTerm) -> tuple[ProofTerm, bool]:
-        if isinstance(t, App):
-            if isinstance(t.fun, Lam):
-                return subst(t.fun.body, t.fun.bound, t.arg, free_vars(t.arg)), True
-            fun, changed = reduce_once(t.fun)
-            if changed:
-                return App(fun, t.arg), True
-            arg, changed = reduce_once(t.arg)
-            return App(t.fun, arg), changed
-        if isinstance(t, Lam):
-            body, changed = reduce_once(t.body)
-            return Lam(t.bound, body), changed
-        return t, False
-
-    steps = 0
-    current = term
-    while True:
-        nxt, changed = reduce_once(current)
-        if not changed:
-            return current
-        steps += 1
-        if steps > max_steps:
-            raise StepLimitExceeded(f"no normal form within {max_steps} reductions")
-        current = nxt
-
-
 def format_term(term: ProofTerm) -> str:
-    """Render a term with minimal parentheses, e.g. ``\\x1.\\x2.(x2 x1)``.
+    """Render a beta-normal term with minimal parentheses, e.g. ``\\x1.\\x2.x2 (x1 x2)``.
 
-    A run of lambdas prints in a loop, so a long binder spine needs no stack.
+    The domain is beta-normal terms: what :func:`prove_with_term` returns and
+    what :func:`type_check` accepts.  So no lambda is ever in function
+    position, and only a compound argument is parenthesized.  A run of
+    lambdas prints in a loop, so a long binder spine needs no stack.
     """
     if isinstance(term, Var):
         return term.name
@@ -374,8 +302,6 @@ def format_term(term: ProofTerm) -> str:
             term = term.body
         return "".join(binders) + format_term(term)
     fun = format_term(term.fun)
-    if isinstance(term.fun, Lam):
-        fun = f"({fun})"
     arg = format_term(term.arg)
     if not isinstance(term.arg, Var):
         arg = f"({arg})"

@@ -153,6 +153,16 @@ MUTANTS = (
         ("tests/test_prover.py::TestProve::test_an_implication_to_a_known_formula_is_never_eliminated",),
     ),
     Mutant(
+        "witness-keeps-the-auxiliary-redex",
+        "src/arrowlm/prover.py",
+        "        fun, _, c = fun  # (\\d. s (\\c. d)) arg  ~>  s (\\c. arg)\n"
+        "        arg = Lam(c, arg)\n",
+        "        s, d, c = fun\n"
+        "        fun = Lam(d, _apply(s, Lam(c, Var(d))))\n",
+        ("tests/test_prover.py::TestProveWithTerm::test_witnesses_are_beta_normal",
+         "tests/test_prover.py::TestOracleAgreement::test_witnesses_type_check_small"),
+    ),
+    Mutant(
         "setting-past-the-float-range-accepted",
         "src/arrowlm/cli.py",
         "        if not abs(value) <= sys.float_info.max:",

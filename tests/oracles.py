@@ -2,9 +2,9 @@
 
 Everything here is deliberately implemented by a different route from the
 code under test: a history-checked exhaustive sequent search instead of
-the committed four-rule prover, an environment-based normalizer instead
-of the step rewriter, brute-force subsequence enumeration, central finite
-differences instead of the hand-written backward pass, an
+the committed four-rule prover, an environment-based normalizer against
+witnesses built already normal, brute-force subsequence enumeration,
+central finite differences instead of the hand-written backward pass, an
 all-logits-at-once loss instead of the streaming one, AdamW written as
 plain expressions instead of in-place temporaries, the initial parameters
 drawn tensor by tensor and concatenated instead of drawn into views of one

@@ -18,9 +18,7 @@ from arrowlm.formula import Atom, Imp, list_to_impl, parse_formula
 from arrowlm.prover import (
     App,
     Lam,
-    StepLimitExceeded,
     Var,
-    beta_normalize,
     format_term,
     prove,
     prove_with_term,
@@ -358,47 +356,19 @@ class TestTypeCheck:
 
 
 class TestBetaNormalize:
-    def test_simple_redex(self):
-        t = App(Lam("x", Var("x")), Var("y"))
-        assert beta_normalize(t) == Var("y")
-
-    def test_k_reduction(self):
-        k = Lam("x", Lam("y", Var("x")))
-        t = App(App(k, Var("a")), Var("b"))
-        assert beta_normalize(t) == Var("a")
+    """The NbE oracle reduces: one that returned its input unchanged would pass every witness check."""
 
     def test_skk_is_identity(self):
         s = prove_with_term(parse_formula("(p->q->r)->(p->q)->p->r"))
         k = prove_with_term(parse_formula("p->q->p"))
-        skk = App(App(App(s, k), k), Var("arg"))
-        assert beta_normalize(skk) == Var("arg")
-        assert alpha_eq(nbe_normal_form(skk), Var("arg"))
+        assert alpha_eq(nbe_normal_form(App(App(App(s, k), k), Var("arg"))), Var("arg"))
 
     def test_capture_avoidance(self):
-        # (\x.\y.x) y must not capture the free y
-        t = App(Lam("x", Lam("y", Var("x"))), Var("y"))
-        normal = beta_normalize(t)
+        # (\x.\y.x) y must not capture the free y.
+        normal = nbe_normal_form(App(Lam("x", Lam("y", Var("x"))), Var("y")))
         assert isinstance(normal, Lam)
         assert normal.body == Var("y")
         assert normal.bound != "y"
-        assert alpha_eq(normal, nbe_normal_form(t))
-
-    def test_step_limit(self):
-        omega = Lam("x", App(Var("x"), Var("x")))
-        with pytest.raises(StepLimitExceeded):
-            beta_normalize(App(omega, omega), max_steps=50)
-
-    def test_idempotence_on_witnesses(self):
-        rng = random.Random(3)
-        atoms = [Atom(w) for w in "p q".split()]
-        for _ in range(300):
-            f = random_formula(rng, atoms, 6)
-            term = prove_with_term(f)
-            if term is None:
-                continue
-            normal = beta_normalize(term)
-            assert beta_normalize(normal) == normal
-            assert type_check(normal, f)
 
 
 def formula_of_size(rng, atoms, arrows):
