@@ -1,45 +1,13 @@
 """Command-line front end: prove, corpus build, train, query.
 
-One table, :data:`_SETTINGS`, names each command's settings, all keys of
-:data:`arrowlm.DEFAULTS`.  A setting's flag is ``--`` and the key with
-dashes, typed like its default; a ``--config`` file sets it as
-``key=value``; :data:`_LOWEST` range-checks it.
+``README.md`` describes each command, its output and its exit codes, and
+``tests/test_readme.py`` runs the session it shows.
 
-Exit codes: 0 success (provable / results found), 1 valid but negative
-(not provable / no retrieval results; in ``--repl``, any query without
-results), 2 a :class:`_Refusal` (usage or I/O error: an input not UTF-8,
-an ``--out`` that cannot be written, a setting outside its range or a
-config key that names no setting, diverging training, non-finite query
-scores), 3 internal error; :func:`main` prints either as one stderr line.
-``query`` needs exactly one of ``--model`` and ``--symbolic`` and exactly
-one of QUERY and ``--repl``, or exits 2 before reading anything.
-
-``query`` prints each answer's lines, then a blank line.  A text query
-(none if empty after normalization) prints ``i. words  (mean M, total T)``
-per ranked continuation and ``exact: sentence ID`` per exact hit that
-:func:`~arrowlm.inference.retrieval_first` returns; with neither, ``[free]``
-and the generated words, if any.  ``--symbolic`` prints each sentence that
-:func:`~arrowlm.retrieval.query_pattern` returns, after its bindings
-(``name=word, ...: ``) when the pattern names a wildcard.
-
-Corpus and train runs write a ``key=value`` manifest: version, command,
-every setting of the command under its ``--config`` key (so those lines,
-as a config file, re-run it), input digests, per-phase timings and peak
-RSS; a corpus manifest also says whether the input had boilerplate
-markers.  ``corpus build`` writes ``sentences.txt`` (``query`` reads it),
-``vocab.txt`` (``train``, ``query``) and ``fragments.txt`` (``train``'s
-training set).  Outputs are checked before any work and are all or none:
-a command refuses an output name that is a directory (``train`` also an
-``--out`` in no directory or not ending in a file name, ``m/``), writes
-into a fresh ``.arrowlm-*`` stage beside them, then moves each
-into place with ``os.replace`` (atomic per file, not across files).  The
-stage lives for the whole command, training included, so a killed run
-may leave one; no command reads it.  Query runs print the same to
-stderr, plus ``sample`` and ``symbolic``; their digests are
-``sha256_sentences``, ``sha256_vocab`` and, when ``--model`` is read,
-``sha256_checkpoint``.  Train runs, and query runs that read ``--model``,
-also record the numpy version and the BLAS thread variables (``unset``
-when absent), since results are bit-equal only for a fixed thread count.
+A manifest lists each setting under its ``--config`` key, so its setting
+lines, read as a config file, re-run the command.  A command's outputs are
+all or none, but each moves into place on its own (``os.replace`` is
+atomic per file, not across files); the stage lives for the whole command,
+training included, so a killed run may leave one, and no command reads it.
 
 Each command imports only what it runs, since a cold start pays for every
 module loaded: ``prove`` loads no numpy, ``dataclasses`` or ``hashlib``,

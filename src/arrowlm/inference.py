@@ -107,22 +107,20 @@ def retrieval_first(
 ) -> RetrievalResult:
     """Rank the corpus continuations of ``query``; see module docstring.
 
-    An empty result means the query never occurs and the caller should
-    fall back to free generation.
+    ``query`` holds words as :func:`~arrowlm.corpus.normalize_words`
+    returns them.  An empty result means the query never occurs and the
+    caller should fall back to free generation.
     """
     if not query:
         raise ValueError("query must be non-empty")
     if k < 1:
         raise ValueError("k must be >= 1")
-    query = [w.lower() for w in query]
     occurrences = db.occurrences(query)
+    if not occurrences:
+        return RetrievalResult((), ())
     continuations: dict[tuple[str, ...], Candidate] = {}
     exact: dict[int, Candidate] = {}  # the first exact hit in each sentence
-    prefix_ids = [vocab.index[w] for w in query if w in vocab.index]
-    if len(prefix_ids) != len(query):
-        # A query word outside the model vocabulary cannot occur in a stored
-        # sentence built from the same corpus, so occurrences is empty too.
-        return RetrievalResult((), ())
+    prefix_ids = vocab.encode(query)
     for sid, start in occurrences:
         end = start + len(query)
         continuation = db.sentences[sid][end:]

@@ -6,35 +6,18 @@ update is ``h' = LayerNorm(h + U((V^T h) * s_t))``.  The operator is
 always applied in factored form (cost O(d*r) per step); the dense matrix
 is never materialized here.  Next-token logits are ``W_out @ h``.
 
-Teacher forcing splits a training step: the time loop runs only the token
-operators, then the output layer reads all (steps x batch) states out in
-blocks of at most ``_OUT_ROWS`` rows.  Each block materializes its logits,
-exponentiates them once and scales them per row into the logit gradient,
-which it folds into the ``W_out`` and state gradients before discarding
-it, so peak transient memory is bounded by the block, not by the sequence
-length, and the backward pass never rebuilds logits or a softmax.
+The output layer is differentiated inside :func:`forward_loss`, one block
+of states at a time, so peak transient memory is bounded by the block, not
+by the sequence length, and :func:`backward` never rebuilds logits or a
+softmax.
 
 The parameters, their gradients and Adam's two moments are each a
-:class:`ModelParams`: one flat array in checkpoint order, which is also the
-optimizer's order, with every tensor a view into it.  One layout per shape,
-``_layout(d, r, vocab_size)``, says where each tensor lies; the constructor,
-:func:`init_params`, :func:`load_checkpoint` and AdamW's decayed slices all
-read it.  So AdamW, gradient clipping and the checkpoint each walk one
-array.  Write a tensor through its view (``params.u[...] = x``); never
-rebind one.
+:class:`ModelParams` over one flat array, so AdamW, gradient clipping and
+the checkpoint each walk one array.
 
-Training is AdamW (bias-corrected, decoupled weight decay on the matrix
-parameters) with a linear warmup to a constant learning rate, global
-gradient-norm clipping, and length-bucketed batches.  Everything is
-seeded, so runs are bit-reproducible for a fixed BLAS thread count;
-nothing here pins that count (the CLI's manifests record it), and matrix
-products may sum in a different order under another one.  Training fails
-in two ways, both :class:`NonFiniteTraining`: a step whose loss or gradient
-norm is not finite stops it before its update, and parameters whose
-:func:`activation_bound` exceeds their dtype's range are refused after the
-last step.  So :func:`train` silences numpy's overflow and invalid warnings
-itself, as inference does around its scores, and no caller needs an
-``np.errstate``.
+Everything is seeded, so runs are bit-reproducible for a fixed BLAS thread
+count; nothing here pins that count (the CLI's manifests record it), and
+matrix products may sum in a different order under another one.
 """
 
 from __future__ import annotations

@@ -290,19 +290,20 @@ def format_term(term: ProofTerm) -> str:
 
     The domain is beta-normal terms: what :func:`prove_with_term` returns and
     what :func:`type_check` accepts.  So no lambda is ever in function
-    position, and only a compound argument is parenthesized.  A run of
-    lambdas prints in a loop, so a long binder spine needs no stack.
+    position, and only a compound argument is parenthesized.  The output is
+    printed from one stack of pending terms and strings, so no depth of term
+    overflows the Python stack.
     """
-    if isinstance(term, Var):
-        return term.name
-    if isinstance(term, Lam):
-        binders = []
-        while isinstance(term, Lam):
-            binders.append(f"\\{term.bound}.")
-            term = term.body
-        return "".join(binders) + format_term(term)
-    fun = format_term(term.fun)
-    arg = format_term(term.arg)
-    if not isinstance(term.arg, Var):
-        arg = f"({arg})"
-    return f"{fun} {arg}"
+    out: list[str] = []
+    todo: list = [term]  # terms and literal strings, rendered last-first
+    while todo:
+        item = todo.pop()
+        if isinstance(item, Lam):
+            out.append(f"\\{item.bound}.")
+            todo.append(item.body)
+        elif isinstance(item, App):
+            todo += (item.arg, " ") if isinstance(item.arg, Var) else (")", item.arg, " (")
+            todo.append(item.fun)
+        else:
+            out.append(item if isinstance(item, str) else item.name)
+    return "".join(out)

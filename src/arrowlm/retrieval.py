@@ -63,7 +63,7 @@ class SentenceDB:
 
         The list is in (sentence id, offset) order.
         """
-        if not words or any(word not in self.positions for word in words):
+        if not words:
             return []
         return [(sid, off) for sid, off, _ in self._match(words)]
 
@@ -73,8 +73,9 @@ class SentenceDB:
         Windows come in (sentence id, offset) order: an anchor word's
         positions are, and shifting each back by the anchor's index ``j``
         keeps them so.  The anchor matches at its positions by construction,
-        so only the other concrete words are compared.  A pattern of
-        wildcards only tries every window.
+        so only the other concrete words are compared.  A word the store
+        lacks has no positions, so as the anchor it yields no window.  A
+        pattern of wildcards only tries every window.
         """
         m = len(items)
         concrete = [(j, it) for j, it in enumerate(items) if isinstance(it, str)]
@@ -105,25 +106,20 @@ class SentenceDB:
                 else:
                     yield sid, off, bindings
 
-    def parse_pattern(self, raw: str) -> Optional[list[QueryItem]]:
+    def parse_pattern(self, raw: str) -> list[QueryItem]:
         """Parse ``?name`` / ``_`` wildcard syntax into query items.
 
         Names and other whitespace-separated parts go through the corpus
-        normalizer, so ``"Cat, ?X."`` asks what ``"cat ?x"`` asks.  Returns
-        None when a concrete word is absent from the store (such a pattern
-        can never match).
+        normalizer, so ``"Cat, ?X."`` asks what ``"cat ?x"`` asks.
         """
         items: list[QueryItem] = []
-        for part in raw.lower().split():
+        for part in raw.split():
             if part == "_":
                 items.append(Wildcard())
             elif part.startswith("?"):
                 items.append(Wildcard("".join(normalize_words(part[1:])) or None))
             else:
-                for word in normalize_words(part):
-                    if word not in self.positions:
-                        return None
-                    items.append(word)
+                items.extend(normalize_words(part))
         return items
 
 

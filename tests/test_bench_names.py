@@ -1,13 +1,14 @@
-"""The benchmark reads only names that ``src/arrowlm`` still defines.
+"""The benchmark reads only names that ``src/arrowlm`` still defines, and calls them as they take.
 
 Most names the benchmark reads are read only while a workload runs, so a
-deleted one would otherwise surface only in a benchmark run.  This reads
-the names from the benchmark's source with ``ast``, without importing or
-running it.
+deleted one, or a deleted or renamed parameter, would otherwise surface
+only in a benchmark run.  This reads the names and calls from the
+benchmark's source with ``ast``, without importing or running it.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 MODULES = ("cli", "corpus", "formula", "inference", "model", "prover", "retrieval")
@@ -42,12 +43,34 @@ def bench_references() -> set[str]:
     return refs
 
 
+def _resolve(ref: str):
+    module, name = ref.split(".")
+    return getattr(importlib.import_module(f"arrowlm.{module}"), name, None)
+
+
+def bench_calls():
+    """``(where, ref, positional count, keyword names)`` for each ``<module>.<name>(...)`` in ``bench/*.py``."""
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and _module(node.func.value):
+                yield (f"{path.name}:{node.lineno}", f"{_module(node.func.value)}.{node.func.attr}",
+                       len(node.args), [kw.arg for kw in node.keywords])
+
+
 def test_bench_reads_only_names_the_package_defines():
     refs = bench_references()
     assert len(refs) > 30
-    unresolved = set()
-    for ref in refs:
-        module, name = ref.split(".")
-        if not hasattr(importlib.import_module(f"arrowlm.{module}"), name):
-            unresolved.add(ref)
-    assert unresolved == KNOWN_UNRESOLVED
+    assert {ref for ref in refs if _resolve(ref) is None} == KNOWN_UNRESOLVED
+
+
+def test_bench_calls_bind_to_the_package_signatures():
+    calls = list(bench_calls())
+    assert len(calls) > 30
+    for where, ref, positional, keywords in calls:
+        if ref in KNOWN_UNRESOLVED:
+            continue
+        try:
+            inspect.signature(_resolve(ref)).bind_partial(*[None] * positional,
+                                                          **dict.fromkeys(keywords))
+        except TypeError as exc:
+            raise AssertionError(f"{where}: {ref}: {exc}") from None

@@ -412,3 +412,16 @@ class TestFormatTerm:
         t = Lam("x", App(Var("x"), Lam("y", Var("y"))))
         assert format_term(t) == "\\x.x (\\y.y)"
         assert format_term(App(App(Var("f"), Var("a")), Var("b"))) == "f a b"
+
+    def test_terms_of_any_depth(self):
+        # A 10,000-deep argument nesting that type_check accepts, and a 10,000-long spine.
+        body = Var("x")
+        for _ in range(10_000):
+            body = App(Var("f"), body)
+        numeral = Lam("f", Lam("x", body))
+        assert type_check(numeral, parse_formula("(a->a)->a->a"))
+        assert format_term(numeral) == "\\f.\\x." + "f (" * 9_999 + "f x" + ")" * 9_999
+        spine = Var("f")
+        for _ in range(10_000):
+            spine = App(spine, Var("x"))
+        assert format_term(spine) == "f" + " x" * 10_000

@@ -151,8 +151,11 @@ class TestQueryPattern:
         results = query_pattern(db, [Wildcard(), Wildcard("x"), Wildcard()])
         assert all(set(b) == {"x"} for b, _, _ in results)
 
-    def test_unknown_word_pattern_is_none(self, db):
-        assert db.parse_pattern("the zz chases") is None
+    def test_unknown_word_pattern_matches_nothing(self, db):
+        items = db.parse_pattern("The zz chases")
+        assert items == ["the", "zz", "chases"]
+        assert query_pattern(db, items) == []
+        assert query_pattern(db, db.parse_pattern("?x zz")) == []
 
     def test_empty_pattern_rejected(self, db):
         with pytest.raises(EmptyQuery):
