@@ -104,8 +104,8 @@ class Manifest:
         import resource
 
         self.finish_phase()
-        rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        self.add("peak_rss_bytes", rss_kb * 1024)
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        self.add("peak_rss_bytes", rss if sys.platform == "darwin" else rss * 1024)  # Linux: KiB
         return "".join(f"{k}={v}\n" for k, v in self.entries)
 
 
@@ -260,7 +260,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     corpus_dir = Path(args.corpus)
     manifest = Manifest(args)
     manifest.numerics()
-    names = [f"{out.name}{suffix}" for suffix in ("", ".vocab", ".loss", ".manifest")]
+    names = [f"{out.name}{suffix}" for suffix in ("", ".loss", ".manifest")]
     with _refuse("cannot write checkpoint", OSError), _outputs(out.parent, names) as stage:
         manifest.start_phase("load")
         with _refuse("cannot load corpus", OSError, UnicodeDecodeError, corpus.CorpusError):
@@ -274,7 +274,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         with _refuse("training diverged", model.NonFiniteTraining):
             params, history = model.train(params, fragments, cfg, pad_id=vocab.pad_id)
         manifest.start_phase("save")
-        model.save_checkpoint(params, vocab, stage / out.name)  # and its .vocab sidecar
+        model.save_checkpoint(params, vocab, stage / out.name)  # one file, vocabulary included
         loss_lines = "".join(f"{epoch}\t{loss:.6f}\n" for epoch, loss in enumerate(history, 1))
         (stage / f"{out.name}.loss").write_text(loss_lines, encoding="utf-8")
         manifest.finish_phase()

@@ -92,12 +92,12 @@ def strip_boilerplate(raw: str) -> str:
     return "".join(lines[start + 1 : end])
 
 
-_KEEP_RE = re.compile(r"[^a-z0-9_' ]+")
+_KEEP_RE = re.compile(r"[^a-z0-9_'\s]+")  # str.split splits at exactly re's \s
 
 
 def normalize_words(text: str) -> list[str]:
-    """Lowercase, keep the ``[a-z0-9_' ]`` alphabet, split into words."""
-    return _KEEP_RE.sub("", re.sub(r"\s+", " ", text.lower())).split()
+    """Lowercase, keep the ``[a-z0-9_']`` alphabet, split into words at whitespace."""
+    return _KEEP_RE.sub("", text.lower()).split()
 
 
 def split_sentences(body: str, max_len: int = DEFAULTS["max_len"]) -> list[list[str]]:

@@ -155,7 +155,7 @@ def generate_free(
     if not prompt:
         raise ValueError("prompt must be non-empty")
     h = _run_prefix(params, prompt)  # step refuses a token outside the vocabulary
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed) if config.mode == "sample" else None
     out: list[int] = []
     for _ in range(config.max_new_tokens):
         logits = params.w_out @ h

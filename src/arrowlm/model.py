@@ -13,7 +13,8 @@ softmax.
 
 The parameters, their gradients and Adam's two moments are each a
 :class:`ModelParams` over one flat array, so AdamW, gradient clipping and
-the checkpoint each walk one array.
+the checkpoint each walk one array.  A checkpoint is one file: the floats,
+then the words that name their rows, all under one CRC32.
 
 Everything is seeded, so runs are bit-reproducible for a fixed BLAS thread
 count; nothing here pins that count (the CLI's manifests record it), and
@@ -32,10 +33,10 @@ from typing import Sequence
 import numpy as np
 
 from . import DEFAULTS, ModelError
-from .corpus import Vocab, read_vocab, write_vocab
+from .corpus import Vocab
 
 CHECKPOINT_MAGIC = b"ARRW"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class InvalidShape(ModelError):
@@ -460,7 +461,7 @@ _HEADER = struct.Struct("<4sIIIIf")  # magic, version, d, r, vocab, eps
 
 
 def save_checkpoint(params: ModelParams, vocab: Vocab, path) -> None:
-    """Write the binary checkpoint and its vocab sidecar (``<path>.vocab``)."""
+    """Write the header, ``flat`` as float32, ``vocab``'s lines as in ``vocab.txt``, a CRC32."""
     if params.vocab_size != len(vocab):
         raise InvalidShape(
             f"params cover {params.vocab_size} tokens but vocab has {len(vocab)}"
@@ -468,14 +469,14 @@ def save_checkpoint(params: ModelParams, vocab: Vocab, path) -> None:
     header = _HEADER.pack(
         CHECKPOINT_MAGIC, CHECKPOINT_VERSION, params.d, params.r, params.vocab_size, params.eps
     )
-    blob = header + params.flat.astype("<f4").tobytes()
+    words = "".join(f"{word}\n" for word in vocab.words).encode("utf-8")
+    blob = header + params.flat.astype("<f4").tobytes() + words
     with open(path, "wb") as fh:
         fh.write(blob + struct.pack("<I", zlib.crc32(blob)))
-    write_vocab(f"{path}.vocab", vocab)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, Vocab]:
-    """Inverse of :func:`save_checkpoint`; verifies CRC, magic, and sizes."""
+    """Inverse of :func:`save_checkpoint`: checks the CRC, then the header, then the words."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER.size + 4:
@@ -489,16 +490,15 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocab]:
             f"unsupported checkpoint magic/version {magic!r}/{version}"
         )
     _, size = _layout(d, r, vocab_size)
-    if len(data) != _HEADER.size + 4 * size + 4:
-        raise FormatVersionMismatch(
-            f"checkpoint size {len(data)} does not match header "
-            f"(d={d}, r={r}, vocab={vocab_size})"
-        )
+    end = _HEADER.size + 4 * size
+    try:
+        words = data[end:-4].decode("utf-8").split("\n")[:-1]  # none if the floats overrun
+    except UnicodeDecodeError as exc:  # the header's sizes end the floats too early
+        raise FormatVersionMismatch(f"no words after d={d}, r={r}: {exc}") from None
+    vocab = Vocab(words[:-2])
+    if len(vocab) != vocab_size or vocab.words != tuple(words):
+        raise FormatVersionMismatch(f"checkpoint stores {len(words)} words; its header (d={d}, "
+                                    f"r={r}) needs {vocab_size} ending in {vocab.words[-2:]}")
     flat = np.frombuffer(data, dtype="<f4", count=size, offset=_HEADER.size)
     params = ModelParams(flat.copy(), d, r, vocab_size, eps)  # the read buffer is read-only
-    vocab = read_vocab(f"{path}.vocab")
-    if len(vocab) != vocab_size:
-        raise FormatVersionMismatch(
-            f"vocab sidecar has {len(vocab)} entries, header says {vocab_size}"
-        )
     return params, vocab

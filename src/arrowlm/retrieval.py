@@ -159,6 +159,6 @@ def query_pattern(
         raise EmptyQuery("pattern must contain at least one item")
     results: dict[tuple, tuple[dict[str, str], int, tuple[str, ...]]] = {}
     for sid, _, bindings in db._match(items):
-        key = (tuple(sorted(bindings.items())), sid)
+        key = (sid, *bindings.values())  # _match binds the same names in the same order
         results.setdefault(key, (bindings, sid, db.sentences[sid]))
     return list(results.values())

@@ -38,9 +38,9 @@ MUTANTS = (
     Mutant(
         "M3-checkpoint-skips-the-vocab-size-check",
         "src/arrowlm/model.py",
-        "    if len(vocab) != vocab_size:\n",
-        "    if False:\n",
-        ("tests/test_model.py::TestCheckpoint::test_vocab_sidecar_length_guard",),
+        "    if len(vocab) != vocab_size or vocab.words != tuple(words):\n",
+        "    if vocab.words != tuple(words):\n",
+        ("tests/test_model.py::TestCheckpoint::test_stored_vocab_length_guard",),
     ),
     Mutant(
         "M4-vocab-accepts-duplicate-words",
@@ -119,7 +119,7 @@ MUTANTS = (
         "    if in_the_way:\n"
         "        raise IsADirectoryError(f\"{in_the_way[0]} is a directory\")\n",
         "",
-        ("tests/test_cli.py::test_io_errors_are_usage_errors[train-vocab-is-a-dir]",
+        ("tests/test_cli.py::test_io_errors_are_usage_errors[train-loss-is-a-dir]",
          "tests/test_cli.py::test_io_errors_are_usage_errors[corpus-vocab-is-a-dir]"),
     ),
     Mutant(

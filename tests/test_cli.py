@@ -321,7 +321,6 @@ def test_corpus_without_sentences_leaves_no_out_dir(tmp_path, capsys):
         ["corpus", "build", "--input", "{raw}", "--out", "{tmp}/o"],
         ["train", "--corpus", "{corpus}", "--out", "{tmp}/missing/m"],
         ["train", "--corpus", "{corpus}", "--out", "{tmp}"],
-        ["train", "--corpus", "{corpus}", "--out", "{tmp}/v"],
         ["train", "--corpus", "{corpus}", "--out", "{tmp}/l"],
         ["train", "--corpus", "{corpus}", "--out", "{tmp}/n"],
         ["train", "--corpus", "{corpus}", "--out", "{tmp}/m/"],
@@ -334,8 +333,8 @@ def test_corpus_without_sentences_leaves_no_out_dir(tmp_path, capsys):
         ["query", "--corpus", "{tmp}/latin1", "--model", "{model}", "the cat"],
     ],
     ids=["corpus-out-is-a-file", "corpus-input-not-utf8", "corpus-vocab-is-a-dir",
-         "train-out-dir-missing", "train-out-is-a-dir", "train-vocab-is-a-dir",
-         "train-loss-is-a-dir", "train-manifest-is-a-dir", "train-out-ends-in-separator",
+         "train-out-dir-missing", "train-out-is-a-dir", "train-loss-is-a-dir",
+         "train-manifest-is-a-dir", "train-out-ends-in-separator",
          "train-loss-is-a-dir-out-ends-in-separator", "train-out-ends-in-dot",
          "train-fragments-not-utf8",
          "train-fragments-unknown-word", "train-fragments-empty", "train-fragments-one-word",
@@ -352,7 +351,7 @@ def test_io_errors_are_usage_errors(built, tmp_path, monkeypatch, capsys, args):
     (tmp_path / "file").write_text("kept\n", encoding="utf-8")
     (tmp_path / "latin1.txt").write_bytes("The caf\u00e9 is open.".encode("latin-1"))
     (tmp_path / "o" / "vocab.txt").mkdir(parents=True)  # the second of three writes fails
-    for name in ("v.vocab", "l.loss", "n.manifest"):  # train writes these beside --out
+    for name in ("l.loss", "n.manifest"):  # train writes these beside --out
         (tmp_path / name).mkdir()
     bad_fragments = {"latin1": "the caf\u00e9\n".encode("latin-1"), "unknown-word": b"the zebra\n",
                      "empty": b"", "one-word": b"the cat\nthe\n"}
@@ -442,13 +441,13 @@ def test_failed_corpus_build_publishes_nothing(built, tmp_path, monkeypatch, cap
 
 def test_failed_train_write_keeps_the_earlier_model(built, tmp_path, monkeypatch, capsys):
     corpus_dir, ckpt = built
-    for suffix in ("", ".vocab", ".loss", ".manifest"):
+    for suffix in ("", ".loss", ".manifest"):
         (tmp_path / f"m{suffix}").write_bytes(Path(f"{ckpt}{suffix}").read_bytes())
     before = files_and_bytes(tmp_path)
 
     def fail_once_staged(manifest):
         (stage,) = tmp_path.glob(".arrowlm-*")
-        assert sorted(path.name for path in stage.iterdir()) == ["m", "m.loss", "m.vocab"]
+        assert sorted(path.name for path in stage.iterdir()) == ["m", "m.loss"]
         fail_to_write()
 
     monkeypatch.setattr(cli.Manifest, "finalize", fail_once_staged)
@@ -609,6 +608,17 @@ def test_manifests_record_settings_and_digests(built, tmp_path, monkeypatch, cap
         assert {key: entries.get(key) for key in numerics} == read, mode
 
 
+@pytest.mark.parametrize("platform, unit", [("linux", 1024), ("darwin", 1)])
+def test_peak_rss_is_recorded_in_bytes(monkeypatch, platform, unit):
+    # getrusage reports ru_maxrss in KiB on Linux and in bytes on macOS.
+    import resource
+
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(resource, "getrusage", lambda who: argparse.Namespace(ru_maxrss=5000))
+    args = argparse.Namespace(command="query", **{k: 1 for k in cli._SETTINGS["query"]})
+    assert cli.Manifest(args).finalize().splitlines()[-1] == f"peak_rss_bytes={5000 * unit}"
+
+
 def test_settings_table_drives_every_flag():
     # No default is unreachable from the command line, and no setting goes unchecked.
     assert set(cli._LOWEST) == arrowlm.DEFAULTS.keys() == set().union(*cli._SETTINGS.values())
@@ -707,6 +717,13 @@ def test_train_reads_the_corpus_fragments(built, tmp_path):
                             pad_id=vocab.pad_id)
     model.save_checkpoint(params, vocab, tmp_path / "ref.arrw")
     assert ckpt.read_bytes() == (tmp_path / "ref.arrw").read_bytes()
+
+
+def test_train_publishes_the_checkpoint_its_losses_and_its_manifest(built, tmp_path):
+    # The vocabulary rides inside the checkpoint, so no sidecar file sits beside it.
+    args = ["train", "--corpus", str(built[0]), "--out", str(tmp_path / "m")]
+    assert cli.main(args + ["--d", "4", "--r", "1", "--epochs", "1"]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["m", "m.loss", "m.manifest"]
 
 
 def test_loss_file_has_one_line_per_epoch(built):

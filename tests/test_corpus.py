@@ -15,6 +15,7 @@ from arrowlm.corpus import (
     Vocab,
     build_vocab,
     enumerate_fragments,
+    normalize_words,
     read_fragments,
     read_sentences,
     read_vocab,
@@ -77,6 +78,14 @@ class TestSplitSentences:
 
     def test_newlines_are_word_separators(self):
         assert split_sentences("the cat\nsits.") == [["the", "cat", "sits"]]
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\u000b", "\u0085"],
+                             ids=["no-break-space", "em-space", "line-tab", "next-line"])
+    def test_unicode_whitespace_separates_words(self, space):
+        # Queries and sentences split where str.split does, not only at ASCII spaces.
+        assert normalize_words(f"The{space}cat") == ["the", "cat"]
+        got = split_sentences(f"The{space}cat sits. A{space}dog!")
+        assert got == [["the", "cat", "sits"], ["a", "dog"]]
 
     def test_truncation(self):
         long = " ".join(f"w{i}" for i in range(300)) + "."

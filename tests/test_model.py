@@ -18,6 +18,7 @@ from arrowlm.model import (
     TokenOutOfRange,
     TrainConfig,
     _OUT_ROWS,
+    _HEADER,
     _TENSORS,
     _layer_norm,
     activation_bound,
@@ -129,11 +130,14 @@ class TestModelParams:
         params.u[...] = 0.25
         start = sum(arr.size for _, arr in params.tensors()[:6])  # where w_out begins
         assert params.flat[start + 2 * params.d + 3] == 7.5
-        path = tmp_path / "m.arrw"
-        save_checkpoint(params, Vocab([f"w{i}" for i in range(4)]), path)
+        path, vocab = tmp_path / "m.arrw", Vocab([f"w{i}" for i in range(4)])
+        save_checkpoint(params, vocab, path)
         data = path.read_bytes()
         per_tensor = b"".join(arr.astype("<f4").tobytes() for _, arr in params.tensors())
-        assert data[-4 - len(per_tensor) : -4] == per_tensor
+        floats_end = _HEADER.size + len(per_tensor)
+        assert data[_HEADER.size : floats_end] == per_tensor
+        write_vocab(tmp_path / "vocab.txt", vocab)  # the words follow, as vocab.txt holds them
+        assert data[floats_end:-4] == (tmp_path / "vocab.txt").read_bytes()
         loaded, _ = load_checkpoint(path)
         assert loaded.w_out[2, 3] == 7.5 and np.all(loaded.u == 0.25)
 
@@ -609,6 +613,16 @@ class TestCheckpoint:
         with pytest.raises(FormatVersionMismatch):
             load_checkpoint(path)
 
+    def test_header_that_ends_the_floats_early(self, tmp_path):
+        # d=15 where 16 was written: the words would start inside the floats.
+        path = tmp_path / "model.arrw"
+        save_checkpoint(init_params(11, 16, 4, 21), self.make_vocab(11), path)
+        data = bytearray(path.read_bytes()[:-4])
+        data[8:12] = (15).to_bytes(4, "little")
+        self.resealed(path, bytes(data))
+        with pytest.raises(FormatVersionMismatch):
+            load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         import struct
         import zlib
@@ -620,10 +634,51 @@ class TestCheckpoint:
         with pytest.raises(FormatVersionMismatch):
             load_checkpoint(path)
 
-    def test_vocab_sidecar_length_guard(self, tmp_path):
+    def resealed(self, path, data):
+        """Write ``data`` to ``path`` under a CRC32 that matches it."""
+        import struct
+        import zlib
+
+        path.write_bytes(data + struct.pack("<I", zlib.crc32(data)))
+
+    def test_flipped_byte_anywhere_is_a_checksum_mismatch(self, tmp_path):
+        path = tmp_path / "model.arrw"
+        save_checkpoint(init_params(6, 4, 2, 21), self.make_vocab(6), path)
+        data = path.read_bytes()
+        assert data.index(b"w0\nw1\nw2\nw3\n<eos>\n<pad>\n") > _HEADER.size
+        for at in range(len(data)):  # header, floats, words and the CRC itself
+            flipped = bytearray(data)
+            flipped[at] ^= 0x20
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(ChecksumMismatch):
+                load_checkpoint(path)
+
+    def test_version_1_file_is_refused(self, tmp_path):
+        # Version 1 kept the words in a sidecar: header, floats and CRC only.
+        import struct
+
+        path = tmp_path / "model.arrw"
+        params = init_params(11, 16, 4, 21)
+        save_checkpoint(params, self.make_vocab(11), path)
+        header = bytearray(path.read_bytes()[: _HEADER.size])
+        struct.pack_into("<I", header, 4, 1)
+        self.resealed(path, bytes(header) + params.flat.astype("<f4").tobytes())
+        with pytest.raises(FormatVersionMismatch, match="version"):
+            load_checkpoint(path)
+
+    def test_stored_vocab_length_guard(self, tmp_path):
         path = tmp_path / "model.arrw"
         save_checkpoint(init_params(11, 16, 4, 21), self.make_vocab(11), path)
-        write_vocab(f"{path}.vocab", self.make_vocab(10))
+        data = path.read_bytes()[:-4]
+        self.resealed(path, data.replace(b"w0\n", b""))  # 10 words, the header says 11
+        with pytest.raises(FormatVersionMismatch):
+            load_checkpoint(path)
+
+    def test_stored_vocab_must_end_in_eos_and_pad(self, tmp_path):
+        path = tmp_path / "model.arrw"
+        save_checkpoint(init_params(11, 16, 4, 21), self.make_vocab(11), path)
+        data = path.read_bytes()[:-4]
+        self.resealed(path, data.replace(b"<eos>\n<pad>\n", b"<pad>\n<eos>\n"))
         with pytest.raises(FormatVersionMismatch):
             load_checkpoint(path)
 
