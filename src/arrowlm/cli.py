@@ -332,23 +332,21 @@ def cmd_query(args: argparse.Namespace) -> int:
     manifest.add("sample", args.sample)
     manifest.add("symbolic", args.symbolic)
     manifest.start_phase("load")
-    with _refuse("cannot load model/corpus", OSError, UnicodeDecodeError, corpus.CorpusError,
-                 ModelError):
+    with _refuse("cannot load model/corpus", OSError, UnicodeDecodeError, ModelError):
         sentences = corpus.read_sentences(corpus_dir / "sentences.txt")
-        corpus_vocab = corpus.read_vocab(corpus_dir / "vocab.txt")
         manifest.digest("sentences", corpus_dir / "sentences.txt")
-        manifest.digest("vocab", corpus_dir / "vocab.txt")
-        params, vocab = (None, corpus_vocab)
+        params = vocab = None
         if not args.symbolic:  # a symbolic query runs no model, so loads none (nor numpy)
             from . import model
 
             params, vocab = model.load_checkpoint(args.model)
             manifest.digest("checkpoint", args.model)
             manifest.numerics()
-    if vocab.words != corpus_vocab.words:
-        raise _Refusal("vocab mismatch between checkpoint and corpus")
     manifest.start_phase("build_db")
     db = retrieval.build_db(sentences)
+    # The checkpoint holds the model's one vocabulary; a stored word outside it cannot be scored.
+    if not args.symbolic and (unknown := db.positions.keys() - vocab.index.keys()):
+        raise _Refusal(f"stored word {min(unknown)!r} is not in the checkpoint's vocabulary")
     manifest.start_phase("queries")
     with _refuse("cannot use model", ModelError):  # e.g. scores that overflow to inf or NaN
         if args.repl:

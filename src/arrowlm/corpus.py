@@ -9,7 +9,7 @@ sentence with an EOS marker, globally deduplicated; with k_frag fixed
 the item count is linear in corpus size.
 
 ``corpus build`` writes ``sentences.txt`` (``query`` reads it),
-``vocab.txt`` (``train`` and ``query``) and ``fragments.txt`` (``train``).
+``vocab.txt`` (``train``) and ``fragments.txt`` (``train``).
 Each ``fragments.txt`` line is cut from its sentence's words, joined
 once: a window's text is one slice of that line.
 """
@@ -60,6 +60,18 @@ class Vocab:
 
     def decode(self, ids: Sequence[int]) -> list[str]:
         return [self.words[i] for i in ids]
+
+    def text(self) -> str:
+        """The words as ``vocab.txt`` and a checkpoint store them: one ``word\\n`` line each."""
+        return "".join(f"{word}\n" for word in self.words)
+
+    @classmethod
+    def parse(cls, text: str) -> "Vocab":
+        """Inverse of :meth:`text`; skips blank lines and refuses an ending other than EOS, PAD."""
+        words = [line for line in text.split("\n") if line.strip()]
+        if words[-2:] != [EOS_WORD, PAD_WORD]:
+            raise CorpusError(f"vocabulary must end with {EOS_WORD} and {PAD_WORD} lines")
+        return cls(words[:-2])
 
 
 @dataclass
@@ -177,16 +189,12 @@ def read_sentences(path) -> list[list[str]]:
 
 def write_vocab(path, vocab: Vocab) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for word in vocab.words:
-            fh.write(word + "\n")
+        fh.write(vocab.text())
 
 
 def read_vocab(path) -> Vocab:
     with open(path, encoding="utf-8") as fh:
-        words = [line.rstrip("\n") for line in fh if line.strip()]
-    if len(words) < 2 or words[-2:] != [EOS_WORD, PAD_WORD]:
-        raise CorpusError(f"vocab file must end with {EOS_WORD} and {PAD_WORD} lines")
-    return Vocab(words[:-2])
+        return Vocab.parse(fh.read())
 
 
 def write_fragments(path, training_set: TrainingSet, vocab: Vocab) -> None:

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import DEFAULTS, ModelError
-from .corpus import Vocab
+from .corpus import CorpusError, Vocab
 
 CHECKPOINT_MAGIC = b"ARRW"
 CHECKPOINT_VERSION = 2
@@ -461,7 +461,7 @@ _HEADER = struct.Struct("<4sIIIIf")  # magic, version, d, r, vocab, eps
 
 
 def save_checkpoint(params: ModelParams, vocab: Vocab, path) -> None:
-    """Write the header, ``flat`` as float32, ``vocab``'s lines as in ``vocab.txt``, a CRC32."""
+    """Write the header, ``flat`` as float32, ``vocab.text()`` as UTF-8, then a CRC32."""
     if params.vocab_size != len(vocab):
         raise InvalidShape(
             f"params cover {params.vocab_size} tokens but vocab has {len(vocab)}"
@@ -469,14 +469,13 @@ def save_checkpoint(params: ModelParams, vocab: Vocab, path) -> None:
     header = _HEADER.pack(
         CHECKPOINT_MAGIC, CHECKPOINT_VERSION, params.d, params.r, params.vocab_size, params.eps
     )
-    words = "".join(f"{word}\n" for word in vocab.words).encode("utf-8")
-    blob = header + params.flat.astype("<f4").tobytes() + words
+    blob = header + params.flat.astype("<f4").tobytes() + vocab.text().encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(blob + struct.pack("<I", zlib.crc32(blob)))
 
 
 def load_checkpoint(path) -> tuple[ModelParams, Vocab]:
-    """Inverse of :func:`save_checkpoint`: checks the CRC, then the header, then the words."""
+    """Inverse of :func:`save_checkpoint`: checks the CRC, the header, then the parsed words."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER.size + 4:
@@ -491,14 +490,13 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocab]:
         )
     _, size = _layout(d, r, vocab_size)
     end = _HEADER.size + 4 * size
-    try:
-        words = data[end:-4].decode("utf-8").split("\n")[:-1]  # none if the floats overrun
-    except UnicodeDecodeError as exc:  # the header's sizes end the floats too early
-        raise FormatVersionMismatch(f"no words after d={d}, r={r}: {exc}") from None
-    vocab = Vocab(words[:-2])
-    if len(vocab) != vocab_size or vocab.words != tuple(words):
-        raise FormatVersionMismatch(f"checkpoint stores {len(words)} words; its header (d={d}, "
-                                    f"r={r}) needs {vocab_size} ending in {vocab.words[-2:]}")
+    try:  # no words if the floats overrun; bad UTF-8 if the header's sizes end them early
+        vocab = Vocab.parse(data[end:-4].decode("utf-8"))
+    except (CorpusError, UnicodeDecodeError) as exc:
+        raise FormatVersionMismatch(f"bad vocabulary after d={d}, r={r}: {exc}") from None
+    if len(vocab) != vocab_size:
+        raise FormatVersionMismatch(f"checkpoint stores {len(vocab)} words; its header (d={d}, "
+                                    f"r={r}) needs {vocab_size}")
     flat = np.frombuffer(data, dtype="<f4", count=size, offset=_HEADER.size)
     params = ModelParams(flat.copy(), d, r, vocab_size, eps)  # the read buffer is read-only
     return params, vocab

@@ -38,9 +38,17 @@ MUTANTS = (
     Mutant(
         "M3-checkpoint-skips-the-vocab-size-check",
         "src/arrowlm/model.py",
-        "    if len(vocab) != vocab_size or vocab.words != tuple(words):\n",
-        "    if vocab.words != tuple(words):\n",
+        "    if len(vocab) != vocab_size:\n",
+        "    if False:\n",
         ("tests/test_model.py::TestCheckpoint::test_stored_vocab_length_guard",),
+    ),
+    Mutant(
+        "vocab-parser-skips-the-ending-check",  # one parser serves vocab.txt and the checkpoint
+        "src/arrowlm/corpus.py",
+        "        if words[-2:] != [EOS_WORD, PAD_WORD]:\n",
+        "        if False:\n",
+        ("tests/test_corpus.py::TestFileFormats::test_vocab_must_end_with_specials",
+         "tests/test_model.py::TestCheckpoint::test_stored_vocab_must_end_in_eos_and_pad"),
     ),
     Mutant(
         "M4-vocab-accepts-duplicate-words",
@@ -121,6 +129,13 @@ MUTANTS = (
         "",
         ("tests/test_cli.py::test_io_errors_are_usage_errors[train-loss-is-a-dir]",
          "tests/test_cli.py::test_io_errors_are_usage_errors[corpus-vocab-is-a-dir]"),
+    ),
+    Mutant(
+        "query-skips-the-stored-word-check",
+        "src/arrowlm/cli.py",
+        "    if not args.symbolic and (unknown := db.positions.keys() - vocab.index.keys()):\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_refusal_is_one_line_and_writes_nothing[stored-word-missing]",),
     ),
     Mutant(
         "node-builder-keeps-a-dead-entry",

@@ -263,6 +263,24 @@ class TestQuery:
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and message in err, err
 
+    @pytest.mark.parametrize("edit", ["word-prepended", "deleted"])
+    def test_vocab_file_is_not_read(self, built, tmp_path, capsys, edit):
+        # The model's vocabulary is the checkpoint's, and a symbolic query needs none.
+        corpus_dir, ckpt = built
+        shutil.copytree(corpus_dir, tmp_path / "c")
+        vocab = tmp_path / "c" / "vocab.txt"
+        if edit == "deleted":
+            vocab.unlink()
+        else:  # a word the model lacks: a vocab.txt that disagrees with the checkpoint
+            vocab.write_text("zebra\n" + vocab.read_text(encoding="utf-8"), encoding="utf-8")
+        for mode in (["--model", str(ckpt), "the cat"], ["--symbolic", "cat ?x"]):
+            outs = []
+            for directory in (corpus_dir, tmp_path / "c"):
+                capsys.readouterr()
+                assert cli.main(["query", "--corpus", str(directory), *mode]) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1] and outs[0].strip(), mode
+
     def test_tiny_sampling_temperature_is_not_a_crash(self, built):
         # "zebra" is out of vocabulary, so the query falls back to free generation.
         assert query(built, "--sample", "--temperature", "1e-320", "zebra cat") in (0, 1)
@@ -387,8 +405,8 @@ def files_and_bytes(root):
         (["prove", "p->"], "syntax error: expected atom or '(' (byte 3)"),
         (["train", "--corpus", "{corpus}", "--out", "{tmp}/m", "--d", "2", "--r", "4"],
          "invalid shape: d=2, r=4"),
-        (["query", "--corpus", "{tmp}/c", "--model", "{model}", "the cat"],
-         "vocab mismatch between checkpoint and corpus"),
+        (["query", "--corpus", "{tmp}/c", "--model", "{model}", "cat"],  # "cat runs" is stored
+         "stored word 'runs' is not in the checkpoint's vocabulary"),
         (["--config", "{tmp}/missing.cfg", "prove", "p->p"],
          "bad config file: [Errno 2] No such file or directory: "),
         (["--config", "{tmp}/no-equals.cfg", "prove", "p->p"],
@@ -396,15 +414,15 @@ def files_and_bytes(root):
         (["query", "--corpus", "{corpus}", "--symbolic", "--repl"],
          "cannot read query: 'utf-8' codec can't decode byte 0xff"),
     ],
-    ids=["syntax-error", "invalid-shape", "vocab-mismatch", "config-missing",
+    ids=["syntax-error", "invalid-shape", "stored-word-missing", "config-missing",
          "config-line-without-equals", "stdin-not-utf8"],
 )
 def test_refusal_is_one_line_and_writes_nothing(built, tmp_path, monkeypatch, capsys, args,
                                                 message):
     corpus_dir, ckpt = built
     shutil.copytree(corpus_dir, tmp_path / "c")
-    vocab = tmp_path / "c" / "vocab.txt"
-    vocab.write_text("zebra\n" + vocab.read_text(encoding="utf-8"), encoding="utf-8")  # not in the model
+    with open(tmp_path / "c" / "sentences.txt", "a", encoding="utf-8") as fh:
+        fh.write("zebra cat runs\n")  # two words the model lacks
     (tmp_path / "no-equals.cfg").write_text("epochs 3\n", encoding="utf-8")
     stdin = io.TextIOWrapper(io.BytesIO(b"the \xff cat\n"), encoding="utf-8")  # strict decoding
     monkeypatch.setattr("sys.stdin", stdin)
@@ -684,13 +702,10 @@ def test_query_manifest_digests_its_inputs(built, capsys):
         assert cli.main(["query", "--corpus", str(corpus_dir), *args, "the cat"]) == 0
         return dict(line.partition("=")[::2] for line in capsys.readouterr().err.splitlines())
 
-    inputs = {
-        "sha256_sentences": sha256(corpus_dir / "sentences.txt"),
-        "sha256_vocab": sha256(corpus_dir / "vocab.txt"),
-    }
+    inputs = {"sha256_sentences": sha256(corpus_dir / "sentences.txt")}
     read = manifest("--model", str(ckpt), "--top-k", "1", "--sample", "--seed", "7")
     assert {k: read.get(k) for k in inputs} == inputs
-    assert read["sha256_checkpoint"] == sha256(ckpt)
+    assert read["sha256_checkpoint"] == sha256(ckpt) and "sha256_vocab" not in read
     settings = ("command", "top_k", "max_new_tokens", "temperature", "seed", "sample", "symbolic")
     assert [read.get(k) for k in settings] == ["query", "1", "32", "1.0", "7", "True", "False"]
     symbolic = manifest("--symbolic")  # reads no model

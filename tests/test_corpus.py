@@ -240,5 +240,5 @@ class TestFileFormats:
     def test_vocab_must_end_with_specials(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("a\nb\n")
-        with pytest.raises(Exception):
+        with pytest.raises(CorpusError, match="must end with <eos> and <pad> lines"):
             read_vocab(path)

@@ -682,6 +682,14 @@ class TestCheckpoint:
         with pytest.raises(FormatVersionMismatch):
             load_checkpoint(path)
 
+    def test_repeated_stored_word_is_a_format_error(self, tmp_path):
+        path = tmp_path / "model.arrw"
+        save_checkpoint(init_params(11, 16, 4, 21), self.make_vocab(11), path)
+        data = path.read_bytes()[:-4]
+        self.resealed(path, data.replace(b"w0\nw1\n", b"w0\nw0\n"))  # 11 words, one twice
+        with pytest.raises(FormatVersionMismatch, match="duplicate words"):
+            load_checkpoint(path)
+
     def test_vocab_size_guard(self, tmp_path):
         params = init_params(11, 16, 4, 21)
         with pytest.raises(InvalidShape):
