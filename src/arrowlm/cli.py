@@ -215,7 +215,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     manifest.add("input", args.input)
     manifest.digest("input", args.input)
     out_dir = Path(args.out)
-    names = ("sentences.txt", "vocab.txt", "fragments.txt", "corpus.manifest")
+    names = ("sentences.txt", "fragments.txt", "corpus.manifest")
     with _refuse("cannot write output", OSError), _outputs(out_dir, names) as stage:
         manifest.start_phase("split")
         body = corpus.strip_boilerplate(raw)  # a body between markers lacks the start line
@@ -230,14 +230,13 @@ def cmd_corpus(args: argparse.Namespace) -> int:
                                               max_len=args.max_len)
         manifest.start_phase("write")
         corpus.write_sentences(stage / "sentences.txt", sentences)
-        corpus.write_vocab(stage / "vocab.txt", vocab)
         corpus.write_fragments(stage / "fragments.txt", training, vocab)
         manifest.finish_phase()
         manifest.add("sentences", len(sentences))
         manifest.add("vocab_size", len(vocab))
         manifest.add("fragments", len(training.fragments))
-        for name in names[:3]:
-            manifest.digest(name, stage / name)
+        for name in ("sentences", "fragments"):
+            manifest.digest(name, stage / f"{name}.txt")
         (stage / "corpus.manifest").write_text(manifest.finalize(), encoding="utf-8")
     print(f"corpus: {len(sentences)} sentences, |V|={len(vocab)}, "
           f"{len(training.fragments)} training fragments -> {out_dir}")
@@ -264,10 +263,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     with _refuse("cannot write checkpoint", OSError), _outputs(out.parent, names) as stage:
         manifest.start_phase("load")
         with _refuse("cannot load corpus", OSError, UnicodeDecodeError, corpus.CorpusError):
-            vocab = corpus.read_vocab(corpus_dir / "vocab.txt")
-            fragments = corpus.read_fragments(corpus_dir / "fragments.txt", vocab).fragments
-            for name in ("fragments", "vocab"):
-                manifest.digest(name, corpus_dir / f"{name}.txt")
+            vocab, training = corpus.read_fragments(corpus_dir / "fragments.txt")
+            manifest.digest("fragments", corpus_dir / "fragments.txt")
+        fragments = training.fragments
+        del training  # its text is not kept through training
         manifest.add("fragments", len(fragments))
         manifest.start_phase("train")
         params = model.init_params(len(vocab), cfg.d, cfg.r, cfg.seed)  # float32, as train checks

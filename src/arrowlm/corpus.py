@@ -8,10 +8,10 @@ items are every contiguous fragment of length 2..k_frag plus each full
 sentence with an EOS marker, globally deduplicated; with k_frag fixed
 the item count is linear in corpus size.
 
-``corpus build`` writes ``sentences.txt`` (``query`` reads it),
-``vocab.txt`` (``train``) and ``fragments.txt`` (``train``).
-Each ``fragments.txt`` line is cut from its sentence's words, joined
-once: a window's text is one slice of that line.
+``corpus build`` writes ``sentences.txt``, which ``query`` reads, and
+``fragments.txt``, which ``train`` reads: its words, in first-seen order,
+are the model's vocabulary.  Each ``fragments.txt`` line is cut from its
+sentence's words, joined once: a window's text is one slice of that line.
 """
 
 from __future__ import annotations
@@ -39,10 +39,19 @@ class EmptyCorpus(CorpusError):
 
 
 class Vocab:
-    """Dense word ids in first-occurrence order, with EOS and PAD appended."""
+    """Dense word ids in first-occurrence order, with EOS and PAD appended.
+
+    Each content word is one that :func:`normalize_words` can produce, so a
+    file that holds the words, one per line or space-separated, splits back
+    into the same ones.
+    """
 
     def __init__(self, content_words: Sequence[str]):
         self.words: tuple[str, ...] = tuple(content_words) + (EOS_WORD, PAD_WORD)
+        joined = " ".join(self.words[:-2])  # one space per gap, and one per space inside a word
+        if len(self) > 2 and (joined.count(" ") != len(self) - 3 or not _WORDS_RE.fullmatch(joined)):
+            bad = next(word for word in self.words[:-2] if normalize_words(word) != [word])
+            raise CorpusError(f"word {bad!r} is not one that normalize_words gives")
         self.index: dict[str, int] = {w: i for i, w in enumerate(self.words)}
         if len(self.index) != len(self.words):
             raise CorpusError("duplicate words in vocabulary")
@@ -52,9 +61,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.index
-
     def encode(self, tokens: Sequence[str]) -> list[int]:
         return [self.index[t] for t in tokens]
 
@@ -62,7 +68,7 @@ class Vocab:
         return [self.words[i] for i in ids]
 
     def text(self) -> str:
-        """The words as ``vocab.txt`` and a checkpoint store them: one ``word\\n`` line each."""
+        """The words as a checkpoint stores them: one ``word\\n`` line each."""
         return "".join(f"{word}\n" for word in self.words)
 
     @classmethod
@@ -105,6 +111,7 @@ def strip_boilerplate(raw: str) -> str:
 
 
 _KEEP_RE = re.compile(r"[^a-z0-9_'\s]+")  # str.split splits at exactly re's \s
+_WORDS_RE = re.compile(r"[a-z0-9_']+(?: [a-z0-9_']+)*")  # normalize_words' words, space-joined
 
 
 def normalize_words(text: str) -> list[str]:
@@ -117,6 +124,8 @@ def split_sentences(body: str, max_len: int = DEFAULTS["max_len"]) -> list[list[
 
     Sentences longer than ``max_len`` words are truncated.
     """
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     sentences: list[list[str]] = []
     for part in re.split(r"[.!?]", body):
         tokens = normalize_words(part)
@@ -147,8 +156,8 @@ def enumerate_fragments(
     Fragments are globally deduplicated and kept in the order first seen.
     Length-1 spans carry no prediction target and are excluded.
     """
-    if k_frag < 2:
-        raise ValueError("k_frag must be >= 2")
+    if k_frag < 2 or max_len < 1:
+        raise ValueError(f"need k_frag >= 2 and max_len >= 1, got {k_frag} and {max_len}")
     fragments: list[tuple[int, ...]] = []
     chunks: list[str] = []  # per sentence, the lines of its new fragments
     seen: set[tuple[int, ...]] = set()
@@ -188,11 +197,13 @@ def read_sentences(path) -> list[list[str]]:
 
 
 def write_vocab(path, vocab: Vocab) -> None:
+    """Kept only for ``bench/``, which still writes ``vocab.txt`` (ROADMAP item 1a)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(vocab.text())
 
 
 def read_vocab(path) -> Vocab:
+    """Kept only for ``bench/``, which still reads ``vocab.txt`` (ROADMAP item 1a)."""
     with open(path, encoding="utf-8") as fh:
         return Vocab.parse(fh.read())
 
@@ -206,24 +217,22 @@ def write_fragments(path, training_set: TrainingSet, vocab: Vocab) -> None:
         fh.write(training_set.text)
 
 
-def read_fragments(path, vocab: Vocab) -> TrainingSet:
-    """Inverse of :func:`write_fragments`: one fragment of 2+ vocab words per line.
+def read_fragments(path) -> tuple[Vocab, TrainingSet]:
+    """Inverse of :func:`write_fragments`: one fragment of 2+ words per line.
 
+    The vocabulary is the file's words in first-seen order, which is
+    :func:`build_vocab`'s order over the sentences the file was cut from.
     The set keeps the text it read, so writing it back gives the same lines.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    lines = text.split("\n")
-    if not lines[-1]:
-        del lines[-1]  # the empty string after the last newline is no line
-    fragments = []
-    for n, line in enumerate(lines, 1):
-        words = line.split()
-        unknown = [word for word in words if word not in vocab]
-        if unknown or len(words) < 2:
-            problem = f"unknown word {unknown[0]!r}" if unknown else "fewer than 2 words"
-            raise CorpusError(f"{path}:{n}: {problem}")
-        fragments.append(tuple(vocab.encode(words)))
-    if not fragments:
-        raise CorpusError(f"{path}: no fragments")
-    return TrainingSet(fragments, text)
+    split = [line.split() for line in text.removesuffix("\n").split("\n")]
+    short = [n for n, words in enumerate(split, 1) if len(words) < 2]  # [1] for an empty file
+    if short:
+        raise CorpusError(f"{path}:{short[0]}: fewer than 2 words" if text else f"{path}: no fragments")
+    seen = dict.fromkeys(word for words in split for word in words)
+    try:
+        vocab = Vocab([word for word in seen if word != EOS_WORD])  # Vocab appends EOS and PAD
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
+    return vocab, TrainingSet([tuple(vocab.encode(words)) for words in split], text)

@@ -490,7 +490,9 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocab]:
         )
     _, size = _layout(d, r, vocab_size)
     end = _HEADER.size + 4 * size
-    try:  # no words if the floats overrun; bad UTF-8 if the header's sizes end them early
+    # A header whose sizes end the floats early leaves float bytes to read as words: bad UTF-8,
+    # or characters outside the words' alphabet.  Sizes that overrun them leave no words.
+    try:
         vocab = Vocab.parse(data[end:-4].decode("utf-8"))
     except (CorpusError, UnicodeDecodeError) as exc:
         raise FormatVersionMismatch(f"bad vocabulary after d={d}, r={r}: {exc}") from None

@@ -58,6 +58,26 @@ MUTANTS = (
         ("tests/test_corpus.py::TestBuildVocab::test_duplicate_words_are_refused",),
     ),
     Mutant(
+        "vocab-skips-the-alphabet-check",
+        "src/arrowlm/corpus.py",
+        "        if len(self) > 2 and (joined.count(\" \") != len(self) - 3 or not _WORDS_RE.fullmatch(joined)):\n",
+        "        if False:\n",
+        ("tests/test_corpus.py::TestBuildVocab::test_words_normalize_words_cannot_give_are_refused[empty]",
+         "tests/test_corpus.py::TestBuildVocab::test_words_normalize_words_cannot_give_are_refused[space]",
+         "tests/test_corpus.py::TestBuildVocab::test_words_normalize_words_cannot_give_are_refused[newline]",
+         "tests/test_corpus.py::TestBuildVocab::test_words_normalize_words_cannot_give_are_refused[upper]",
+         "tests/test_corpus.py::TestBuildVocab::test_words_normalize_words_cannot_give_are_refused[pad]",
+         "tests/test_model.py::TestCheckpoint::test_header_that_ends_zero_floats_early"),
+    ),
+    Mutant(
+        "fragments-vocab-sorted",  # train's words are the file's in first-seen order
+        "src/arrowlm/corpus.py",
+        "Vocab([word for word in seen if word != EOS_WORD])",
+        "Vocab(sorted(word for word in seen if word != EOS_WORD))",
+        ("tests/test_corpus.py::TestFileFormats::test_fragment_words_in_first_seen_order_are_the_built_vocab[k3-len3]",
+         "tests/test_cli.py::test_train_reads_the_corpus_fragments"),
+    ),
+    Mutant(
         "train-skips-the-activation-bound",
         "src/arrowlm/model.py",
         "    if not bound <= float(np.finfo(dtype).max):  # NaN fails too\n",
@@ -128,7 +148,7 @@ MUTANTS = (
         "        raise IsADirectoryError(f\"{in_the_way[0]} is a directory\")\n",
         "",
         ("tests/test_cli.py::test_io_errors_are_usage_errors[train-loss-is-a-dir]",
-         "tests/test_cli.py::test_io_errors_are_usage_errors[corpus-vocab-is-a-dir]"),
+         "tests/test_cli.py::test_io_errors_are_usage_errors[corpus-fragments-is-a-dir]"),
     ),
     Mutant(
         "query-skips-the-stored-word-check",

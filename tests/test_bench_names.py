@@ -13,9 +13,14 @@ from pathlib import Path
 
 MODULES = ("cli", "corpus", "formula", "inference", "model", "prover", "retrieval")
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "arrowlm"
 
 # Read only after prover.type_check rejects a witness; ROADMAP item 1a replaces them with the oracles.
 KNOWN_UNRESOLVED = {"prover.beta_normalize", "prover.StepLimitExceeded"}
+
+# Defined in src/arrowlm only because the benchmark reads them; ROADMAP item 1a deletes each
+# in the same change that drops it from the benchmark.
+BENCH_ONLY = {"corpus.read_vocab", "corpus.write_vocab", "formula.Interner"}
 
 
 def _module(node):
@@ -61,6 +66,28 @@ def test_bench_reads_only_names_the_package_defines():
     refs = bench_references()
     assert len(refs) > 30
     assert {ref for ref in refs if _resolve(ref) is None} == KNOWN_UNRESOLVED
+
+
+def package_reads() -> set[str]:
+    """Every name that ``src/arrowlm/*.py`` reads: a loaded name, an attribute or an import."""
+    reads = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                reads.update(alias.name for alias in node.names)
+    return reads
+
+
+def test_bench_only_names_are_read_by_the_bench_alone():
+    # A name the benchmark stops reading has no reader left, so delete it from src/arrowlm.
+    assert BENCH_ONLY - bench_references() == set(), "delete these from src/arrowlm and BENCH_ONLY"
+    assert all(_resolve(ref) is not None for ref in BENCH_ONLY)
+    # Each is read nowhere in src/arrowlm; its definition is no read.
+    assert {ref.split(".")[1] for ref in BENCH_ONLY} & package_reads() == set()
 
 
 def test_bench_calls_bind_to_the_package_signatures():

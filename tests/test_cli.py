@@ -265,14 +265,16 @@ class TestQuery:
 
     @pytest.mark.parametrize("edit", ["word-prepended", "deleted"])
     def test_vocab_file_is_not_read(self, built, tmp_path, capsys, edit):
-        # The model's vocabulary is the checkpoint's, and a symbolic query needs none.
+        # corpus build writes no vocab.txt, and a stray one changes nothing: train takes the
+        # words from fragments.txt, a model query from the checkpoint, and a symbolic one needs none.
         corpus_dir, ckpt = built
+        assert sorted(path.name for path in corpus_dir.iterdir()) == [
+            "corpus.manifest", "fragments.txt", "sentences.txt"]
         shutil.copytree(corpus_dir, tmp_path / "c")
-        vocab = tmp_path / "c" / "vocab.txt"
-        if edit == "deleted":
-            vocab.unlink()
-        else:  # a word the model lacks: a vocab.txt that disagrees with the checkpoint
-            vocab.write_text("zebra\n" + vocab.read_text(encoding="utf-8"), encoding="utf-8")
+        words = model.load_checkpoint(ckpt)[1].text()
+        stray = {"word-prepended": "zebra\n" + words,  # a word the model lacks
+                 "deleted": "<eos>\n<pad>\n"}[edit]  # every word of the corpus gone
+        (tmp_path / "c" / "vocab.txt").write_text(stray, encoding="utf-8")
         for mode in (["--model", str(ckpt), "the cat"], ["--symbolic", "cat ?x"]):
             outs = []
             for directory in (corpus_dir, tmp_path / "c"):
@@ -280,6 +282,11 @@ class TestQuery:
                 assert cli.main(["query", "--corpus", str(directory), *mode]) == 0
                 outs.append(capsys.readouterr().out)
             assert outs[0] == outs[1] and outs[0].strip(), mode
+        small = ["--d", "4", "--r", "1", "--epochs", "1"]
+        for directory, out in ((corpus_dir, "m1"), (tmp_path / "c", "m2")):
+            assert cli.main(["train", "--corpus", str(directory), "--out", str(tmp_path / out),
+                             *small]) == 0
+        assert (tmp_path / "m1").read_bytes() == (tmp_path / "m2").read_bytes()
 
     def test_tiny_sampling_temperature_is_not_a_crash(self, built):
         # "zebra" is out of vocabulary, so the query falls back to free generation.
@@ -350,7 +357,7 @@ def test_corpus_without_sentences_leaves_no_out_dir(tmp_path, capsys):
         ["train", "--corpus", "{tmp}/one-word", "--out", "{tmp}/m"],
         ["query", "--corpus", "{tmp}/latin1", "--model", "{model}", "the cat"],
     ],
-    ids=["corpus-out-is-a-file", "corpus-input-not-utf8", "corpus-vocab-is-a-dir",
+    ids=["corpus-out-is-a-file", "corpus-input-not-utf8", "corpus-fragments-is-a-dir",
          "train-out-dir-missing", "train-out-is-a-dir", "train-loss-is-a-dir",
          "train-manifest-is-a-dir", "train-out-ends-in-separator",
          "train-loss-is-a-dir-out-ends-in-separator", "train-out-ends-in-dot",
@@ -368,15 +375,15 @@ def test_io_errors_are_usage_errors(built, tmp_path, monkeypatch, capsys, args):
     monkeypatch.setattr(corpus, "split_sentences", unreachable)
     (tmp_path / "file").write_text("kept\n", encoding="utf-8")
     (tmp_path / "latin1.txt").write_bytes("The caf\u00e9 is open.".encode("latin-1"))
-    (tmp_path / "o" / "vocab.txt").mkdir(parents=True)  # the second of three writes fails
+    (tmp_path / "o" / "fragments.txt").mkdir(parents=True)  # in the way of the second output
     for name in ("l.loss", "n.manifest"):  # train writes these beside --out
         (tmp_path / name).mkdir()
-    bad_fragments = {"latin1": "the caf\u00e9\n".encode("latin-1"), "unknown-word": b"the zebra\n",
+    # A word outside the alphabet is one no vocabulary can hold.
+    bad_fragments = {"latin1": "the caf\u00e9\n".encode("latin-1"), "unknown-word": b"the Zebra\n",
                      "empty": b"", "one-word": b"the cat\nthe\n"}
     for name, text in bad_fragments.items():
         (tmp_path / name).mkdir()
-        for kept in ("sentences.txt", "vocab.txt"):
-            (tmp_path / name / kept).write_bytes((corpus_dir / kept).read_bytes())
+        (tmp_path / name / "sentences.txt").write_bytes((corpus_dir / "sentences.txt").read_bytes())
         (tmp_path / name / "fragments.txt").write_bytes(text)
     with open(tmp_path / "latin1" / "sentences.txt", "ab") as fh:
         fh.write("caf\u00e9\n".encode("latin-1"))
@@ -595,15 +602,18 @@ def test_manifests_record_settings_and_digests(built, tmp_path, monkeypatch, cap
     corpus_dir, ckpt = built
     assert {
         "version", "command", "input", "sha256_input", "max_len", "max_frag",
-        "sentences", "vocab_size", "fragments", "sha256_sentences.txt",
-        "sha256_vocab.txt", "sha256_fragments.txt", "seconds_split", "peak_rss_bytes",
+        "sentences", "vocab_size", "fragments", "sha256_sentences", "sha256_fragments",
+        "seconds_split", "peak_rss_bytes",
     } <= manifest_keys(corpus_dir / "corpus.manifest")
     train = manifest_keys(ckpt.parent / f"{ckpt.name}.manifest")
     assert {
         "version", "command", "d", "r", "lr", "warmup", "epochs", "batch_size", "seed",
-        "weight_decay", "clip_norm", "sha256_fragments", "sha256_vocab", "fragments",
+        "weight_decay", "clip_norm", "sha256_fragments", "fragments",
         "final_loss", "sha256_checkpoint", "seconds_train", "peak_rss_bytes",
     } <= train
+    # fragments.txt is train's one input; no manifest digests a vocab.txt.
+    assert not (train | manifest_keys(corpus_dir / "corpus.manifest")) & {
+        "sha256_vocab", "sha256_vocab.txt"}
     assert not train & {"warmup_steps", "k_frag"}  # only names that --config accepts
     # The corpus manifest records how the fragments were shaped; train reads only them.
     assert not train & {"max_len", "max_frag", "sha256_sentences"}
@@ -670,7 +680,7 @@ def test_manifest_settings_rerun_the_command(built, tmp_path):
                          "--out", str(corpus_dir), *corpus_flags]) == 0
         assert cli.main([*train_config, "train", "--corpus", str(corpus_dir),
                          "--out", str(ckpt), *train_flags]) == 0
-        outputs = [corpus_dir / n for n in ("sentences.txt", "vocab.txt", "fragments.txt")]
+        outputs = [corpus_dir / n for n in ("sentences.txt", "fragments.txt")]
         digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs + [ckpt]]
         return digests, corpus_dir / "corpus.manifest", tmp_path / f"{ckpt.name}.manifest"
 
@@ -689,6 +699,23 @@ def test_manifest_settings_rerun_the_command(built, tmp_path):
     default, _, _ = run("default")
     assert again == first
     assert all(a != b for a, b in zip(first, default))
+
+
+def test_manifest_digests_of_one_file_share_one_key(built, capsys):
+    # A command's input digest sits under the key its producer's output digest does.
+    corpus_dir, ckpt = built
+
+    def entries(text):
+        return dict(line.partition("=")[::2] for line in text.splitlines())
+
+    made = entries((corpus_dir / "corpus.manifest").read_text(encoding="utf-8"))
+    trained = entries(ckpt.with_name(f"{ckpt.name}.manifest").read_text(encoding="utf-8"))
+    assert trained["sha256_fragments"] == made["sha256_fragments"]
+    capsys.readouterr()
+    assert cli.main(["query", "--corpus", str(corpus_dir), "--model", str(ckpt), "the cat"]) == 0
+    queried = entries(capsys.readouterr().err)
+    assert queried["sha256_sentences"] == made["sha256_sentences"]
+    assert queried["sha256_checkpoint"] == trained["sha256_checkpoint"]
 
 
 def test_query_manifest_digests_its_inputs(built, capsys):
@@ -714,18 +741,19 @@ def test_query_manifest_digests_its_inputs(built, capsys):
 
 
 def test_train_reads_the_corpus_fragments(built, tmp_path):
-    # Cut fragments.txt to 3 lines: train trains on exactly those, and reads no sentences.txt.
+    # Cut fragments.txt to 3 lines: train trains on exactly those, over exactly their words in
+    # first-seen order, and reads no other file of the corpus.
     corpus_dir, _ = built
     cut = tmp_path / "cut"
     cut.mkdir()
-    (cut / "vocab.txt").write_bytes((corpus_dir / "vocab.txt").read_bytes())
     lines = (corpus_dir / "fragments.txt").read_text(encoding="utf-8").splitlines(keepends=True)
     (cut / "fragments.txt").write_text("".join(lines[:3]), encoding="utf-8")
     ckpt = tmp_path / "m.arrw"
     small = ["--d", "8", "--r", "2", "--epochs", "2", "--seed", "3"]
     assert cli.main(["train", "--corpus", str(cut), "--out", str(ckpt), *small]) == 0
     assert "fragments=3" in (tmp_path / "m.arrw.manifest").read_text(encoding="utf-8").splitlines()
-    vocab = corpus.read_vocab(cut / "vocab.txt")
+    vocab = corpus.build_vocab([line.split() for line in lines[:3]])
+    assert vocab.words == ("the", "cat", "sits", "on", corpus.EOS_WORD, corpus.PAD_WORD)
     fragments = [tuple(vocab.encode(line.split())) for line in lines[:3]]
     params = model.init_params(len(vocab), 8, 2, 3, dtype=np.float32)
     params, _ = model.train(params, fragments, TrainConfig(d=8, r=2, epochs=2, seed=3),

@@ -1,6 +1,7 @@
 """Text cleanup, sentence splitting, vocabulary, fragment enumeration."""
 
 import hashlib
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -23,7 +24,6 @@ from arrowlm.corpus import (
     strip_boilerplate,
     write_fragments,
     write_sentences,
-    write_vocab,
 )
 
 from conftest import TOY_RAW
@@ -39,6 +39,13 @@ EDGE_SENTENCES = [[], ["solo"], ["a", "b", "a", "b"], ["a", "b", "a", "b"], [f"w
 @pytest.fixture(scope="module")
 def zipf_corpora():
     return [split_sentences(strip_boilerplate(zipf_text(seed, 40))) for seed in (1, 2, 3)]
+
+
+@pytest.fixture(scope="module")
+def raw_texts():
+    """The toy text, edge sentences as raw text, and eight seeded Zipfian texts."""
+    edge = "Solo. A b a b. A b a b. " + " ".join(f"w{i}" for i in range(300)) + "."
+    return [TOY_RAW, edge] + [zipf_text(seed, 30) for seed in range(10, 18)]
 
 
 class TestStripBoilerplate:
@@ -94,6 +101,14 @@ class TestSplitSentences:
         (short,) = split_sentences("a b c d.", max_len=2)
         assert short == ["a", "b"]
 
+    def test_max_len_lower_bound(self):
+        # max_len 0 would keep empty sentences, and the one-token fragment (EOS,) after them.
+        with pytest.raises(ValueError, match="max_len"):
+            split_sentences("a b. c.", max_len=0)
+        vocab = build_vocab([["a", "b"]])
+        with pytest.raises(ValueError, match="max_len"):
+            enumerate_fragments([["a", "b"]], vocab, max_len=0)
+
 
 class TestBuildVocab:
     def test_toy_corpus_counts(self):
@@ -119,6 +134,14 @@ class TestBuildVocab:
     def test_duplicate_words_are_refused(self):
         with pytest.raises(CorpusError):
             Vocab(["a", "a"])
+
+    @pytest.mark.parametrize("word", ["", "a b", "a\nb", "A", PAD_WORD],
+                             ids=["empty", "space", "newline", "upper", "pad"])
+    def test_words_normalize_words_cannot_give_are_refused(self, word):
+        # Each would split into other words, or none, when a file holding it is read back.
+        assert normalize_words(word) != [word]
+        with pytest.raises(CorpusError, match=re.escape(repr(word))):
+            Vocab(["cat", word, "dog"])
 
 
 class TestEnumerateFragments:
@@ -206,36 +229,50 @@ class TestFileFormats:
             base = tmp_path / run
             base.mkdir()
             write_sentences(base / "sentences.txt", sents)
-            write_vocab(base / "vocab.txt", vocab)
             write_fragments(base / "fragments.txt", ts, vocab)
             digests.append(
                 tuple(
                     hashlib.sha256((base / name).read_bytes()).hexdigest()
-                    for name in ("sentences.txt", "vocab.txt", "fragments.txt")
+                    for name in ("sentences.txt", "fragments.txt")
                 )
             )
         assert digests[0] == digests[1]
         assert read_sentences(tmp_path / "one" / "sentences.txt") == sents
-        assert read_vocab(tmp_path / "one" / "vocab.txt").words == vocab.words
-        read = read_fragments(tmp_path / "one" / "fragments.txt", vocab)
+        got, read = read_fragments(tmp_path / "one" / "fragments.txt")
+        assert got.words == vocab.words
         assert read.fragments == ts.fragments
-        write_fragments(tmp_path / "again.txt", read, vocab)
+        write_fragments(tmp_path / "again.txt", read, got)
         assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "one" / "fragments.txt").read_bytes()
+
+    @pytest.mark.parametrize("max_len", [1, 3, 256], ids=lambda n: f"len{n}")
+    @pytest.mark.parametrize("k_frag", [2, 3, 5], ids=lambda k: f"k{k}")
+    def test_fragment_words_in_first_seen_order_are_the_built_vocab(self, tmp_path, raw_texts,
+                                                                     k_frag, max_len):
+        # What lets train take its vocabulary from fragments.txt alone: the words of the file,
+        # in first-seen order, are build_vocab's words of the sentences it was cut from.
+        path = tmp_path / "fragments.txt"
+        for raw in raw_texts:
+            sents = split_sentences(strip_boilerplate(raw), max_len=max_len)
+            vocab = build_vocab(sents)
+            write_fragments(path, enumerate_fragments(sents, vocab, k_frag, max_len), vocab)
+            assert read_fragments(path)[0].words == vocab.words
 
     @pytest.mark.parametrize(
         "text, message",
-        [("the cat\nthe zebra\n", "2: unknown word 'zebra'"), ("", "no fragments"),
+        [("the cat\nthe Zebra\n", "word 'Zebra'"), ("", "no fragments"),
          ("the cat\nthe\n", "2: fewer than 2 words"), ("the cat\n\nthe cat\n", "2: fewer than 2 words"),
-         ("the cat\n  ", "2: fewer than 2 words"), ("the cat\nthe zebra", "2: unknown word 'zebra'"),
-         ("the cat\r\nthe zebra\r\n", "2: unknown word 'zebra'"),
-         ("the cat\rthe zebra", "2: unknown word 'zebra'"),
-         ("the\x0bcat\x1cthe cat\nthe zebra\n", "2: unknown word 'zebra'")],
+         ("the cat\n  ", "2: fewer than 2 words"), ("the cat\nthe <pad>", "word '<pad>'"),
+         ("the cat\r\nthe Zebra\r\n", "word 'Zebra'"),
+         ("the cat\rthe <pad>", "word '<pad>'"),
+         ("the\x0bcat\x1cthe cat\nthe Zebra\n", "word 'Zebra'")],
     )
     def test_bad_fragments_are_corpus_errors(self, tmp_path, text, message):
+        # A word outside the alphabet is refused by Vocab's own check, which PAD fails too.
         path = tmp_path / "fragments.txt"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(CorpusError, match=message):
-            read_fragments(path, build_vocab(split_sentences(TOY_RAW)))
+        with pytest.raises(CorpusError, match=re.escape(message)) as exc:
+            read_fragments(path)
+        assert str(exc.value).startswith(f"{path}:")
 
     def test_vocab_must_end_with_specials(self, tmp_path):
         path = tmp_path / "vocab.txt"

@@ -623,6 +623,18 @@ class TestCheckpoint:
         with pytest.raises(FormatVersionMismatch):
             load_checkpoint(path)
 
+    def test_header_that_ends_zero_floats_early(self, tmp_path):
+        # Zero floats read as words are NUL bytes and valid UTF-8: 88 of them would lead w0.
+        path = tmp_path / "model.arrw"
+        params = init_params(11, 16, 4, 21)
+        params.flat[:] = 0.0
+        save_checkpoint(params, self.make_vocab(11), path)
+        data = bytearray(path.read_bytes()[:-4])
+        data[8:12] = (15).to_bytes(4, "little")
+        self.resealed(path, bytes(data))
+        with pytest.raises(FormatVersionMismatch, match=r"word '(\\x00){88}w0'"):
+            load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         import struct
         import zlib
