@@ -31,8 +31,8 @@ from .prover import format_term, prove, prove_with_term
 
 # The settings each command reads, in flag order.
 _SETTINGS = {
-    "corpus": ("max_len", "max_frag"),
-    "train": ("d", "r", "epochs", "seed", "batch_size", "lr", "warmup", "weight_decay",
+    "corpus": ("max_len",),
+    "train": ("max_frag", "d", "r", "epochs", "seed", "batch_size", "lr", "warmup", "weight_decay",
               "clip_norm"),
     "query": ("top_k", "max_new_tokens", "temperature", "seed"),
 }
@@ -42,7 +42,7 @@ _SETTINGS = {
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # TrainConfig's own name for a setting (bench/workloads.py builds it by that name).
-_TRAIN_FIELDS = {"warmup": "warmup_steps"}
+_TRAIN_FIELDS = {"max_frag": "k_frag", "warmup": "warmup_steps"}
 
 # The lowest value of each setting, and whether that value is itself allowed.
 _LOWEST = {
@@ -215,7 +215,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     manifest.add("input", args.input)
     manifest.digest("input", args.input)
     out_dir = Path(args.out)
-    names = ("sentences.txt", "fragments.txt", "corpus.manifest")
+    names = ("sentences.txt", "corpus.manifest")
     with _refuse("cannot write output", OSError), _outputs(out_dir, names) as stage:
         manifest.start_phase("split")
         body = corpus.strip_boilerplate(raw)  # a body between markers lacks the start line
@@ -223,23 +223,13 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         sentences = corpus.split_sentences(body, max_len=args.max_len)
         if not sentences:
             raise _Refusal("no sentences found in input")
-        manifest.start_phase("vocab")
-        vocab = corpus.build_vocab(sentences)
-        manifest.start_phase("fragments")
-        training = corpus.enumerate_fragments(sentences, vocab, k_frag=args.max_frag,
-                                              max_len=args.max_len)
         manifest.start_phase("write")
         corpus.write_sentences(stage / "sentences.txt", sentences)
-        corpus.write_fragments(stage / "fragments.txt", training, vocab)
         manifest.finish_phase()
         manifest.add("sentences", len(sentences))
-        manifest.add("vocab_size", len(vocab))
-        manifest.add("fragments", len(training.fragments))
-        for name in ("sentences", "fragments"):
-            manifest.digest(name, stage / f"{name}.txt")
+        manifest.digest("sentences", stage / "sentences.txt")
         (stage / "corpus.manifest").write_text(manifest.finalize(), encoding="utf-8")
-    print(f"corpus: {len(sentences)} sentences, |V|={len(vocab)}, "
-          f"{len(training.fragments)} training fragments -> {out_dir}")
+    print(f"corpus: {len(sentences)} sentences -> {out_dir}")
     return 0
 
 
@@ -263,10 +253,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     with _refuse("cannot write checkpoint", OSError), _outputs(out.parent, names) as stage:
         manifest.start_phase("load")
         with _refuse("cannot load corpus", OSError, UnicodeDecodeError, corpus.CorpusError):
-            vocab, training = corpus.read_fragments(corpus_dir / "fragments.txt")
-            manifest.digest("fragments", corpus_dir / "fragments.txt")
-        fragments = training.fragments
-        del training  # its text is not kept through training
+            sentences = corpus.read_sentences(corpus_dir / "sentences.txt")
+            manifest.digest("sentences", corpus_dir / "sentences.txt")
+            vocab = corpus.build_vocab(sentences)  # the words in first-seen order
+        manifest.start_phase("fragments")
+        fragments = corpus.enumerate_fragments(sentences, vocab, k_frag=cfg.k_frag).fragments
+        manifest.add("vocab_size", len(vocab))
         manifest.add("fragments", len(fragments))
         manifest.start_phase("train")
         params = model.init_params(len(vocab), cfg.d, cfg.r, cfg.seed)  # float32, as train checks
@@ -331,7 +323,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     manifest.add("sample", args.sample)
     manifest.add("symbolic", args.symbolic)
     manifest.start_phase("load")
-    with _refuse("cannot load model/corpus", OSError, UnicodeDecodeError, ModelError):
+    with _refuse("cannot load model/corpus", OSError, UnicodeDecodeError, ModelError,
+                 corpus.CorpusError):
         sentences = corpus.read_sentences(corpus_dir / "sentences.txt")
         manifest.digest("sentences", corpus_dir / "sentences.txt")
         params = vocab = None

@@ -8,10 +8,9 @@ items are every contiguous fragment of length 2..k_frag plus each full
 sentence with an EOS marker, globally deduplicated; with k_frag fixed
 the item count is linear in corpus size.
 
-``corpus build`` writes ``sentences.txt``, which ``query`` reads, and
-``fragments.txt``, which ``train`` reads: its words, in first-seen order,
-are the model's vocabulary.  Each ``fragments.txt`` line is cut from its
-sentence's words, joined once: a window's text is one slice of that line.
+``corpus build`` writes ``sentences.txt``, cut at ``max_len`` words, and
+both ``train`` and ``query`` read it: ``train`` builds the vocabulary from
+it and cuts the fragments at ``max_frag``, so each setting has one owner.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import DEFAULTS
 
@@ -84,7 +83,7 @@ class Vocab:
 class TrainingSet:
     """The deduplicated fragments, in first-seen order, and ``text``, one line per fragment.
 
-    ``text`` is the exact content of ``fragments.txt``.
+    ``text`` is what :func:`write_fragments` writes; ``bench/`` alone reads it (ROADMAP item 1a).
     """
 
     fragments: list[tuple[int, ...]]
@@ -112,6 +111,7 @@ def strip_boilerplate(raw: str) -> str:
 
 _KEEP_RE = re.compile(r"[^a-z0-9_'\s]+")  # str.split splits at exactly re's \s
 _WORDS_RE = re.compile(r"[a-z0-9_']+(?: [a-z0-9_']+)*")  # normalize_words' words, space-joined
+_STORED = b"abcdefghijklmnopqrstuvwxyz0123456789_' \n"  # the bytes write_sentences writes
 
 
 def normalize_words(text: str) -> list[str]:
@@ -149,20 +149,21 @@ def enumerate_fragments(
     sentences: Sequence[Sequence[str]],
     vocab: Vocab,
     k_frag: int = DEFAULTS["max_frag"],
-    max_len: int = DEFAULTS["max_len"],
+    max_len: Optional[int] = None,
 ) -> TrainingSet:
     """Emit all length-2..k_frag fragments plus EOS-terminated sentences.
 
     Fragments are globally deduplicated and kept in the order first seen.
-    Length-1 spans carry no prediction target and are excluded.
+    Length-1 spans carry no prediction target and are excluded.  Each
+    sentence is taken whole, since :func:`split_sentences` already cut it;
+    ``max_len`` is not read, and stays because ``bench/`` passes it.
     """
-    if k_frag < 2 or max_len < 1:
-        raise ValueError(f"need k_frag >= 2 and max_len >= 1, got {k_frag} and {max_len}")
+    if k_frag < 2:
+        raise ValueError(f"need k_frag >= 2, got {k_frag}")
     fragments: list[tuple[int, ...]] = []
     chunks: list[str] = []  # per sentence, the lines of its new fragments
     seen: set[tuple[int, ...]] = set()
-    for sent in sentences:
-        words = sent[:max_len]
+    for words in sentences:
         ids = tuple(vocab.encode(words))
         line = " ".join(words)
         ends = list(accumulate(len(word) + 1 for word in words))  # where each next word starts
@@ -192,8 +193,16 @@ def write_sentences(path, sentences: Iterable[Sequence[str]]) -> None:
 
 
 def read_sentences(path) -> list[list[str]]:
+    """One sentence per non-blank line; refuses a word that :func:`normalize_words` cannot give."""
     with open(path, encoding="utf-8") as fh:
-        return [line.split() for line in fh if line.strip()]
+        text = fh.read()  # universal newlines: "\r" and "\r\n" end a line too
+    lines = text.split("\n")
+    if text.encode().translate(None, _STORED):  # more than write_sentences writes: check each word
+        for n, line in enumerate(lines, 1):
+            bad = [word for word in line.split() if not _WORDS_RE.fullmatch(word)]
+            if bad:
+                raise CorpusError(f"{path}:{n}: word {bad[0]!r} is not one that normalize_words gives")
+    return [line.split() for line in lines if line.strip()]
 
 
 def write_vocab(path, vocab: Vocab) -> None:
@@ -209,30 +218,9 @@ def read_vocab(path) -> Vocab:
 
 
 def write_fragments(path, training_set: TrainingSet, vocab: Vocab) -> None:
-    """Write ``training_set.text`` in one call.
+    """Kept only for ``bench/``, which still writes ``fragments.txt`` (ROADMAP item 1a).
 
-    ``vocab`` is no longer read; the signature stays because ``bench/`` calls it so.
+    Writes ``training_set.text`` in one call; ``vocab`` is not read.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(training_set.text)
-
-
-def read_fragments(path) -> tuple[Vocab, TrainingSet]:
-    """Inverse of :func:`write_fragments`: one fragment of 2+ words per line.
-
-    The vocabulary is the file's words in first-seen order, which is
-    :func:`build_vocab`'s order over the sentences the file was cut from.
-    The set keeps the text it read, so writing it back gives the same lines.
-    """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    split = [line.split() for line in text.removesuffix("\n").split("\n")]
-    short = [n for n, words in enumerate(split, 1) if len(words) < 2]  # [1] for an empty file
-    if short:
-        raise CorpusError(f"{path}:{short[0]}: fewer than 2 words" if text else f"{path}: no fragments")
-    seen = dict.fromkeys(word for words in split for word in words)
-    try:
-        vocab = Vocab([word for word in seen if word != EOS_WORD])  # Vocab appends EOS and PAD
-    except CorpusError as exc:
-        raise CorpusError(f"{path}: {exc}") from None
-    return vocab, TrainingSet([tuple(vocab.encode(words)) for words in split], text)

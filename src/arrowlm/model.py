@@ -130,8 +130,8 @@ class TrainConfig:
     warmup_steps: int = DEFAULTS["warmup"]
     epochs: int = DEFAULTS["epochs"]
     batch_size: int = DEFAULTS["batch_size"]
-    # Nothing in arrowlm reads these two; they stay because bench/workloads.py passes them.
-    k_frag: int = DEFAULTS["max_frag"]
+    k_frag: int = DEFAULTS["max_frag"]  # the longest window train cuts from a sentence
+    # Nothing in arrowlm reads this one; it stays because bench/workloads.py passes it.
     max_len: int = DEFAULTS["max_len"]
     seed: int = DEFAULTS["seed"]
     weight_decay: float = DEFAULTS["weight_decay"]

@@ -70,12 +70,35 @@ MUTANTS = (
          "tests/test_model.py::TestCheckpoint::test_header_that_ends_zero_floats_early"),
     ),
     Mutant(
-        "fragments-vocab-sorted",  # train's words are the file's in first-seen order
+        "built-vocab-sorted",  # train's words are the sentences' in first-seen order
         "src/arrowlm/corpus.py",
-        "Vocab([word for word in seen if word != EOS_WORD])",
-        "Vocab(sorted(word for word in seen if word != EOS_WORD))",
-        ("tests/test_corpus.py::TestFileFormats::test_fragment_words_in_first_seen_order_are_the_built_vocab[k3-len3]",
-         "tests/test_cli.py::test_train_reads_the_corpus_fragments"),
+        "    return Vocab(list(seen))\n",
+        "    return Vocab(sorted(seen))\n",
+        ("tests/test_corpus.py::TestBuildVocab::test_toy_corpus_counts",
+         "tests/test_cli.py::test_train_cuts_the_corpus_sentences"),
+    ),
+    Mutant(
+        "vocab-skips-the-alphabet-check-for-one-word",
+        "src/arrowlm/corpus.py",
+        "        if len(self) > 2 and (",
+        "        if len(self) > 3 and (",
+        ("tests/test_corpus.py::TestBuildVocab::test_words_normalize_words_cannot_give_are_refused[space]",
+         "tests/test_corpus.py::TestBuildVocab::test_words_normalize_words_cannot_give_are_refused[upper]"),
+    ),
+    Mutant(
+        "read-sentences-skips-the-alphabet-check",
+        "src/arrowlm/corpus.py",
+        "    if text.encode().translate(None, _STORED):",
+        "    if False:",
+        ("tests/test_corpus.py::TestFileFormats::test_stored_words_outside_the_alphabet_are_refused[upper]",
+         "tests/test_cli.py::test_refusal_is_one_line_and_writes_nothing[stored-word-outside-the-alphabet-symbolic]"),
+    ),
+    Mutant(
+        "clip-skips-a-max-norm-up-to-1",
+        "src/arrowlm/model.py",
+        "    if max_norm > 0 and norm > max_norm:\n",
+        "    if max_norm > 1 and norm > max_norm:\n",
+        ("tests/test_model.py::TestClipGradients::test_max_norm_1_scales_a_larger_gradient",),
     ),
     Mutant(
         "train-skips-the-activation-bound",
@@ -134,6 +157,14 @@ MUTANTS = (
          "tests/test_retrieval.py::TestIndexScanAgreement::test_patterns_random_corpora"),
     ),
     Mutant(
+        "decode-refuses-zero-new-tokens",
+        "src/arrowlm/inference.py",
+        "        if self.max_new_tokens < 0:\n",
+        "        if self.max_new_tokens <= 0:\n",
+        ("tests/test_inference.py::test_zero_new_tokens_generate_nothing[greedy]",
+         "tests/test_cli.py::TestQuery::test_zero_new_tokens_print_an_empty_free_line"),
+    ),
+    Mutant(
         "generate-free-stops-one-token-early",
         "src/arrowlm/inference.py",
         "    for _ in range(config.max_new_tokens):\n",
@@ -148,7 +179,7 @@ MUTANTS = (
         "        raise IsADirectoryError(f\"{in_the_way[0]} is a directory\")\n",
         "",
         ("tests/test_cli.py::test_io_errors_are_usage_errors[train-loss-is-a-dir]",
-         "tests/test_cli.py::test_io_errors_are_usage_errors[corpus-fragments-is-a-dir]"),
+         "tests/test_cli.py::test_io_errors_are_usage_errors[corpus-manifest-is-a-dir]"),
     ),
     Mutant(
         "query-skips-the-stored-word-check",

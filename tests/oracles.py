@@ -234,7 +234,7 @@ def pattern_windows(sentences, parts) -> list[tuple[int, int, dict[str, str]]]:
     return out
 
 
-def fragments_file(sentences, vocab, k_frag: int, max_len: int) -> tuple[list[tuple[int, ...]], str]:
+def fragments_file(sentences, vocab, k_frag: int) -> tuple[list[tuple[int, ...]], str]:
     """The fragments ``enumerate_fragments`` keeps, and ``fragments.txt`` for them.
 
     Windows of 2..k_frag words, then the sentence with EOS, first-seen order
@@ -242,7 +242,7 @@ def fragments_file(sentences, vocab, k_frag: int, max_len: int) -> tuple[list[tu
     """
     fragments: dict[tuple[int, ...], None] = {}
     for sent in sentences:
-        ids = vocab.encode(sent[:max_len])
+        ids = vocab.encode(sent)
         for i in range(len(ids)):
             for j in range(i + 2, min(i + k_frag, len(ids)) + 1):
                 fragments.setdefault(tuple(ids[i:j]))

@@ -186,42 +186,42 @@ class TestQuery:
             assert capsys.readouterr().out == expected, mode
 
     def test_long_query_on_a_short_fragment_corpus(self, built, tmp_path, capsys):
-        corpus_dir, ckpt = built
-        short = tmp_path / "short"
-        raw = ["--input", str(corpus_dir.parent / "raw.txt"), "--out", str(short)]
-        assert cli.main(["corpus", "build", *raw, "--max-frag", "2"]) == 0
+        # A model trained on windows of at most 2 words still answers from whole sentences.
+        corpus_dir, _ = built
+        ckpt = tmp_path / "short"
+        assert cli.main(["train", "--corpus", str(corpus_dir), "--out", str(ckpt), "--max-frag", "2",
+                         "--d", "8", "--r", "2", "--epochs", "2"]) == 0
         capsys.readouterr()
-        args = ["query", "--corpus", str(short), "--model", str(ckpt)]
+        args = ["query", "--corpus", str(corpus_dir), "--model", str(ckpt)]
         assert cli.main(args + ["the cat sits on the mat"]) == 0  # 6 words, an exact hit
         assert capsys.readouterr().out == "exact: sentence 0\n\n"
         assert cli.main(args + ["the cat sits on the"]) == 0
         assert capsys.readouterr().out.startswith("1. mat  (mean ")
-        symbolic = ["query", "--corpus", str(short), "--symbolic", "the cat sits on the mat"]
+        symbolic = ["query", "--corpus", str(corpus_dir), "--symbolic", "the cat sits on the mat"]
         assert cli.main(symbolic) == 0
         assert capsys.readouterr().out == "the cat sits on the mat\n\n"
 
     def test_max_frag_is_not_a_query_flag(self, built, tmp_path):
-        # Nor a train flag: train reads the fragments corpus build shaped.
+        # Nor a corpus flag: train alone cuts the windows, from the sentences corpus build cut.
         corpus_dir, ckpt = built
+        raw = ["--input", str(corpus_dir.parent / "raw.txt"), "--out", str(tmp_path / "c")]
         train = ["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "m")]
         for argv in (["query", "--corpus", str(corpus_dir), "--model", str(ckpt), "--max-frag", "3",
-                      "the cat"], train + ["--max-frag", "3"], train + ["--max-len", "5"]):
+                      "the cat"], ["corpus", "build", *raw, "--max-frag", "3"], train + ["--max-len", "5"]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 2
-        # A config file may still set it: corpus build reads it, train and query ignore it.
+        # A config file may still set it: train reads it, corpus build and query ignore it.
         config = tmp_path / "frag.cfg"
         config.write_text("max_frag=3\n", encoding="utf-8")
-        raw = ["--input", str(corpus_dir.parent / "raw.txt"), "--out", str(tmp_path / "c")]
         assert cli.main(["--config", str(config), "corpus", "build", *raw]) == 0
         corpus_lines = (tmp_path / "c" / "corpus.manifest").read_text(encoding="utf-8").splitlines()
-        assert "max_frag=3" in corpus_lines
-        train = ["train", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "m")]
+        assert not any(line.startswith("max_frag=") for line in corpus_lines)
         assert cli.main(["--config", str(config), *train, "--d", "4", "--r", "1", "--epochs", "1"]) == 0
         train_lines = (tmp_path / "m.manifest").read_text(encoding="utf-8").splitlines()
-        assert not any(line.startswith("max_frag=") for line in train_lines)
-        assert [line for line in train_lines if line.startswith("fragments=")] == [
-            line for line in corpus_lines if line.startswith("fragments=")]
+        sentences = corpus.read_sentences(corpus_dir / "sentences.txt")
+        windows = corpus.enumerate_fragments(sentences, corpus.build_vocab(sentences), k_frag=3)
+        assert {"max_frag=3", f"fragments={len(windows.fragments)}"} <= set(train_lines)
         assert cli.main(["--config", str(config), "query", "--corpus", str(corpus_dir),
                          "--model", str(ckpt), "the cat"]) == 0
 
@@ -266,10 +266,9 @@ class TestQuery:
     @pytest.mark.parametrize("edit", ["word-prepended", "deleted"])
     def test_vocab_file_is_not_read(self, built, tmp_path, capsys, edit):
         # corpus build writes no vocab.txt, and a stray one changes nothing: train takes the
-        # words from fragments.txt, a model query from the checkpoint, and a symbolic one needs none.
+        # words from sentences.txt, a model query from the checkpoint, and a symbolic one needs none.
         corpus_dir, ckpt = built
-        assert sorted(path.name for path in corpus_dir.iterdir()) == [
-            "corpus.manifest", "fragments.txt", "sentences.txt"]
+        assert sorted(path.name for path in corpus_dir.iterdir()) == ["corpus.manifest", "sentences.txt"]
         shutil.copytree(corpus_dir, tmp_path / "c")
         words = model.load_checkpoint(ckpt)[1].text()
         stray = {"word-prepended": "zebra\n" + words,  # a word the model lacks
@@ -287,6 +286,12 @@ class TestQuery:
             assert cli.main(["train", "--corpus", str(directory), "--out", str(tmp_path / out),
                              *small]) == 0
         assert (tmp_path / "m1").read_bytes() == (tmp_path / "m2").read_bytes()
+
+    def test_zero_new_tokens_print_an_empty_free_line(self, built, capsys):
+        # "zebra" is out of vocabulary, so the query falls back to free generation of no token.
+        capsys.readouterr()
+        assert query(built, "--max-new-tokens", "0", "zebra cat") == 1
+        assert capsys.readouterr().out == "[free]\n\n"
 
     def test_tiny_sampling_temperature_is_not_a_crash(self, built):
         # "zebra" is out of vocabulary, so the query falls back to free generation.
@@ -352,17 +357,15 @@ def test_corpus_without_sentences_leaves_no_out_dir(tmp_path, capsys):
         ["train", "--corpus", "{corpus}", "--out", "{tmp}/l/"],
         ["train", "--corpus", "{corpus}", "--out", "{tmp}/l/."],
         ["train", "--corpus", "{tmp}/latin1", "--out", "{tmp}/m"],
-        ["train", "--corpus", "{tmp}/unknown-word", "--out", "{tmp}/m"],
         ["train", "--corpus", "{tmp}/empty", "--out", "{tmp}/m"],
-        ["train", "--corpus", "{tmp}/one-word", "--out", "{tmp}/m"],
+        ["train", "--corpus", "{tmp}/no-sentences", "--out", "{tmp}/m"],
         ["query", "--corpus", "{tmp}/latin1", "--model", "{model}", "the cat"],
     ],
-    ids=["corpus-out-is-a-file", "corpus-input-not-utf8", "corpus-fragments-is-a-dir",
+    ids=["corpus-out-is-a-file", "corpus-input-not-utf8", "corpus-manifest-is-a-dir",
          "train-out-dir-missing", "train-out-is-a-dir", "train-loss-is-a-dir",
          "train-manifest-is-a-dir", "train-out-ends-in-separator",
          "train-loss-is-a-dir-out-ends-in-separator", "train-out-ends-in-dot",
-         "train-fragments-not-utf8",
-         "train-fragments-unknown-word", "train-fragments-empty", "train-fragments-one-word",
+         "train-sentences-not-utf8", "train-sentences-empty", "train-sentences-missing",
          "query-sentences-not-utf8"],
 )
 def test_io_errors_are_usage_errors(built, tmp_path, monkeypatch, capsys, args):
@@ -375,18 +378,14 @@ def test_io_errors_are_usage_errors(built, tmp_path, monkeypatch, capsys, args):
     monkeypatch.setattr(corpus, "split_sentences", unreachable)
     (tmp_path / "file").write_text("kept\n", encoding="utf-8")
     (tmp_path / "latin1.txt").write_bytes("The caf\u00e9 is open.".encode("latin-1"))
-    (tmp_path / "o" / "fragments.txt").mkdir(parents=True)  # in the way of the second output
+    (tmp_path / "o" / "corpus.manifest").mkdir(parents=True)  # in the way of the second output
     for name in ("l.loss", "n.manifest"):  # train writes these beside --out
         (tmp_path / name).mkdir()
-    # A word outside the alphabet is one no vocabulary can hold.
-    bad_fragments = {"latin1": "the caf\u00e9\n".encode("latin-1"), "unknown-word": b"the Zebra\n",
-                     "empty": b"", "one-word": b"the cat\nthe\n"}
-    for name, text in bad_fragments.items():
+    stored = (corpus_dir / "sentences.txt").read_bytes()
+    for name, text in {"latin1": stored + "caf\u00e9\n".encode("latin-1"), "empty": b""}.items():
         (tmp_path / name).mkdir()
-        (tmp_path / name / "sentences.txt").write_bytes((corpus_dir / "sentences.txt").read_bytes())
-        (tmp_path / name / "fragments.txt").write_bytes(text)
-    with open(tmp_path / "latin1" / "sentences.txt", "ab") as fh:
-        fh.write("caf\u00e9\n".encode("latin-1"))
+        (tmp_path / name / "sentences.txt").write_bytes(text)
+    (tmp_path / "no-sentences").mkdir()
     before = sorted(tmp_path.rglob("*"))
     paths = dict(raw=corpus_dir.parent / "raw.txt", corpus=corpus_dir, model=ckpt, tmp=tmp_path)
     capsys.readouterr()
@@ -420,9 +419,16 @@ def files_and_bytes(root):
          "bad config file: bad config line (expected key=value): 'epochs 3'"),
         (["query", "--corpus", "{corpus}", "--symbolic", "--repl"],
          "cannot read query: 'utf-8' codec can't decode byte 0xff"),
+        (["train", "--corpus", "{tmp}/z", "--out", "{tmp}/m"],
+         "cannot load corpus: {tmp}/z/sentences.txt:5: word 'Zebra' is not one"),
+        (["query", "--corpus", "{tmp}/z", "--model", "{model}", "zebra"],
+         "cannot load model/corpus: {tmp}/z/sentences.txt:5: word 'Zebra' is not one"),
+        (["query", "--corpus", "{tmp}/z", "--symbolic", "?x runs"],
+         "cannot load model/corpus: {tmp}/z/sentences.txt:5: word 'Zebra' is not one"),
     ],
     ids=["syntax-error", "invalid-shape", "stored-word-missing", "config-missing",
-         "config-line-without-equals", "stdin-not-utf8"],
+         "config-line-without-equals", "stdin-not-utf8", "stored-word-outside-the-alphabet-train",
+         "stored-word-outside-the-alphabet-query", "stored-word-outside-the-alphabet-symbolic"],
 )
 def test_refusal_is_one_line_and_writes_nothing(built, tmp_path, monkeypatch, capsys, args,
                                                 message):
@@ -430,6 +436,9 @@ def test_refusal_is_one_line_and_writes_nothing(built, tmp_path, monkeypatch, ca
     shutil.copytree(corpus_dir, tmp_path / "c")
     with open(tmp_path / "c" / "sentences.txt", "a", encoding="utf-8") as fh:
         fh.write("zebra cat runs\n")  # two words the model lacks
+    shutil.copytree(corpus_dir, tmp_path / "z")
+    with open(tmp_path / "z" / "sentences.txt", "a", encoding="utf-8") as fh:
+        fh.write("Zebra runs\n")  # a word no query normalizes to
     (tmp_path / "no-equals.cfg").write_text("epochs 3\n", encoding="utf-8")
     stdin = io.TextIOWrapper(io.BytesIO(b"the \xff cat\n"), encoding="utf-8")  # strict decoding
     monkeypatch.setattr("sys.stdin", stdin)
@@ -437,7 +446,7 @@ def test_refusal_is_one_line_and_writes_nothing(built, tmp_path, monkeypatch, ca
     capsys.readouterr()
     assert cli.main([arg.format(corpus=corpus_dir, model=ckpt, tmp=tmp_path) for arg in args]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and len(err.splitlines()) == 1 and err.startswith(message), err
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith(message.format(tmp=tmp_path)), err
     assert files_and_bytes(tmp_path) == before
 
 
@@ -450,7 +459,7 @@ def test_failed_corpus_build_publishes_nothing(built, tmp_path, monkeypatch, cap
     corpus_dir, _ = built
     shutil.copytree(corpus_dir, tmp_path / "c")
     if fault == "write":
-        monkeypatch.setattr(corpus, "write_fragments", fail_to_write)
+        monkeypatch.setattr(corpus, "write_sentences", fail_to_write)
     else:
         (tmp_path / "c" / "corpus.manifest").unlink()
         (tmp_path / "c" / "corpus.manifest").mkdir()
@@ -503,7 +512,7 @@ def test_plain_text_corpus_prints_no_warning(built, tmp_path):
 @pytest.mark.parametrize(
     "args",
     [
-        ["corpus", "build", "--input", "{raw}", "--out", "{tmp}/c", "--max-frag", "1"],
+        ["train", "--corpus", "{corpus}", "--out", "{tmp}/m", "--max-frag", "1"],
         ["train", "--corpus", "{corpus}", "--out", "{tmp}/m", "--batch-size", "0"],
         ["--config", "{tmp}/bad.cfg", "train", "--corpus", "{corpus}", "--out", "{tmp}/m"],
         ["query", "--corpus", "{corpus}", "--model", "{model}", "--top-k", "0", "the cat"],
@@ -512,7 +521,7 @@ def test_plain_text_corpus_prints_no_warning(built, tmp_path):
         ["query", "--symbolic", "--corpus", "{corpus}", "--top-k", "1" + "0" * 400, "cat"],
         ["--config", "{tmp}/huge.cfg", "query", "--symbolic", "--corpus", "{corpus}", "cat"],
     ],
-    ids=["corpus-max-frag", "train-batch-size", "config-d", "query-top-k", "query-temperature",
+    ids=["train-max-frag", "train-batch-size", "config-d", "query-top-k", "query-temperature",
          "query-top-k-past-float", "config-top-k-past-float"],
 )
 def test_out_of_range_setting_is_a_usage_error(built, tmp_path, capsys, args):
@@ -574,8 +583,7 @@ def test_library_defaults_read_the_one_table():
         return inspect.signature(fn).parameters[name].default
 
     library = {
-        "max_len": [arg(corpus.split_sentences, "max_len"), arg(corpus.enumerate_fragments, "max_len"),
-                    train["max_len"]],
+        "max_len": [arg(corpus.split_sentences, "max_len"), train["max_len"]],
         "max_frag": [arg(corpus.enumerate_fragments, "k_frag"), train["k_frag"]],
         "d": [train["d"]],
         "r": [train["r"]],
@@ -593,30 +601,29 @@ def test_library_defaults_read_the_one_table():
     assert cli.DEFAULTS is arrowlm.DEFAULTS and library.keys() == arrowlm.DEFAULTS.keys()
     for key, values in library.items():
         assert values == [arrowlm.DEFAULTS[key]] * len(values), key
-    # A config field that no command-line setting reaches has no use; k_frag and max_len
-    # are read by nothing in arrowlm and stay only because bench/workloads.py passes them.
+    # A config field that no command-line setting reaches has no use; max_len is read by
+    # nothing in arrowlm and stays only because bench/workloads.py passes it.
     assert train.read == train.keys() and decode.read == decode.keys() - {"mode"}
 
 
 def test_manifests_record_settings_and_digests(built, tmp_path, monkeypatch, capsys):
     corpus_dir, ckpt = built
+    made = manifest_keys(corpus_dir / "corpus.manifest")
     assert {
-        "version", "command", "input", "sha256_input", "max_len", "max_frag",
-        "sentences", "vocab_size", "fragments", "sha256_sentences", "sha256_fragments",
+        "version", "command", "input", "sha256_input", "max_len", "sentences", "sha256_sentences",
         "seconds_split", "peak_rss_bytes",
-    } <= manifest_keys(corpus_dir / "corpus.manifest")
+    } <= made
     train = manifest_keys(ckpt.parent / f"{ckpt.name}.manifest")
     assert {
-        "version", "command", "d", "r", "lr", "warmup", "epochs", "batch_size", "seed",
-        "weight_decay", "clip_norm", "sha256_fragments", "fragments",
+        "version", "command", "max_frag", "d", "r", "lr", "warmup", "epochs", "batch_size", "seed",
+        "weight_decay", "clip_norm", "sha256_sentences", "vocab_size", "fragments",
         "final_loss", "sha256_checkpoint", "seconds_train", "peak_rss_bytes",
     } <= train
-    # fragments.txt is train's one input; no manifest digests a vocab.txt.
-    assert not (train | manifest_keys(corpus_dir / "corpus.manifest")) & {
-        "sha256_vocab", "sha256_vocab.txt"}
+    # sentences.txt is train's one input; no manifest digests a vocab.txt or a fragments.txt.
+    assert not (train | made) & {"sha256_vocab", "sha256_vocab.txt", "sha256_fragments"}
     assert not train & {"warmup_steps", "k_frag"}  # only names that --config accepts
-    # The corpus manifest records how the fragments were shaped; train reads only them.
-    assert not train & {"max_len", "max_frag", "sha256_sentences"}
+    # corpus build records how it cut the sentences, and train how it cut the windows.
+    assert not train & {"max_len"} and not made & {"max_frag", "vocab_size", "fragments"}
     # Train and model queries say which numerics produced them; a symbolic query runs none.
     numerics = {"numpy": np.__version__, "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "unset",
                 "MKL_NUM_THREADS": "1"}
@@ -654,8 +661,8 @@ def test_settings_table_drives_every_flag():
     options = {name: [o for a in p._actions for o in a.option_strings] for name, p in sub.choices.items()}
     assert options == {
         "prove": ["-h", "--help", "--term"],
-        "corpus": ["-h", "--help", "--input", "--out", "--max-len", "--max-frag"],
-        "train": ["-h", "--help", "--corpus", "--out", "--d", "--r", "--epochs", "--seed",
+        "corpus": ["-h", "--help", "--input", "--out", "--max-len"],
+        "train": ["-h", "--help", "--corpus", "--out", "--max-frag", "--d", "--r", "--epochs", "--seed",
                   "--batch-size", "--lr", "--warmup", "--weight-decay", "--clip-norm"],
         "query": ["-h", "--help", "--model", "--corpus", "--repl", "--symbolic", "--sample",
                   "--top-k", "--max-new-tokens", "--temperature", "--seed"],
@@ -680,8 +687,8 @@ def test_manifest_settings_rerun_the_command(built, tmp_path):
                          "--out", str(corpus_dir), *corpus_flags]) == 0
         assert cli.main([*train_config, "train", "--corpus", str(corpus_dir),
                          "--out", str(ckpt), *train_flags]) == 0
-        outputs = [corpus_dir / n for n in ("sentences.txt", "fragments.txt")]
-        digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs + [ckpt]]
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (corpus_dir / "sentences.txt", ckpt)]
         return digests, corpus_dir / "corpus.manifest", tmp_path / f"{ckpt.name}.manifest"
 
     def config(manifest):
@@ -691,10 +698,10 @@ def test_manifest_settings_rerun_the_command(built, tmp_path):
                                 if line.partition("=")[0] in arrowlm.DEFAULTS), encoding="utf-8")
         return ["--config", str(path)]
 
-    shape = ["--max-len", "5", "--max-frag", "3"]  # 5 words cut two of the four sentences
     first, corpus_manifest, train_manifest = run(
-        "first", corpus_flags=shape, train_flags=[
-            "--d", "6", "--r", "3", "--epochs", "3", "--seed", "5", "--lr", "0.01", "--warmup", "2"])
+        "first", corpus_flags=["--max-len", "5"], train_flags=[  # 5 words cut two of the four sentences
+            "--max-frag", "3", "--d", "6", "--r", "3", "--epochs", "3", "--seed", "5", "--lr", "0.01",
+            "--warmup", "2"])
     again, _, _ = run("again", config(corpus_manifest), config(train_manifest))
     default, _, _ = run("default")
     assert again == first
@@ -710,7 +717,7 @@ def test_manifest_digests_of_one_file_share_one_key(built, capsys):
 
     made = entries((corpus_dir / "corpus.manifest").read_text(encoding="utf-8"))
     trained = entries(ckpt.with_name(f"{ckpt.name}.manifest").read_text(encoding="utf-8"))
-    assert trained["sha256_fragments"] == made["sha256_fragments"]
+    assert trained["sha256_sentences"] == made["sha256_sentences"]
     capsys.readouterr()
     assert cli.main(["query", "--corpus", str(corpus_dir), "--model", str(ckpt), "the cat"]) == 0
     queried = entries(capsys.readouterr().err)
@@ -740,21 +747,24 @@ def test_query_manifest_digests_its_inputs(built, capsys):
     assert (symbolic["sample"], symbolic["symbolic"]) == ("False", "True")
 
 
-def test_train_reads_the_corpus_fragments(built, tmp_path):
-    # Cut fragments.txt to 3 lines: train trains on exactly those, over exactly their words in
-    # first-seen order, and reads no other file of the corpus.
+def test_train_cuts_the_corpus_sentences(built, tmp_path):
+    # Keep the first sentence alone: train trains on exactly its windows of 2..max_frag words,
+    # then the sentence with EOS, over its words in first-seen order, and reads no other file.
     corpus_dir, _ = built
     cut = tmp_path / "cut"
     cut.mkdir()
-    lines = (corpus_dir / "fragments.txt").read_text(encoding="utf-8").splitlines(keepends=True)
-    (cut / "fragments.txt").write_text("".join(lines[:3]), encoding="utf-8")
+    first = (corpus_dir / "sentences.txt").read_text(encoding="utf-8").splitlines(keepends=True)[0]
+    assert first == "the cat sits on the mat\n"
+    (cut / "sentences.txt").write_text(first, encoding="utf-8")
     ckpt = tmp_path / "m.arrw"
-    small = ["--d", "8", "--r", "2", "--epochs", "2", "--seed", "3"]
+    small = ["--max-frag", "3", "--d", "8", "--r", "2", "--epochs", "2", "--seed", "3"]
     assert cli.main(["train", "--corpus", str(cut), "--out", str(ckpt), *small]) == 0
-    assert "fragments=3" in (tmp_path / "m.arrw.manifest").read_text(encoding="utf-8").splitlines()
-    vocab = corpus.build_vocab([line.split() for line in lines[:3]])
-    assert vocab.words == ("the", "cat", "sits", "on", corpus.EOS_WORD, corpus.PAD_WORD)
-    fragments = [tuple(vocab.encode(line.split())) for line in lines[:3]]
+    assert "fragments=10" in (tmp_path / "m.arrw.manifest").read_text(encoding="utf-8").splitlines()
+    vocab = corpus.Vocab(["the", "cat", "sits", "on", "mat"])
+    the, cat, sits, on, mat = range(5)
+    fragments = [(the, cat), (the, cat, sits), (cat, sits), (cat, sits, on), (sits, on),
+                 (sits, on, the), (on, the), (on, the, mat), (the, mat),
+                 (the, cat, sits, on, the, mat, vocab.eos_id)]
     params = model.init_params(len(vocab), 8, 2, 3, dtype=np.float32)
     params, _ = model.train(params, fragments, TrainConfig(d=8, r=2, epochs=2, seed=3),
                             pad_id=vocab.pad_id)

@@ -17,7 +17,6 @@ from arrowlm.corpus import (
     build_vocab,
     enumerate_fragments,
     normalize_words,
-    read_fragments,
     read_sentences,
     read_vocab,
     split_sentences,
@@ -105,9 +104,6 @@ class TestSplitSentences:
         # max_len 0 would keep empty sentences, and the one-token fragment (EOS,) after them.
         with pytest.raises(ValueError, match="max_len"):
             split_sentences("a b. c.", max_len=0)
-        vocab = build_vocab([["a", "b"]])
-        with pytest.raises(ValueError, match="max_len"):
-            enumerate_fragments([["a", "b"]], vocab, max_len=0)
 
 
 class TestBuildVocab:
@@ -139,9 +135,11 @@ class TestBuildVocab:
                              ids=["empty", "space", "newline", "upper", "pad"])
     def test_words_normalize_words_cannot_give_are_refused(self, word):
         # Each would split into other words, or none, when a file holding it is read back.
+        # A one-word vocabulary is checked too.
         assert normalize_words(word) != [word]
-        with pytest.raises(CorpusError, match=re.escape(repr(word))):
-            Vocab(["cat", word, "dog"])
+        for words in ([word], ["cat", word, "dog"]):
+            with pytest.raises(CorpusError, match=re.escape(repr(word))):
+                Vocab(words)
 
 
 class TestEnumerateFragments:
@@ -210,10 +208,10 @@ class TestFragmentText:
                                                              max_len):
         path = tmp_path / "fragments.txt"
         for sents in zipf_corpora:
-            sents = EDGE_SENTENCES + sents + EDGE_SENTENCES
+            sents = [sent[:max_len] for sent in EDGE_SENTENCES + sents + EDGE_SENTENCES]
             vocab = build_vocab(sents)
-            fragments, text = fragments_file(sents, vocab, k_frag, max_len)
-            ts = enumerate_fragments(sents, vocab, k_frag=k_frag, max_len=max_len)
+            fragments, text = fragments_file(sents, vocab, k_frag)
+            ts = enumerate_fragments(sents, vocab, k_frag=k_frag)
             assert ts.fragments == fragments
             write_fragments(path, ts, vocab)
             assert path.read_bytes() == text.encode("utf-8")
@@ -238,41 +236,37 @@ class TestFileFormats:
             )
         assert digests[0] == digests[1]
         assert read_sentences(tmp_path / "one" / "sentences.txt") == sents
-        got, read = read_fragments(tmp_path / "one" / "fragments.txt")
-        assert got.words == vocab.words
-        assert read.fragments == ts.fragments
-        write_fragments(tmp_path / "again.txt", read, got)
-        assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "one" / "fragments.txt").read_bytes()
 
     @pytest.mark.parametrize("max_len", [1, 3, 256], ids=lambda n: f"len{n}")
     @pytest.mark.parametrize("k_frag", [2, 3, 5], ids=lambda k: f"k{k}")
-    def test_fragment_words_in_first_seen_order_are_the_built_vocab(self, tmp_path, raw_texts,
-                                                                     k_frag, max_len):
-        # What lets train take its vocabulary from fragments.txt alone: the words of the file,
-        # in first-seen order, are build_vocab's words of the sentences it was cut from.
-        path = tmp_path / "fragments.txt"
+    def test_fragment_words_in_first_seen_order_are_the_built_vocab(self, raw_texts, k_frag, max_len):
+        # build_vocab numbers the words in the order train's fragments first use them.
         for raw in raw_texts:
             sents = split_sentences(strip_boilerplate(raw), max_len=max_len)
             vocab = build_vocab(sents)
-            write_fragments(path, enumerate_fragments(sents, vocab, k_frag, max_len), vocab)
-            assert read_fragments(path)[0].words == vocab.words
+            fragments = enumerate_fragments(sents, vocab, k_frag).fragments
+            seen = dict.fromkeys(word for frag in fragments for word in vocab.decode(frag))
+            assert (*(word for word in seen if word != EOS_WORD), EOS_WORD, PAD_WORD) == vocab.words
 
     @pytest.mark.parametrize(
-        "text, message",
-        [("the cat\nthe Zebra\n", "word 'Zebra'"), ("", "no fragments"),
-         ("the cat\nthe\n", "2: fewer than 2 words"), ("the cat\n\nthe cat\n", "2: fewer than 2 words"),
-         ("the cat\n  ", "2: fewer than 2 words"), ("the cat\nthe <pad>", "word '<pad>'"),
-         ("the cat\r\nthe Zebra\r\n", "word 'Zebra'"),
-         ("the cat\rthe <pad>", "word '<pad>'"),
-         ("the\x0bcat\x1cthe cat\nthe Zebra\n", "word 'Zebra'")],
+        "text, line",
+        [("the cat\nthe Zebra\n", 2), ("the cat\n\nthe <pad>", 3), ("the cat\r\nthe Zebra\r\n", 2),
+         ("the cat\rthe <pad>", 2), ("the\x0bcat\x1cthe cat\nthe caf\u00e9\n", 2)],
+        ids=["upper", "pad-after-a-blank-line", "crlf", "cr", "non-ascii"],
     )
-    def test_bad_fragments_are_corpus_errors(self, tmp_path, text, message):
-        # A word outside the alphabet is refused by Vocab's own check, which PAD fails too.
-        path = tmp_path / "fragments.txt"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(CorpusError, match=re.escape(message)) as exc:
-            read_fragments(path)
-        assert str(exc.value).startswith(f"{path}:")
+    def test_stored_words_outside_the_alphabet_are_refused(self, tmp_path, text, line):
+        # A hand-edited word that no query can normalize to would be stored half-usable.
+        path = tmp_path / "sentences.txt"
+        path.write_bytes(text.encode("utf-8"))
+        word = text.split()[-1]
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:{line}: word {word!r}")):
+            read_sentences(path)
+
+    def test_stored_words_may_be_split_by_any_whitespace(self, tmp_path):
+        # Only a word is checked: str.split separates words at what normalize_words splits at.
+        path = tmp_path / "sentences.txt"
+        path.write_bytes("the\tcat\u00a0sits\r\n\n  a dog\x0bruns \x1c\n".encode("utf-8"))
+        assert read_sentences(path) == [["the", "cat", "sits"], ["a", "dog", "runs"]]
 
     def test_vocab_must_end_with_specials(self, tmp_path):
         path = tmp_path / "vocab.txt"

@@ -149,6 +149,14 @@ def test_decode_config_refuses_bad_settings(settings):
 
 
 @pytest.mark.parametrize("mode", ["greedy", "sample"])
+def test_zero_new_tokens_generate_nothing(mode):
+    # query accepts --max-new-tokens 0, so a free generation may be asked for no token.
+    vocab = Vocab(["a", "b", "c", "d", "e"])
+    config = DecodeConfig(mode=mode, max_new_tokens=0)
+    assert generate_free(skewed_params(vocab, 0), vocab, [1, 3], config) == []
+
+
+@pytest.mark.parametrize("mode", ["greedy", "sample"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_chosen_logit_raises(mode, bad):
     # argmax returns the first NaN, so a NaN after the largest finite logit is

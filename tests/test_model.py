@@ -469,6 +469,13 @@ class TestClipGradients:
         for (_, arr), old in zip(grads.tensors(), before):
             assert np.array_equal(arr, old)
 
+    def test_max_norm_1_scales_a_larger_gradient(self):
+        # 1.0 is the default clip_norm; any max_norm above 0 is a bound, not only those above 1.
+        grads = self.grads(np.float64)
+        assert self.reference_norm(grads) > 1
+        clip_gradients(grads, 1.0)
+        assert self.reference_norm(grads) == pytest.approx(1.0, rel=1e-12)
+
 
 class TestTrain:
     def test_zero_lr_leaves_params_unchanged(self):
