@@ -13,8 +13,9 @@ softmax.
 
 The parameters, their gradients and Adam's two moments are each a
 :class:`ModelParams` over one flat array, so AdamW, gradient clipping and
-the checkpoint each walk one array.  A checkpoint is one file: the floats,
-then the words that name their rows, all under one CRC32.
+the checkpoint each walk one array.  A checkpoint is one file: a header with
+``d``, ``r`` and the words' byte length, the floats, then the words that name
+their rows (and so give the vocabulary size), all under one CRC32.
 
 Everything is seeded, so runs are bit-reproducible for a fixed BLAS thread
 count; nothing here pins that count (the CLI's manifests record it), and
@@ -36,7 +37,7 @@ from . import DEFAULTS, ModelError
 from .corpus import CorpusError, Vocab
 
 CHECKPOINT_MAGIC = b"ARRW"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class InvalidShape(ModelError):
@@ -74,13 +75,16 @@ _TENSORS = (
     ("bias", "d"),  # LayerNorm bias
     ("w_out", "vd"),  # output projection
 )
-# Set once by the constructor: the views, and the sizes that fix their layout.
-_FIXED = frozenset({"flat", "d", "r", "vocab_size", *(name for name, _ in _TENSORS)})
+# Set once: the views, the sizes that fix their layout, and eps, which no checkpoint stores.
+_FIXED = frozenset({"flat", "d", "r", "vocab_size", "eps", *(name for name, _ in _TENSORS)})
 
 
 @lru_cache
 def _layout(d: int, r: int, vocab_size: int) -> tuple[tuple, int]:
     """Each tensor's ``(name, slice of flat, shape)`` in checkpoint order, and the size of flat."""
+    if not (d >= r >= 1 and vocab_size >= 1):
+        raise InvalidShape(f"need d >= r >= 1 and vocab_size >= 1, got d={d}, r={r}, "
+                           f"vocab_size={vocab_size}")
     sizes, layout, end = {"d": d, "r": r, "v": vocab_size}, [], 0
     for name, axes in _TENSORS:
         shape = tuple(sizes[axis] for axis in axes)
@@ -96,24 +100,26 @@ class ModelParams:
     memory order is optimizer order), and each tensor attribute is a view
     into it, laid out by :func:`_layout`; the constructor copies nothing.
     Write through a view; rebinding one would detach it from ``flat``, so it
-    raises, as does rebinding a size.
+    raises, as does rebinding a size or ``eps``.
     """
 
-    def __init__(self, flat: np.ndarray, d: int, r: int, vocab_size: int, eps: float = 1e-5):
+    eps = 1e-5  # LayerNorm's variance floor
+
+    def __init__(self, flat: np.ndarray, d: int, r: int, vocab_size: int):
         layout, size = _layout(d, r, vocab_size)
         if flat.shape != (size,):
             raise InvalidShape(f"flat has shape {flat.shape}, the layout needs ({size},)")
         self.__dict__.update(
             {name: flat[where].reshape(shape) for name, where, shape in layout},
-            flat=flat, d=d, r=r, vocab_size=vocab_size, eps=eps,
+            flat=flat, d=d, r=r, vocab_size=vocab_size,
         )
 
     def like(self, flat: np.ndarray) -> "ModelParams":
         """Tensors of this one's shapes as views into ``flat``, e.g. ``np.empty_like(p.flat)``."""
-        return ModelParams(flat, self.d, self.r, self.vocab_size, self.eps)
+        return ModelParams(flat, self.d, self.r, self.vocab_size)
 
     def __setattr__(self, name: str, value) -> None:
-        if name in _FIXED and value is not self.__dict__[name]:  # x += y rebinds x to itself
+        if name in _FIXED and value is not getattr(self, name):  # x += y rebinds x to itself
             raise AttributeError(f"cannot rebind {name}: write the tensors through their views")
         self.__dict__[name] = value
 
@@ -163,10 +169,6 @@ def init_params(
     LayerNorm divides by ``sqrt(eps)`` and the backward recurrence blows up.
     h0 is drawn after the matrices, so their values do not depend on it.
     """
-    if not (d >= r >= 1):
-        raise InvalidShape(f"need d >= r >= 1, got d={d}, r={r}")
-    if vocab_size < 1:
-        raise InvalidShape("vocab_size must be >= 1")
     params = ModelParams(np.zeros(_layout(d, r, vocab_size)[1], dtype), d, r, vocab_size)
     rng = np.random.default_rng(seed)
     for arr in (params.emb, params.u, params.v, params.w_out):
@@ -457,48 +459,42 @@ def activation_bound(params: ModelParams) -> float:
         return float(np.max([z, pre, params.d * (2.0 * pre) ** 2, spread]))
 
 
-_HEADER = struct.Struct("<4sIIIIf")  # magic, version, d, r, vocab, eps
+_HEADER = struct.Struct("<4sIIII")  # magic, version, d, r, byte length of the words
 
 
 def save_checkpoint(params: ModelParams, vocab: Vocab, path) -> None:
-    """Write the header, ``flat`` as float32, ``vocab.text()`` as UTF-8, then a CRC32."""
+    """Write the header, ``flat`` as float32, ``vocab.text()`` as UTF-8, then a CRC32 of them."""
     if params.vocab_size != len(vocab):
-        raise InvalidShape(
-            f"params cover {params.vocab_size} tokens but vocab has {len(vocab)}"
-        )
-    header = _HEADER.pack(
-        CHECKPOINT_MAGIC, CHECKPOINT_VERSION, params.d, params.r, params.vocab_size, params.eps
-    )
-    blob = header + params.flat.astype("<f4").tobytes() + vocab.text().encode("utf-8")
+        raise InvalidShape(f"params cover {params.vocab_size} tokens but vocab has {len(vocab)}")
+    words = vocab.text().encode("utf-8")
+    blob = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, params.d, params.r, len(words))
+    blob += params.flat.astype("<f4").tobytes() + words
     with open(path, "wb") as fh:
         fh.write(blob + struct.pack("<I", zlib.crc32(blob)))
 
 
 def load_checkpoint(path) -> tuple[ModelParams, Vocab]:
-    """Inverse of :func:`save_checkpoint`: checks the CRC, the header, then the parsed words."""
+    """Inverse of :func:`save_checkpoint`: checks the CRC, magic and version, then parses the
+    words, whose count with ``d`` and ``r`` must account for every byte before them."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER.size + 4:
         raise ChecksumMismatch("checkpoint file is too short")
-    stored_crc = struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(data[:-4]) != stored_crc:
+    if zlib.crc32(data[:-4]) != struct.unpack("<I", data[-4:])[0]:
         raise ChecksumMismatch("checkpoint CRC32 does not match contents")
-    magic, version, d, r, vocab_size, eps = _HEADER.unpack_from(data)
+    magic, version, d, r, word_bytes = _HEADER.unpack_from(data)
     if magic != CHECKPOINT_MAGIC or version != CHECKPOINT_VERSION:
-        raise FormatVersionMismatch(
-            f"unsupported checkpoint magic/version {magic!r}/{version}"
-        )
-    _, size = _layout(d, r, vocab_size)
-    end = _HEADER.size + 4 * size
-    # A header whose sizes end the floats early leaves float bytes to read as words: bad UTF-8,
-    # or characters outside the words' alphabet.  Sizes that overrun them leave no words.
+        raise FormatVersionMismatch(f"unsupported checkpoint magic/version {magic!r}/{version}")
+    floats = len(data) - _HEADER.size - word_bytes - 4  # the bytes left for the floats
+    if floats < 0:
+        raise FormatVersionMismatch(f"the header's {word_bytes} bytes of words overrun the file")
     try:
-        vocab = Vocab.parse(data[end:-4].decode("utf-8"))
+        vocab = Vocab.parse(data[-4 - word_bytes : -4].decode("utf-8"))
     except (CorpusError, UnicodeDecodeError) as exc:
-        raise FormatVersionMismatch(f"bad vocabulary after d={d}, r={r}: {exc}") from None
-    if len(vocab) != vocab_size:
-        raise FormatVersionMismatch(f"checkpoint stores {len(vocab)} words; its header (d={d}, "
-                                    f"r={r}) needs {vocab_size}")
+        raise FormatVersionMismatch(f"bad vocabulary: {exc}") from None
+    _, size = _layout(d, r, len(vocab))
+    if 4 * size != floats:
+        raise FormatVersionMismatch(f"d={d}, r={r} and {len(vocab)} words need {4 * size} "
+                                    f"bytes of floats; the file holds {floats}")
     flat = np.frombuffer(data, dtype="<f4", count=size, offset=_HEADER.size)
-    params = ModelParams(flat.copy(), d, r, vocab_size, eps)  # the read buffer is read-only
-    return params, vocab
+    return ModelParams(flat.copy(), d, r, len(vocab)), vocab  # the read buffer is read-only

@@ -36,11 +36,14 @@ MUTANTS = (
         ("tests/test_inference.py::TestRetrievalFirst::test_scores_each_distinct_continuation_once",),
     ),
     Mutant(
-        "M3-checkpoint-skips-the-vocab-size-check",
+        "M3-checkpoint-skips-the-length-check",
         "src/arrowlm/model.py",
-        "    if len(vocab) != vocab_size:\n",
+        "    if 4 * size != floats:\n",
         "    if False:\n",
-        ("tests/test_model.py::TestCheckpoint::test_stored_vocab_length_guard",),
+        ("tests/test_model.py::TestCheckpoint::test_resealed_header_field_is_refused[d]",
+         "tests/test_model.py::TestCheckpoint::test_resealed_header_field_is_refused[r]",
+         "tests/test_model.py::TestCheckpoint::test_resealed_header_field_is_refused[word-bytes-too-large]",
+         "tests/test_model.py::TestCheckpoint::test_header_dimension_mismatch"),
     ),
     Mutant(
         "vocab-parser-skips-the-ending-check",  # one parser serves vocab.txt and the checkpoint
@@ -66,8 +69,7 @@ MUTANTS = (
          "tests/test_corpus.py::TestBuildVocab::test_words_normalize_words_cannot_give_are_refused[space]",
          "tests/test_corpus.py::TestBuildVocab::test_words_normalize_words_cannot_give_are_refused[newline]",
          "tests/test_corpus.py::TestBuildVocab::test_words_normalize_words_cannot_give_are_refused[upper]",
-         "tests/test_corpus.py::TestBuildVocab::test_words_normalize_words_cannot_give_are_refused[pad]",
-         "tests/test_model.py::TestCheckpoint::test_header_that_ends_zero_floats_early"),
+         "tests/test_corpus.py::TestBuildVocab::test_words_normalize_words_cannot_give_are_refused[pad]"),
     ),
     Mutant(
         "built-vocab-sorted",  # train's words are the sentences' in first-seen order
@@ -137,8 +139,8 @@ MUTANTS = (
     Mutant(
         "load-keeps-the-read-only-buffer",
         "src/arrowlm/model.py",
-        "ModelParams(flat.copy(), d, r, vocab_size, eps)",
-        "ModelParams(flat, d, r, vocab_size, eps)",
+        "ModelParams(flat.copy(), d, r, len(vocab))",
+        "ModelParams(flat, d, r, len(vocab))",
         ("tests/test_model.py::TestModelParams::test_loaded_params_are_writable",),
     ),
     Mutant(
