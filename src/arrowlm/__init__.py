@@ -1,11 +1,14 @@
 """Left-nested implication toolkit: prover, fragment retrieval, Arrow model.
 
 What the numpy-free commands need lives here, since importing this module
-loads nothing else: the settings' defaults, and :class:`ModelError`, which
-:mod:`arrowlm.model` re-exports and the command line maps to exit 2.
+loads nothing else: the word alphabet, the settings' defaults, and :class:`ModelError`,
+which :mod:`arrowlm.model` re-exports and the command line maps to exit 2.
 """
 
 __version__ = "0.1.0"
+
+# The one word alphabet: the characters of a formula's atoms and of the corpus's words.
+WORD_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_'"
 
 # Every setting the command line exposes, and the library's default for it.
 # Importing it loads nothing else, so ``arrowlm prove`` never loads numpy.

@@ -1,12 +1,12 @@
 """Raw text to sentences, vocabulary, and the fragment training set.
 
-The pipeline is deliberately light: boilerplate stripping by marker
-lines, naive sentence splitting on ``.!?``, lowercasing with a
-``[a-z0-9_' ]`` character whitelist, and word-level ids.  Apostrophes
-stay inside words so clitics do not explode the vocabulary.  Training
-items are every contiguous fragment of length 2..k_frag plus each full
-sentence with an EOS marker, globally deduplicated; with k_frag fixed
-the item count is linear in corpus size.
+The pipeline is deliberately light: boilerplate stripping by marker lines,
+naive sentence splitting on ``.!?``, lowercasing, a whitelist of
+whitespace and the word alphabet :data:`arrowlm.WORD_CHARS`, and
+word-level ids.  Apostrophes stay inside words so clitics do not explode
+the vocabulary.  Training items are every contiguous fragment of length
+2..k_frag plus each full sentence with an EOS marker, globally
+deduplicated; with k_frag fixed the item count is linear in corpus size.
 
 ``corpus build`` writes ``sentences.txt``, cut at ``max_len`` words, and
 both ``train`` and ``query`` read it: ``train`` builds the vocabulary from
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
-from . import DEFAULTS
+from . import DEFAULTS, WORD_CHARS
 
 EOS_WORD = "<eos>"
 PAD_WORD = "<pad>"
@@ -109,9 +109,9 @@ def strip_boilerplate(raw: str) -> str:
     return "".join(lines[start + 1 : end])
 
 
-_KEEP_RE = re.compile(r"[^a-z0-9_'\s]+")  # str.split splits at exactly re's \s
-_WORDS_RE = re.compile(r"[a-z0-9_']+(?: [a-z0-9_']+)*")  # normalize_words' words, space-joined
-_STORED = b"abcdefghijklmnopqrstuvwxyz0123456789_' \n"  # the bytes write_sentences writes
+_KEEP_RE = re.compile(rf"[^{WORD_CHARS}\s]+")  # str.split splits at exactly re's \s
+_WORDS_RE = re.compile(rf"[{WORD_CHARS}]+(?: [{WORD_CHARS}]+)*")  # normalize_words' words, space-joined
+_STORED = f"{WORD_CHARS} \n".encode()  # the bytes write_sentences writes
 
 
 def normalize_words(text: str) -> list[str]:

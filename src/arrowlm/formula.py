@@ -5,8 +5,8 @@ chain ``((((w1->w2)->w3)->...)->wn)``, so an atom stands for a word and is
 nothing but its spelling: ``Atom("cat")`` is the same object wherever and
 however often it is built or parsed.  This module owns the hash-consed
 formula tree, that chain encoding (:func:`list_to_impl`), and the textual
-``->`` notation.  Retrieval works on the equivalent word sequences and
-builds no formulas.
+``->`` notation, whose atoms are words of :data:`arrowlm.WORD_CHARS`.
+Retrieval works on the equivalent word sequences and builds no formulas.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import re
 import weakref
 from _weakref import _remove_dead_weakref
 from typing import Sequence, Union
+
+from . import WORD_CHARS
 
 
 class FormulaError(Exception):
@@ -167,8 +169,8 @@ def list_to_impl(tokens: Sequence[Atom]) -> Formula:
 
 # One pass over the text: a word, an arrow, or any other single character
 # (a parenthesis, or a stray character the parser rejects), after spaces.
-_LEXEME_RE = re.compile(r"[ \t\r\n]*([a-z0-9_']+|->|[^ \t\r\n])")
-_WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_'")
+_LEXEME_RE = re.compile(rf"[ \t\r\n]*([{WORD_CHARS}]+|->|[^ \t\r\n])")
+_WORD_CHARS = frozenset(WORD_CHARS)
 
 
 def _byte_offset(text: str, pos: int) -> int:

@@ -10,11 +10,11 @@ Matches at a sentence end have nothing left to score: they are exact hits.
 
 Free generation is repeated modus ponens on the left-nested chain: each
 step takes the next token from one next-token distribution, greedily (its
-argmax) or by sampling at a temperature.  PAD is never chosen, and a
-generated EOS ends the text (and is not emitted).  As in scoring, no step
-follows the last token, since no distribution would read its state.  The
-logits keep the parameters' dtype (float32 in a checkpoint); only sampling
-promotes them.
+argmax) or by sampling at a temperature, through the same softmax.  PAD is
+never chosen, and a generated EOS ends the text (and is not emitted).  As
+in scoring, no step follows the last token, since no distribution would
+read its state.  The logits keep the parameters' dtype (float32 in a
+checkpoint); only sampling promotes them.
 
 A model whose scores overflow to inf or NaN (finite parameters can still
 overflow float32 logits) raises :class:`~arrowlm.model.ModelError` instead
@@ -164,11 +164,9 @@ def generate_free(
         top = float(logits[tok])
         if not math.isfinite(top):
             raise ModelError(f"next-token logit is {top}")
-        if config.mode == "sample":
-            # Subtracting the maximum first keeps a tiny temperature from
-            # turning every logit into -inf (and the distribution into NaN).
-            probs = np.exp((logits.astype(np.float64) - top) / config.temperature)
-            probs /= probs.sum()
+        if config.mode == "sample":  # the maximum goes before T divides, so a tiny T gives no NaN
+            probs = (logits.astype(np.float64) - top) / config.temperature
+            probs /= _softmax(probs[None], [tok])[1][0]  # exponentiates probs in place, then its sum
             tok = int(rng.choice(len(probs), p=probs))
         if tok == vocab.eos_id:
             break

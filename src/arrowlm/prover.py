@@ -117,10 +117,9 @@ _SET_FUN, _SET_ARG = App.fun.__set__, App.arg.__set__
 ProofTerm = Union[Var, Lam, App]
 
 
-def prove(goal: Formula, context: tuple[Formula, ...] = ()) -> bool:
-    """Decide provability of ``goal`` from ``context``, read as a set of hypotheses."""
-    hyps = tuple(dict.fromkeys(context))
-    return _search(goal, hyps, frozenset(hyps), {}) is not False
+def prove(goal: Formula) -> bool:
+    """Decide provability of ``goal``; a sequent ``G1, ..., Gn |- A`` is the goal ``G1->...->Gn->A``."""
+    return _search(goal, (), frozenset(), {}) is not False
 
 
 def prove_with_term(goal: Formula) -> Optional[ProofTerm]:
@@ -247,10 +246,8 @@ def _apply(fun, arg: ProofTerm) -> ProofTerm:
     return App(fun, arg)
 
 
-def type_check(
-    term: ProofTerm, formula: Formula, env: Optional[dict[str, Formula]] = None
-) -> bool:
-    """Bidirectional simply-typed check of ``term`` against ``formula``, in one loop.
+def type_check(term: ProofTerm, formula: Formula) -> bool:
+    """Bidirectional simply-typed check of the closed ``term`` against ``formula``, in one loop.
 
     A lambda spine checks against an implication, binding into one copy of
     the environment per checked subterm; the application spine beneath it
@@ -260,7 +257,7 @@ def type_check(
     unannotated beta-redexes, whose head cannot synthesize).  No depth of
     term overflows the Python stack.
     """
-    todo = [(term, formula, env or {})]  # no env is mutated once pushed
+    todo = [(term, formula, {})]  # no env is mutated once pushed
     while todo:
         term, ty, env = todo.pop()
         if isinstance(term, Lam):

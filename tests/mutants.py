@@ -46,6 +46,14 @@ MUTANTS = (
          "tests/test_model.py::TestCheckpoint::test_header_dimension_mismatch"),
     ),
     Mutant(
+        "word-alphabet-drops-the-apostrophe",  # one definition serves atoms and words
+        "src/arrowlm/__init__.py",
+        "WORD_CHARS = \"abcdefghijklmnopqrstuvwxyz0123456789_'\"\n",
+        "WORD_CHARS = \"abcdefghijklmnopqrstuvwxyz0123456789_\"\n",
+        ("tests/test_corpus.py::test_atoms_and_words_share_one_alphabet",
+         "tests/test_corpus.py::TestSplitSentences::test_apostrophes_kept"),
+    ),
+    Mutant(
         "vocab-parser-skips-the-ending-check",  # one parser serves vocab.txt and the checkpoint
         "src/arrowlm/corpus.py",
         "        if words[-2:] != [EOS_WORD, PAD_WORD]:\n",
@@ -165,6 +173,20 @@ MUTANTS = (
         "        if self.max_new_tokens <= 0:\n",
         ("tests/test_inference.py::test_zero_new_tokens_generate_nothing[greedy]",
          "tests/test_cli.py::TestQuery::test_zero_new_tokens_print_an_empty_free_line"),
+    ),
+    Mutant(
+        "score-steps-after-the-last-token",
+        "src/arrowlm/inference.py",
+        "        if i + 1 < len(targets):  # no step after the last scored token\n",
+        "        if True:\n",
+        ("tests/test_inference.py::test_scoring_steps_every_token_but_the_last",),
+    ),
+    Mutant(
+        "generate-steps-after-the-last-token",
+        "src/arrowlm/inference.py",
+        "        if len(out) < config.max_new_tokens:  # no step after the last token\n",
+        "        if True:\n",
+        ("tests/test_inference.py::test_decoding_steps_every_token_but_the_last",),
     ),
     Mutant(
         "generate-free-stops-one-token-early",

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import string
 import sys
 import warnings
 from pathlib import Path
@@ -24,6 +25,7 @@ from arrowlm.corpus import (
     write_fragments,
     write_sentences,
 )
+from arrowlm.formula import Atom, FormulaSyntaxError, parse_formula
 
 from conftest import TOY_RAW
 from oracles import fragments_file
@@ -104,6 +106,32 @@ class TestSplitSentences:
         # max_len 0 would keep empty sentences, and the one-token fragment (EOS,) after them.
         with pytest.raises(ValueError, match="max_len"):
             split_sentences("a b. c.", max_len=0)
+
+
+def test_atoms_and_words_share_one_alphabet(tmp_path):
+    # A character is an atom exactly when it is a word, which a vocabulary and a
+    # stored sentence file then take; these are the README's [a-z0-9_'].
+    accepted = set()
+    for i, char in enumerate(sorted(set(string.printable + "\u00e9\u00df\u0130\xa0\u0663"))):
+        try:
+            atom = parse_formula(char) is Atom(char)
+        except FormulaSyntaxError:
+            atom = False
+        try:
+            vocab = Vocab([char]).words[0] == char
+        except CorpusError:
+            vocab = False
+        path = tmp_path / f"{i}.txt"
+        path.write_text(f"{char}\n", encoding="utf-8")
+        try:
+            stored = read_sentences(path) == [[char]]
+        except CorpusError:
+            stored = False
+        word = normalize_words(char) == [char]
+        assert atom == word == vocab == stored, repr(char)
+        if word:
+            accepted.add(char)
+    assert accepted == set(string.ascii_lowercase + string.digits + "_'")
 
 
 class TestBuildVocab:

@@ -166,10 +166,10 @@ class TestHashConsing:
         assert Imp(p, q) != Imp(q, p)
 
     def test_an_atom_is_its_spelling(self):
-        # Separate parses share their atoms, so a context built apart from the goal proves it.
+        # Separate parses share their atoms, so hypotheses parsed apart from the goal prove it.
         assert Atom("p") is parse_formula("p")
         assert parse_formula("p->q").consequent is parse_formula("q")
-        assert prove(parse_formula("q"), (parse_formula("p->q"), parse_formula("p")))
+        assert prove(Imp(parse_formula("p->q"), Imp(parse_formula("p"), parse_formula("q"))))
         assert repr(Atom("p")) == "Atom('p')"
 
     def test_table_holds_only_live_formulas(self):
@@ -212,7 +212,7 @@ class TestHashConsing:
         # Constructors, the parser, the chain encoding, pickle and the prover's
         # auxiliary D->B all build through one table; once all are dropped, it is as before.
         before = len(formula._NODES)
-        a, b, c = atoms("hc_a hc_b hc_c")
+        a, b = atoms("hc_a hc_b")
         built = Imp(Imp(a, b), a)
         assert parse_formula("(hc_a->hc_b)->hc_a") is built
         assert list_to_impl([Atom("hc_a"), parse_formula("hc_b"), a]) is built
@@ -225,10 +225,10 @@ class TestHashConsing:
 
         # Eliminating (c->b)->a proves c->b under the auxiliary b->a.
         monkeypatch.setattr(prover, "_search", recording)
-        assert not prove(a, (Imp(Imp(c, b), a),))
+        assert not prove(Imp(parse_formula("(hc_c->hc_b)->hc_a"), parse_formula("hc_a")))
         (aux,) = contexts[1]
         assert aux is Imp(b, a) is parse_formula("hc_b->hc_a") is pickle.loads(pickle.dumps(aux))
-        del a, b, c, built, contexts, aux
+        del a, b, built, contexts, aux
         assert len(formula._NODES) == before
 
     def test_pickle_and_copy_keep_identity(self):

@@ -132,6 +132,50 @@ def test_greedy_equals_argmax_loop():
     assert pad_wins > 0 and eos_stops > 0
 
 
+@pytest.mark.parametrize("temperature", [1e-300, 0.5, 1.0, 3.0])
+def test_sampling_equals_softmax_draw_loop(temperature):
+    # Each token is drawn with the decoder's seeded generator from the float64
+    # exp((logit - max) / T) / sum over the logits, PAD's set to -inf.
+    vocab = Vocab(["a", "b", "c", "d", "e"])
+    for seed in range(6):
+        params = skewed_params(vocab, seed)
+        prompt = [seed % 5, (seed + 2) % 5]
+        config = DecodeConfig(mode="sample", temperature=temperature, max_new_tokens=12, seed=seed)
+        rng, h, expected = np.random.default_rng(seed), run_prefix(params, prompt), []
+        for _ in range(config.max_new_tokens):
+            logits = (params.w_out @ h).astype(np.float64)
+            logits[vocab.pad_id] = -np.inf
+            with np.errstate(over="ignore"):  # a tiny T sends every other logit to -inf
+                probs = np.exp((logits - logits.max()) / temperature)
+            tok = int(rng.choice(len(probs), p=probs / probs.sum()))
+            if tok == vocab.eos_id:
+                break
+            expected.append(tok)
+            h = step(params, h, tok)
+        assert generate_free(params, vocab, prompt, config) == expected, seed
+
+
+def test_scoring_steps_every_token_but_the_last(count_calls):
+    # The last continuation token's state would feed no distribution.
+    params = random_params(9, 8, 3, 0)
+    calls = count_calls(inference, "step")
+    for m, n in [(1, 1), (1, 4), (3, 1), (3, 4)]:
+        calls.calls = 0
+        score_continuation(params, list(range(m)), list(range(1, n + 1)))
+        assert calls.calls == m + n - 1, (m, n)
+
+
+def test_decoding_steps_every_token_but_the_last(count_calls):
+    vocab = Vocab(["a", "b", "c", "d", "e"])
+    params, prompt = skewed_params(vocab, 4), [1, 3]  # five greedy tokens, none of them EOS
+    calls = count_calls(inference, "step")
+    for n in (0, 1, 5):
+        calls.calls = 0
+        out = generate_free(params, vocab, prompt, DecodeConfig(max_new_tokens=n))
+        assert len(out) == n  # no EOS ends it early
+        assert calls.calls == len(prompt) + max(n - 1, 0), n
+
+
 @pytest.mark.parametrize(
     "settings",
     [

@@ -66,10 +66,10 @@ class TestProve:
         assert not prove(Atom("p"))
 
     def test_with_context(self):
-        p, q = Atom("p"), Atom("q")
-        assert prove(q, (p, Imp(p, q)))
-        assert prove(q, (Imp(p, q), p, p))
-        assert not prove(q, (p,))
+        # A sequent's context is curried into the goal; a repeated hypothesis is assumed once.
+        assert prove(parse_formula("p -> (p->q) -> q"))
+        assert prove(parse_formula("p -> (p->q) -> p -> q"))
+        assert not prove(parse_formula("p -> q"))
 
     def test_completion_of_chains(self):
         # chain of n tokens -> (prefix chain of n-1) -> last atom, n = 2..12
@@ -141,9 +141,9 @@ class TestProve:
 
     def test_head_rule_refuses_an_atom_no_hypothesis_ends_in(self, count_calls):
         # Both hypotheses end in r, so q fails before any elimination is tried.
-        p, q, r = Atom("p"), Atom("q"), Atom("r")
+        goal = parse_formula("(p->r) -> ((q->p)->r) -> q")
         search = count_calls(prover, "_search")
-        assert not prove(q, (Imp(p, r), Imp(Imp(q, p), r)))
+        assert not prove(goal)
         assert search.calls == 1
 
     @pytest.mark.parametrize("n", [2, 3, 10_000])
@@ -163,14 +163,13 @@ class TestProve:
     def test_an_implication_to_a_known_formula_is_never_eliminated(self, count_calls):
         # b gives (c->d)->b for free, so the search never tries its left premise c->d,
         # whose head d would be memoized, but eliminates b->g and closes g: two calls.
-        b, c, d, g = (Atom(w) for w in "bcdg")
-        hyps = (Imp(Imp(c, d), b), b, Imp(b, g))
+        goal = parse_formula("((c->d)->b) -> b -> (b->g) -> g")
         memo: dict = {}
         search = count_calls(prover, "_search")
-        assert prover._search(g, hyps, frozenset(hyps), memo) is not False
+        assert prover._search(goal, (), frozenset(), memo) is not False
         assert search.calls == 2
-        assert d not in {goal for goal, _ in memo}
-        assert prove(g, hyps)
+        assert Atom("d") not in {atom for atom, _ in memo}
+        assert prove(goal)
 
 
 _WITNESS_SCRIPT = """
@@ -324,10 +323,6 @@ class TestTypeCheck:
     def test_unbound_variable(self):
         assert not type_check(Var("x"), Atom("p"))
 
-    def test_env_lookup(self):
-        p = Atom("p")
-        assert type_check(Var("x"), p, {"x": p})
-
     def test_argument_of_the_wrong_type(self):
         # \f.\y. f y needs y : p to apply f : p->q, and here y : r.
         term = Lam("f", Lam("y", App(Var("f"), Var("y"))))
@@ -335,8 +330,8 @@ class TestTypeCheck:
         assert type_check(term, parse_formula("(p->q)->p->q"))
 
     def test_redex(self):
-        p = Atom("p")
-        assert not type_check(App(Lam("x", Var("x")), Var("y")), p, {"y": p})
+        # \y. (\x. x) y: the redex's head is a lambda, which cannot synthesize.
+        assert not type_check(Lam("y", App(Lam("x", Var("x")), Var("y"))), parse_formula("p->p"))
 
     def test_unbound_argument(self):
         assert not type_check(Lam("f", App(Var("f"), Var("z"))), parse_formula("(p->q)->q"))
