@@ -4,8 +4,9 @@ Retrieval-first completion enumerates every occurrence of the query as a
 contiguous subsequence of a stored sentence, takes each sentence suffix
 after the match as a candidate continuation, deduplicates candidates by
 their text, and ranks them by per-token mean log-likelihood under the
-model (conditioning on the query tokens): one softmax, training's, over
-the stacked next-token logits, with no step after the last scored token.
+model (conditioning on the query tokens): the continuation's states are
+stepped first, with no step after the last scored token, then read out in
+one product and normalized by training's softmax.
 Matches at a sentence end have nothing left to score: they are exact hits.
 
 Free generation is repeated modus ponens on the left-nested chain: each
@@ -88,12 +89,12 @@ def score_continuation(
     targets = np.array(continuation, dtype=np.int64)
     _validate_tokens(params, targets)
     h = _run_prefix(params, prefix)
-    logits = np.empty((len(targets), params.vocab_size), dtype=params.w_out.dtype)
+    states = np.empty((len(targets), params.d), dtype=h.dtype)
     for i, tok in enumerate(continuation):
-        np.matmul(params.w_out, h, out=logits[i])
+        states[i] = h
         if i + 1 < len(targets):  # no step after the last scored token
             h = step(params, h, int(tok))
-    per_token = _softmax(logits, targets)[0].tolist()
+    per_token = _softmax(states @ params.w_out.T, targets)[0].tolist()
     return sum(per_token), per_token
 
 

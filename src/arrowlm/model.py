@@ -4,7 +4,9 @@ Each token ``t`` acts on the state through the low-rank operator
 ``M_t = I + U diag(s_t) V^T`` with gate ``s_t = tanh(emb[t])``; the state
 update is ``h' = LayerNorm(h + U((V^T h) * s_t))``.  The operator is
 always applied in factored form (cost O(d*r) per step); the dense matrix
-is never materialized here.  Next-token logits are ``W_out @ h``.
+is never materialized here.  Next-token logits are ``W_out @ h``; W_out is
+stored d-major, so that product streams it and a stack of states reads all
+their logits out in one ``H @ W_out.T``.
 
 The output layer is differentiated inside :func:`forward_loss`, one block
 of states at a time, so peak transient memory is bounded by the block, not
@@ -14,8 +16,9 @@ softmax.
 The parameters, their gradients and Adam's two moments are each a
 :class:`ModelParams` over one flat array, so AdamW, gradient clipping and
 the checkpoint each walk one array.  A checkpoint is one file: a header with
-``d``, ``r`` and the words' byte length, the floats, then the words that name
-their rows (and so give the vocabulary size), all under one CRC32.
+``d``, ``r`` and the words' byte length, the floats in memory order (W_out
+d-major), then the words that name W_out's rows (and so give the
+vocabulary size), all under one CRC32.
 
 Everything is seeded, so runs are bit-reproducible for a fixed BLAS thread
 count; nothing here pins that count (the CLI's manifests record it), and
@@ -37,7 +40,7 @@ from . import DEFAULTS, ModelError
 from .corpus import CorpusError, Vocab
 
 CHECKPOINT_MAGIC = b"ARRW"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class InvalidShape(ModelError):
@@ -64,8 +67,8 @@ class ChecksumMismatch(ModelError):
     """Checkpoint CRC32 does not match its contents."""
 
 
-# Every trainable tensor in checkpoint order, with its axes over d, r and
-# the vocabulary size v.  This is also the order of ModelParams.flat.
+# Every trainable tensor in checkpoint order, with its stored axes over d, r
+# and the vocabulary size v.  This is also the order of ModelParams.flat.
 _TENSORS = (
     ("h0", "d"),  # initial state
     ("emb", "vr"),  # gate embeddings
@@ -73,7 +76,7 @@ _TENSORS = (
     ("v", "dr"),  # input basis
     ("gain", "d"),  # LayerNorm gain
     ("bias", "d"),  # LayerNorm bias
-    ("w_out", "vd"),  # output projection
+    ("w_out", "dv"),  # output projection, stored d-major; ModelParams.w_out is its (V, d) view
 )
 # Set once: the views, the sizes that fix their layout, and eps, which no checkpoint stores.
 _FIXED = frozenset({"flat", "d", "r", "vocab_size", "eps", *(name for name, _ in _TENSORS)})
@@ -81,7 +84,7 @@ _FIXED = frozenset({"flat", "d", "r", "vocab_size", "eps", *(name for name, _ in
 
 @lru_cache
 def _layout(d: int, r: int, vocab_size: int) -> tuple[tuple, int]:
-    """Each tensor's ``(name, slice of flat, shape)`` in checkpoint order, and the size of flat."""
+    """``(name, slice of flat, stored shape)`` per tensor in checkpoint order, and flat's size."""
     if not (d >= r >= 1 and vocab_size >= 1):
         raise InvalidShape(f"need d >= r >= 1 and vocab_size >= 1, got d={d}, r={r}, "
                            f"vocab_size={vocab_size}")
@@ -99,8 +102,9 @@ class ModelParams:
     ``flat`` holds them all, in :data:`_TENSORS` order (checkpoint order is
     memory order is optimizer order), and each tensor attribute is a view
     into it, laid out by :func:`_layout`; the constructor copies nothing.
-    Write through a view; rebinding one would detach it from ``flat``, so it
-    raises, as does rebinding a size or ``eps``.
+    ``w_out`` is the (V, d) transpose of its stored block, so ``w_out.T`` is
+    C-contiguous.  Write through a view; rebinding one would detach it from
+    ``flat``, so it raises, as does rebinding a size or ``eps``.
     """
 
     eps = 1e-5  # LayerNorm's variance floor
@@ -109,10 +113,9 @@ class ModelParams:
         layout, size = _layout(d, r, vocab_size)
         if flat.shape != (size,):
             raise InvalidShape(f"flat has shape {flat.shape}, the layout needs ({size},)")
-        self.__dict__.update(
-            {name: flat[where].reshape(shape) for name, where, shape in layout},
-            flat=flat, d=d, r=r, vocab_size=vocab_size,
-        )
+        views = {name: flat[where].reshape(shape) for name, where, shape in layout}
+        views["w_out"] = views["w_out"].T
+        self.__dict__.update(views, flat=flat, d=d, r=r, vocab_size=vocab_size)
 
     def like(self, flat: np.ndarray) -> "ModelParams":
         """Tensors of this one's shapes as views into ``flat``, e.g. ``np.empty_like(p.flat)``."""
@@ -178,30 +181,24 @@ def init_params(
     return params
 
 
-def _layer_norm(params: ModelParams, pre: np.ndarray):
-    """LayerNorm of (B, d) states, or of one (d,) state, with the statistics along the last axis.
-
-    A batch keeps (B, 1) statistics; one state's are numpy scalars of its
-    dtype, which round as one-element arrays do but skip a ufunc call each.
-    ``sum / d`` is bit-identical to ``mean`` and costs a fraction of its
-    call overhead.
-    """
-    d, keep = pre.shape[-1], pre.ndim > 1
-    centered = pre - pre.sum(axis=-1, keepdims=keep) / d
-    var = (centered * centered).sum(axis=-1, keepdims=keep) / d
-    inv_std = 1.0 / np.sqrt(var + params.eps)
-    xhat = centered * inv_std
-    return params.gain * xhat + params.bias, xhat, inv_std
-
-
 def _step_cached(params: ModelParams, h: np.ndarray, tokens):
-    """Update (B, d) states by (B,) tokens, or a (d,) state by one token; add tape entries."""
+    """Update (B, d) states by (B,) tokens, or a (d,) state by one token; add tape entries.
+
+    LayerNorm's statistics are taken along the last axis.  A batch keeps
+    (B, 1) statistics; one state's are numpy scalars of its dtype, which
+    round as one-element arrays do but skip a ufunc call each.  ``sum / d``
+    is bit-identical to ``mean`` and costs a fraction of its call overhead.
+    """
     s = np.tanh(params.emb[tokens])
     z = h @ params.v
     g = z * s
     pre = h + g @ params.u.T
-    out, xhat, inv_std = _layer_norm(params, pre)
-    return out, (z, s, g, xhat, inv_std)
+    keep = pre.ndim > 1
+    centered = pre - pre.sum(axis=-1, keepdims=keep) / params.d
+    var = (centered * centered).sum(axis=-1, keepdims=keep) / params.d
+    inv_std = 1.0 / np.sqrt(var + params.eps)
+    xhat = centered * inv_std
+    return params.gain * xhat + params.bias, (z, s, g, xhat, inv_std)
 
 
 def step(params: ModelParams, h: np.ndarray, token: int) -> np.ndarray:
@@ -281,6 +278,7 @@ def forward_loss(
     d_h = np.empty_like(states)
     logits = np.empty((min(len(states), _OUT_ROWS), params.vocab_size), params.w_out.dtype)
     grads = params.like(np.empty_like(params.flat))  # every tensor is written before it is read
+    w_grad = grads.w_out.T
     total = 0.0
     for lo in range(0, len(states), _OUT_ROWS):
         rows = slice(lo, lo + _OUT_ROWS)
@@ -290,10 +288,10 @@ def forward_loss(
         total -= float(np.sum(logp, where=live[rows], initial=0.0))
         d_logits *= weight[rows, None] / sums
         d_logits[np.arange(len(d_logits)), targets[rows]] -= weight[rows]
-        if lo == 0:
-            np.matmul(d_logits.T, h_rows, out=grads.w_out)
+        if lo == 0:  # through the C-contiguous (d, V) block, so matmul's out is BLAS's
+            np.matmul(h_rows.T, d_logits, out=w_grad)
         else:
-            grads.w_out += d_logits.T @ h_rows
+            w_grad += h_rows.T @ d_logits
         np.matmul(d_logits, params.w_out, out=d_h[rows])
     tape = StepTape(tokens, n_pred, grads, h, z, s, g, xhat, inv_std, d_h.reshape(xhat.shape))
     return total / n_pred, tape

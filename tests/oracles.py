@@ -297,14 +297,19 @@ def materialized_loss(params: ModelParams, tokens: np.ndarray, mask: np.ndarray)
     return total / int(mask.sum())
 
 
-def layer_norm(params: ModelParams, pre: np.ndarray):
-    """LayerNorm of a (d,) state with (1,)-shaped statistics: the expression ``model._layer_norm``
-    used for one state before its statistics became numpy scalars.  Returns (out, xhat, inv_std)."""
+def one_state_step(params: ModelParams, h: np.ndarray, token: int):
+    """One (d,) state's step with (1,)-shaped LayerNorm statistics: the expressions of
+    ``model._step_cached`` before one state's statistics became numpy scalars.
+    Returns (out, (z, s, g, xhat, inv_std))."""
+    s = np.tanh(params.emb[token])
+    z = h @ params.v
+    g = z * s
+    pre = h + g @ params.u.T
     centered = pre - pre.sum(axis=-1, keepdims=True) / params.d
     var = (centered * centered).sum(axis=-1, keepdims=True) / params.d
     inv_std = 1.0 / np.sqrt(var + params.eps)
     xhat = centered * inv_std
-    return params.gain * xhat + params.bias, xhat, inv_std
+    return params.gain * xhat + params.bias, (z, s, g, xhat, inv_std)
 
 
 def adamw_step(params: ModelParams, grads: ModelParams, m: dict, v: dict, step_count: int, config) -> None:
@@ -341,20 +346,24 @@ def random_params(
     commutators) need a generic point instead.
     """
     rng = np.random.default_rng(seed)
-    tensors = (
+    drawn = (
         rng.normal(0, 1.0, d),  # h0
         rng.normal(0, 0.5, (vocab_size, r)),  # emb
         rng.normal(0, 0.3, (d, r)),  # u
         rng.normal(0, 0.3, (d, r)),  # v
         1.0 + rng.normal(0, 0.1, d),  # gain
         rng.normal(0, 0.1, d),  # bias
-        rng.normal(0, 0.3, (vocab_size, d)),  # w_out
+        rng.normal(0, 0.3, (vocab_size, d)),  # w_out, drawn (V, d) whatever its storage order
     )
-    return ModelParams(np.concatenate([arr.ravel() for arr in tensors]).astype(dtype), d, r, vocab_size)
+    params = ModelParams(np.empty(sum(arr.size for arr in drawn), dtype), d, r, vocab_size)
+    for (_, view), arr in zip(params.tensors(), drawn):
+        view[...] = arr
+    return params
 
 
 def init_params_reference(vocab_size: int, d: int, r: int, seed: int, dtype=np.float32) -> np.ndarray:
-    """``model.init_params``' flat buffer, drawn tensor by tensor and concatenated in checkpoint order."""
+    """``model.init_params``' flat buffer, drawn tensor by tensor and concatenated in checkpoint
+    order, each raveled in its storage order: W_out is drawn (V, d) and stored d-major."""
     rng = np.random.default_rng(seed)
 
     def draw(*shape):
@@ -362,4 +371,4 @@ def init_params_reference(vocab_size: int, d: int, r: int, seed: int, dtype=np.f
 
     emb, u, v, w_out = draw(vocab_size, r), draw(d, r), draw(d, r), draw(vocab_size, d)
     h0, gain, bias = rng.standard_normal(d).astype(dtype), np.ones(d, dtype), np.zeros(d, dtype)
-    return np.concatenate([arr.ravel() for arr in (h0, emb, u, v, gain, bias, w_out)])
+    return np.concatenate([arr.ravel() for arr in (h0, emb, u, v, gain, bias, w_out.T)])

@@ -48,6 +48,36 @@ def test_score_continuation_equals_materialized_loss(seed):
     assert abs(total - materialized_total(params, prefix, continuation)) <= 1e-10
 
 
+# A float32 total's error relative to float64, at most: twice the worst that per-token gemv
+# readouts gave (1.5e-7, seeds 0-19 of the test below), before one product read them all out.
+FLOAT32_SCORE_BOUND = 3e-7
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_float32_scores_at_query_tail_shape_stay_near_float64(seed):
+    # |V| = 2,720, d = 64, r = 8, as query-tail's checkpoint.  Continuations of 1 to 40 tokens read
+    # their logits out as 1 to 40 rows: OpenBLAS's small-matrix path up to 5, its packed one from 6.
+    params = random_params(2720, 64, 8, seed, dtype=np.float32)
+    exact = params.like(params.flat.astype(np.float64))
+    rng = np.random.default_rng(seed)
+    prefix = [int(t) for t in rng.integers(0, 2718, 3)]
+    means, exact_means = [], []
+    for n in range(1, 41):
+        continuation = [int(t) for t in rng.integers(0, 2718, n)]
+        total, _ = score_continuation(params, prefix, continuation)
+        want = materialized_total(exact, prefix, continuation)
+        assert abs(total - want) <= FLOAT32_SCORE_BOUND * abs(want), n
+        means.append(total / n)
+        exact_means.append(want / n)
+    # Ranked by mean, as retrieval_first ranks, float32 keeps float64's order wherever the
+    # float64 means differ by more than both of their bounds.
+    for a in range(40):
+        for b in range(40):
+            gap = FLOAT32_SCORE_BOUND * (abs(exact_means[a]) + abs(exact_means[b]))
+            if exact_means[a] - exact_means[b] > gap:
+                assert means[a] > means[b], (a, b)
+
+
 class TestRetrievalFirst:
     @pytest.fixture(scope="class")
     def toy(self):

@@ -20,7 +20,7 @@ from arrowlm.model import (
     _OUT_ROWS,
     _HEADER,
     _TENSORS,
-    _layer_norm,
+    _step_cached,
     activation_bound,
     backward,
     clip_gradients,
@@ -97,9 +97,35 @@ class TestModelParams:
         params = random_params(7, 6, 2, 3)
         assert [name for name, _ in params.tensors()] == [name for name, _ in _TENSORS]
         assert params.flat.flags.c_contiguous
-        assert np.array_equal(params.flat, np.concatenate([arr.ravel() for _, arr in params.tensors()]))
+        shapes = {"h0": (6,), "emb": (7, 2), "u": (6, 2), "v": (6, 2), "gain": (6,), "bias": (6,),
+                  "w_out": (7, 6)}
+        assert {name: arr.shape for name, arr in params.tensors()} == shapes
+        # Each block in turn, W_out's d-major: its (V, d) view reads the stored (d, V) block transposed.
+        stored = [arr.T if name == "w_out" else arr for name, arr in params.tensors()]
+        assert np.array_equal(params.flat, np.concatenate([arr.ravel() for arr in stored]))
         for name, arr in params.tensors():
             assert arr.base is params.flat, name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_w_out_transposed_is_c_contiguous_in_flat_wherever_it_comes_from(self, tmp_path, dtype):
+        # Every product with W_out reads (or writes) its stored (d, V) block as BLAS's operand.
+        params = init_params(9, 6, 2, 1, dtype=dtype)
+        save_checkpoint(params, Vocab([f"w{i}" for i in range(7)]), tmp_path / "m.arrw")
+        tokens, mask = random_batch(np.random.default_rng(1), 9, 3, 5)
+        optimizer = AdamW(params, TrainConfig())
+        found = {
+            "init_params": params,
+            "like": params.like(np.zeros_like(params.flat)),
+            "load_checkpoint": load_checkpoint(tmp_path / "m.arrw")[0],
+            "AdamW.m": optimizer.m,
+            "AdamW.v": optimizer.v,
+            "forward_loss grads": forward_loss(params, tokens, mask)[1].grads,
+        }
+        for where, found_params in found.items():
+            w_out = found_params.w_out
+            assert w_out.shape == (9, 6) and w_out.T.flags.c_contiguous, where
+            assert w_out.base is found_params.flat, where
+            assert np.array_equal(found_params.flat[-w_out.size:], w_out.T.ravel()), where
 
     def test_assigning_a_tensor_raises(self):
         params = random_params(7, 6, 2, 3)
@@ -130,11 +156,12 @@ class TestModelParams:
         params.w_out[2, 3] = 7.5
         params.u[...] = 0.25
         start = sum(arr.size for _, arr in params.tensors()[:6])  # where w_out begins
-        assert params.flat[start + 2 * params.d + 3] == 7.5
+        assert params.flat[start + 3 * params.vocab_size + 2] == 7.5  # stored d-major: row 3, column 2
         path, vocab = tmp_path / "m.arrw", Vocab([f"w{i}" for i in range(4)])
         save_checkpoint(params, vocab, path)
         data = path.read_bytes()
-        per_tensor = b"".join(arr.astype("<f4").tobytes() for _, arr in params.tensors())
+        stored = [arr.T if name == "w_out" else arr for name, arr in params.tensors()]
+        per_tensor = b"".join(arr.astype("<f4").tobytes() for arr in stored)
         floats_end = _HEADER.size + len(per_tensor)
         assert data[_HEADER.size : floats_end] == per_tensor
         write_vocab(tmp_path / "vocab.txt", vocab)  # the words follow, as vocab.txt holds them
@@ -200,19 +227,31 @@ class TestStep:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_one_state_layer_norm_matches_the_oracle_bit_for_bit(self, dtype):
-        # One state's statistics are numpy scalars; they must round as the oracle's
-        # (1,)-shaped arrays do, and each row of a batch as one state does.
+        # One state's statistics are numpy scalars; every value of the step must round as
+        # the oracle's, whose statistics are (1,)-shaped arrays.
         rng = np.random.default_rng(21)
         params = random_params(5, 16, 2, 21, dtype=dtype)
         for scale in (1e-3, 3e-3, 1e-2, 1.0, 1e2, 3e2, 1e3):
-            pre = (rng.standard_normal((200, 16)) * scale).astype(dtype)
-            batch = _layer_norm(params, pre)
-            for i, state in enumerate(pre):
-                got, want = _layer_norm(params, state), oracles.layer_norm(params, state)
-                for g, w, rows in zip(got, want, batch):
+            for i, state in enumerate((rng.standard_normal((200, 16)) * scale).astype(dtype)):
+                token = i % params.vocab_size
+                got, got_tape = _step_cached(params, state, token)
+                want, want_tape = oracles.one_state_step(params, state, token)
+                for g, w in zip((got, *got_tape), (want, *want_tape)):
                     g = np.asarray(g)
-                    assert g.dtype == w.dtype == rows.dtype, (scale, i)
-                    assert g.reshape(w.shape).tobytes() == w.tobytes() == rows[i].tobytes(), (scale, i)
+                    assert g.dtype == w.dtype, (scale, i)
+                    assert g.reshape(w.shape).tobytes() == w.tobytes(), (scale, i)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_decoding_states_equal_training_states(self, dtype):
+        # step is the one kernel forward_loss runs, on one state instead of a batch of one.
+        rng = np.random.default_rng(5)
+        for case in range(300):
+            vocab_size, d = int(rng.integers(2, 40)), int(rng.integers(1, 70))
+            params = random_params(vocab_size, d, int(rng.integers(1, min(d, 8) + 1)), case, dtype=dtype)
+            h = (rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)).astype(dtype)
+            token = int(rng.integers(vocab_size))
+            batched = _step_cached(params, h[None], np.array([token]))[0][0]
+            assert step(params, h, token).tobytes() == batched.tobytes(), case
 
 
 class TestForwardLoss:
@@ -725,17 +764,22 @@ class TestCheckpoint:
             with pytest.raises(ChecksumMismatch):
                 load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_version_file_is_refused(self, tmp_path, version):
-        # Versions 1 and 2 stored the vocabulary size and eps, and no byte length of the words;
-        # version 1 kept the words in a sidecar, so its file is header, floats and CRC only.
+        # Versions 1 to 3 stored W_out row-major.  Versions 1 and 2 stored the vocabulary size
+        # and eps, and no byte length of the words; version 1 kept the words in a sidecar, so
+        # its file is header, floats and CRC only.  Version 3 has today's header.
         import struct
 
         path = tmp_path / "model.arrw"
         params, vocab = init_params(11, 16, 4, 21), self.make_vocab(11)
-        words = vocab.text().encode() if version == 2 else b""
-        header = struct.pack("<4sIIIIf", b"ARRW", version, 16, 4, 11, 1e-5)
-        self.resealed(path, header + params.flat.astype("<f4").tobytes() + words)
+        floats = b"".join(arr.astype("<f4").tobytes() for _, arr in params.tensors())  # (V, d) rows
+        words = vocab.text().encode() if version > 1 else b""
+        if version == 3:
+            header = struct.pack("<4sIIII", b"ARRW", version, 16, 4, len(words))
+        else:
+            header = struct.pack("<4sIIIIf", b"ARRW", version, 16, 4, 11, 1e-5)
+        self.resealed(path, header + floats + words)
         with pytest.raises(FormatVersionMismatch, match=f"version b'ARRW'/{version}"):
             load_checkpoint(path)
 
